@@ -73,7 +73,7 @@ var (
 	topN       = flag.Int("top", 10, "top: number of counters to print")
 	baseline   = flag.String("baseline", "BENCH_baseline.json", "bench: access-path baseline file")
 	rebaseline = flag.Bool("rebaseline", false, "bench: record the measured access paths as the new baseline")
-	gate       = flag.Bool("gate", false, "bench: fail when an access path regresses past the baseline envelope (+5%)")
+	gate       = flag.Bool("gate", false, fmt.Sprintf("bench: fail when an access path regresses past the baseline envelope (+%.0f%%)", benchEnvelope*100))
 	batchSize  = flag.Int("batch", engine.DefaultBatchSize, "accesses per engine slice batch (must cover the largest workload transaction)")
 	healthMon  = flag.Bool("health", false, "chaos: arm per-VM delegation health monitors (degraded-mode failover + recovery handback)")
 	heartbeat  = flag.Int("heartbeat", 0, "chaos: health check period in classification epochs (0 = default 4; requires -health)")

@@ -290,26 +290,30 @@ func parseBuckets(spec string) ([]sim.Duration, error) {
 	return bounds, nil
 }
 
-// idleAges returns the idle age (now - last access) of every page the
-// VM's tracker has seen, plus how many mapped pages the tracker has
-// never seen (those count as "idle forever" — the page_idle convention).
-func (d *Daemon) idleAges(s *vmState) (ages []sim.Duration, unseen uint64) {
+// idleAgeCounts buckets the VM's pages by idle age (now - last access)
+// against bounds, adding each tracker counter's pages to its bucket.
+// Mapped pages the tracker has never seen have no timestamp and count as
+// "idle forever" in the oldest bucket — the page_idle convention.
+func (d *Daemon) idleAgeCounts(s *vmState, bounds []sim.Duration) []uint64 {
+	counts := make([]uint64, len(bounds)-1)
 	now := d.eng.Now()
 	var seenPages uint64
 	if s.tr != nil {
 		for _, c := range s.tr.Counters() {
 			age := sim.Duration(now - c.LastSeen)
-			for p := c.Pages(); p > 0; p-- {
-				ages = append(ages, age)
+			for i := range counts {
+				if age >= bounds[i] && age < bounds[i+1] {
+					counts[i] += c.Pages()
+					break
+				}
 			}
 			seenPages += c.Pages()
 		}
 	}
-	mapped := s.vm.Proc.GPT.Mapped()
-	if mapped > seenPages {
-		unseen = mapped - seenPages
+	if mapped := s.vm.Proc.GPT.Mapped(); mapped > seenPages {
+		counts[len(counts)-1] += mapped - seenPages
 	}
-	return ages, unseen
+	return counts
 }
 
 // dumpAccessed renders the idle-age histogram table for every VM,
@@ -326,20 +330,7 @@ func (d *Daemon) dumpAccessed(spec string) (string, error) {
 	nBuckets := len(bounds) - 1
 	bucketLabel := func(i int) string { return fmt.Sprintf("b%02d", i) }
 	for _, name := range d.order {
-		s := d.vms[name]
-		counts := make([]uint64, nBuckets)
-		ages, unseen := d.idleAges(s)
-		for _, age := range ages {
-			for i := 0; i < nBuckets; i++ {
-				if age >= bounds[i] && age < bounds[i+1] {
-					counts[i]++
-					break
-				}
-			}
-		}
-		// Pages the tracker never saw have no timestamp: oldest bucket.
-		counts[nBuckets-1] += unseen
-		for i, n := range counts {
+		for i, n := range d.idleAgeCounts(d.vms[name], bounds) {
 			d.o.Reg.Gauge("idle_age_pages", "vm", name, "bucket", bucketLabel(i)).Set(float64(n))
 		}
 	}

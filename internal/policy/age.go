@@ -25,13 +25,14 @@ func (p *agePolicy) Attach(eng *sim.Engine, vm *hypervisor.VM, tr track.Tracker)
 func (p *agePolicy) round() {
 	counters := p.tr.Counters()
 	p.chargeClassify(len(counters))
-	pages := expandPages(counters, 16*p.cfg.MigrationBatch)
+	p.pages = expandPages(p.pages[:0], counters, 16*p.cfg.MigrationBatch)
+	pages := p.pages
 	if len(pages) == 0 {
 		return
 	}
 	now := p.eng.Now()
 
-	var promote, idleFast []uint64
+	promote, idleFast := p.promote[:0], p.demote[:0]
 	for _, pg := range pages {
 		node, ok := p.residentNode(pg.gvpn)
 		if !ok {
@@ -45,6 +46,7 @@ func (p *agePolicy) round() {
 			idleFast = append(idleFast, pg.gvpn)
 		}
 	}
+	p.promote, p.demote = promote, idleFast
 	// Idle pages demote unconditionally — that is the aging semantic —
 	// and the freed frames then serve this round's promotions.
 	p.migrate(idleFast, 1, p.cfg.MigrationBatch)

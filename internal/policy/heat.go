@@ -49,7 +49,8 @@ func heatClass(score, max float64) int {
 func (p *heatPolicy) round() {
 	counters := p.tr.Counters()
 	p.chargeClassify(len(counters))
-	pages := expandPages(counters, 16*p.cfg.MigrationBatch)
+	p.pages = expandPages(p.pages[:0], counters, 16*p.cfg.MigrationBatch)
+	pages := p.pages
 	if len(pages) == 0 {
 		return
 	}
@@ -64,7 +65,7 @@ func (p *heatPolicy) round() {
 		return
 	}
 
-	var promote, coldFast []uint64
+	promote, coldFast := p.promote[:0], p.demote[:0]
 	for _, pg := range pages {
 		node, ok := p.residentNode(pg.gvpn)
 		if !ok {
@@ -77,6 +78,7 @@ func (p *heatPolicy) round() {
 			coldFast = append(coldFast, pg.gvpn)
 		}
 	}
+	p.promote, p.demote = promote, coldFast
 	p.makeRoomAndPromote(promote, coldFast)
 }
 

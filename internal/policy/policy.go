@@ -21,8 +21,9 @@
 package policy
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"demeter/internal/hypervisor"
 	"demeter/internal/sim"
@@ -134,7 +135,9 @@ func New(cfg Config) (Policy, error) {
 }
 
 // tickPolicy is the shared skeleton of the tracker-driven policies: a
-// ticker at Period calling the concrete round function.
+// ticker at Period calling the concrete round function. The round
+// buffers are reused across rounds, so a steady-state round allocates
+// only the tracker's Counters copy.
 type tickPolicy struct {
 	cfg    Config
 	eng    *sim.Engine
@@ -142,6 +145,9 @@ type tickPolicy struct {
 	tr     track.Tracker
 	ticker *sim.Ticker
 	active bool
+
+	pages           []pageScore
+	promote, demote []uint64
 }
 
 func newTickPolicy(cfg Config) tickPolicy { return tickPolicy{cfg: cfg} }
@@ -212,11 +218,10 @@ type pageScore struct {
 	seen  sim.Time
 }
 
-// expandPages flattens region counters into per-page scores, bounded by
-// cap pages (region trackers can cover the whole footprint; policies
-// only ever act on a bounded set per round).
-func expandPages(counters []track.Counter, limit int) []pageScore {
-	out := make([]pageScore, 0, min(limit, 4096))
+// expandPages flattens region counters into per-page scores appended to
+// out, bounded by limit pages (region trackers can cover the whole
+// footprint; policies only ever act on a bounded set per round).
+func expandPages(out []pageScore, counters []track.Counter, limit int) []pageScore {
 	for _, c := range counters {
 		perPage := c.Accesses
 		if n := c.Pages(); n > 1 {
@@ -235,13 +240,13 @@ func expandPages(counters []track.Counter, limit int) []pageScore {
 // sortByScoreDesc orders pages hottest-first with full determinism:
 // score, then recency, then address.
 func sortByScoreDesc(ps []pageScore) {
-	sort.Slice(ps, func(i, j int) bool {
-		if ps[i].score != ps[j].score {
-			return ps[i].score > ps[j].score
+	slices.SortFunc(ps, func(a, b pageScore) int {
+		if c := cmp.Compare(b.score, a.score); c != 0 {
+			return c
 		}
-		if ps[i].seen != ps[j].seen {
-			return ps[i].seen > ps[j].seen
+		if c := cmp.Compare(b.seen, a.seen); c != 0 {
+			return c
 		}
-		return ps[i].gvpn < ps[j].gvpn
+		return cmp.Compare(a.gvpn, b.gvpn)
 	})
 }

@@ -225,3 +225,43 @@ func TestTrackerDrivenPolicyNeedsTracker(t *testing.T) {
 		t.Fatal("heat policy accepted a nil tracker")
 	}
 }
+
+// TestSteadyStateRoundAllocatesOnlyCounters pins the allocation contract
+// of a warmed-up round for every tracker × driven-policy pairing: the
+// round buffers are reused, so the tracker's Counters copy is the only
+// allocation left.
+func TestSteadyStateRoundAllocatesOnlyCounters(t *testing.T) {
+	for _, tk := range track.Kinds() {
+		for _, pk := range Kinds() {
+			if !TrackerDriven(pk) {
+				continue
+			}
+			t.Run(tk+"/"+pk, func(t *testing.T) {
+				eng, vm, x := rig(t)
+				tr := trackerFor(t, tk)
+				if err := tr.Attach(eng, vm); err != nil {
+					t.Fatal(err)
+				}
+				defer tr.Detach()
+				pol, err := New(policyConfig(pk))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := pol.Attach(eng, vm, tr); err != nil {
+					t.Fatal(err)
+				}
+				defer pol.Detach()
+				x.Start()
+				defer x.Stop()
+				eng.Run(eng.Now() + 20*sim.Millisecond)
+				if len(tr.Counters()) == 0 {
+					t.Fatal("tracker has no counters after warm-up")
+				}
+				round := pol.(interface{ round() }).round
+				if n := testing.AllocsPerRun(50, round); n > 1 {
+					t.Fatalf("steady-state round allocates %v times, want at most 1 (the Counters copy)", n)
+				}
+			})
+		}
+	}
+}

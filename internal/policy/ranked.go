@@ -32,7 +32,8 @@ func (p *rankedPolicy) Attach(eng *sim.Engine, vm *hypervisor.VM, tr track.Track
 func (p *rankedPolicy) round() {
 	counters := p.tr.Counters()
 	p.chargeClassify(len(counters))
-	pages := expandPages(counters, rankedExpandLimit)
+	p.pages = expandPages(p.pages[:0], counters, rankedExpandLimit)
+	pages := p.pages
 	if len(pages) == 0 {
 		return
 	}
@@ -47,8 +48,8 @@ func (p *rankedPolicy) round() {
 	// Mismatches relative to the ranked split: wantFast pages resident
 	// on the slow tier, and beyond-capacity pages occupying fast frames
 	// (coldest last, so walk the tail backwards for swap victims).
-	var promote []uint64
-	var victims []uint64 // coldest-first fast-tier residents past the split
+	promote := p.promote[:0]
+	victims := p.demote[:0] // coldest-first fast-tier residents past the split
 	for i := len(pages) - 1; i >= capacity; i-- {
 		if node, ok := p.residentNode(pages[i].gvpn); ok && node == 0 {
 			victims = append(victims, pages[i].gvpn)
@@ -59,6 +60,7 @@ func (p *rankedPolicy) round() {
 			promote = append(promote, pg.gvpn)
 		}
 	}
+	p.promote, p.demote = promote, victims
 
 	var cost sim.Duration
 	moved, vi := 0, 0

@@ -25,12 +25,13 @@ func (p *thresholdPolicy) Attach(eng *sim.Engine, vm *hypervisor.VM, tr track.Tr
 func (p *thresholdPolicy) round() {
 	counters := p.tr.Counters()
 	p.chargeClassify(len(counters))
-	pages := expandPages(counters, 16*p.cfg.MigrationBatch)
+	p.pages = expandPages(p.pages[:0], counters, 16*p.cfg.MigrationBatch)
+	pages := p.pages
 	if len(pages) == 0 {
 		return
 	}
 
-	var promote, coldFast []uint64
+	promote, coldFast := p.promote[:0], p.demote[:0]
 	for _, pg := range pages {
 		node, ok := p.residentNode(pg.gvpn)
 		if !ok {
@@ -43,5 +44,6 @@ func (p *thresholdPolicy) round() {
 			coldFast = append(coldFast, pg.gvpn)
 		}
 	}
+	p.promote, p.demote = promote, coldFast
 	p.makeRoomAndPromote(promote, coldFast)
 }

@@ -23,8 +23,7 @@ type abitTracker struct {
 	cursor uint64
 	active bool
 
-	acc  map[uint64]float64
-	seen map[uint64]sim.Time
+	store pageStore
 }
 
 const (
@@ -49,8 +48,7 @@ func (t *abitTracker) Attach(eng *sim.Engine, vm *hypervisor.VM) error {
 	}
 	t.eng, t.vm, t.active = eng, vm, true
 	t.cursor = 0
-	t.acc = make(map[uint64]float64)
-	t.seen = make(map[uint64]sim.Time)
+	t.store.reset()
 	t.ticker = eng.StartTicker(t.cfg.Period, func(sim.Time) {
 		if t.active {
 			t.round()
@@ -80,26 +78,32 @@ func (t *abitTracker) round() {
 	now := t.eng.Now()
 	var flushCost sim.Duration
 	visited, next := gpt.ScanFrom(t.cursor, batch, func(gvpn uint64, e *pagetable.Entry) bool {
-		if e.Accessed() {
+		accessed := e.Accessed()
+		if accessed {
 			e.ClearAccessed()
 			flushCost += vm.FlushSingle(gvpn)
-			if t.acc[gvpn] < abitMaxScore {
-				t.acc[gvpn]++
-			}
-			t.seen[gvpn] = now
-		} else if c := t.acc[gvpn]; c > 0 {
-			if c <= 1 {
-				delete(t.acc, gvpn)
-			} else {
-				t.acc[gvpn] = c - 1
-			}
 		}
+		t.visit(gvpn, accessed, now)
 		return true
 	})
 	t.cursor = next
 	chargeTrack(vm, sim.Duration(visited)*cm.ScanPTECost+flushCost)
 }
 
+// visit scores one scanned page: an accessed page gains a saturating
+// point and a fresh LastSeen, an idle one loses a point.
+func (t *abitTracker) visit(gvpn uint64, accessed bool, now sim.Time) {
+	if accessed {
+		c := t.store.touch(gvpn)
+		if c.Accesses < abitMaxScore {
+			c.Accesses++
+		}
+		c.LastSeen = now
+	} else if c := t.store.at(gvpn); c != nil && c.Accesses > 0 {
+		c.Accesses--
+	}
+}
+
 func (t *abitTracker) Counters() []Counter {
-	return sortedCounters(t.acc, t.seen)
+	return t.store.counters()
 }

@@ -23,8 +23,7 @@ type idleTracker struct {
 	cursor uint64
 	active bool
 
-	seen map[uint64]sim.Time
-	ones map[uint64]float64 // constant-1 Accesses view over seen
+	store pageStore
 }
 
 const defaultIdleScanPeriod = 100 * sim.Millisecond
@@ -44,8 +43,7 @@ func (t *idleTracker) Attach(eng *sim.Engine, vm *hypervisor.VM) error {
 	}
 	t.eng, t.vm, t.active = eng, vm, true
 	t.cursor = 0
-	t.seen = make(map[uint64]sim.Time)
-	t.ones = make(map[uint64]float64)
+	t.store.reset()
 	t.ticker = eng.StartTicker(t.cfg.Period, func(sim.Time) {
 		if t.active {
 			t.round()
@@ -77,8 +75,7 @@ func (t *idleTracker) round() {
 		if e.Accessed() {
 			e.ClearAccessed()
 			flushCost += vm.FlushSingle(gvpn)
-			t.seen[gvpn] = now
-			t.ones[gvpn] = 1
+			t.markActive(gvpn, now)
 		}
 		return true
 	})
@@ -86,6 +83,13 @@ func (t *idleTracker) round() {
 	chargeTrack(vm, sim.Duration(visited)*cm.ScanPTECost+flushCost)
 }
 
+// markActive records a page found accessed since its last visit.
+func (t *idleTracker) markActive(gvpn uint64, now sim.Time) {
+	c := t.store.touch(gvpn)
+	c.Accesses = 1
+	c.LastSeen = now
+}
+
 func (t *idleTracker) Counters() []Counter {
-	return sortedCounters(t.ones, t.seen)
+	return t.store.counters()
 }

@@ -1,0 +1,216 @@
+package track
+
+import (
+	"fmt"
+	"sort"
+	"testing"
+
+	"demeter/internal/sim"
+	"demeter/internal/simrand"
+)
+
+// mapModel is the reference oracle for the page store: the per-page map
+// model the page-granular trackers used before the store, kept verbatim
+// so seeded update sequences can be replayed through both.
+type mapModel struct {
+	acc  map[uint64]float64
+	seen map[uint64]sim.Time
+}
+
+func newMapModel() *mapModel {
+	return &mapModel{acc: make(map[uint64]float64), seen: make(map[uint64]sim.Time)}
+}
+
+func (m *mapModel) abitVisit(gvpn uint64, accessed bool, now sim.Time) {
+	if accessed {
+		if m.acc[gvpn] < abitMaxScore {
+			m.acc[gvpn]++
+		}
+		m.seen[gvpn] = now
+	} else if c := m.acc[gvpn]; c > 0 {
+		if c <= 1 {
+			delete(m.acc, gvpn)
+		} else {
+			m.acc[gvpn] = c - 1
+		}
+	}
+}
+
+func (m *mapModel) idleMarkActive(gvpn uint64, now sim.Time) {
+	m.seen[gvpn] = now
+	m.acc[gvpn] = 1
+}
+
+func (m *mapModel) pebsSample(gvpn uint64, now sim.Time) {
+	m.acc[gvpn]++
+	m.seen[gvpn] = now
+}
+
+func (m *mapModel) pebsDecay() {
+	for gvpn, c := range m.acc {
+		c *= pebsDecay
+		if c < pebsEvict {
+			delete(m.acc, gvpn)
+			continue
+		}
+		m.acc[gvpn] = c
+	}
+}
+
+// counters is the old sortedCounters read: every seen page in gvpn
+// order, an absent count reading as 0.
+func (m *mapModel) counters() []Counter {
+	keys := make([]uint64, 0, len(m.seen))
+	for gvpn := range m.seen {
+		keys = append(keys, gvpn)
+	}
+	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
+	out := make([]Counter, 0, len(keys))
+	for _, gvpn := range keys {
+		out = append(out, Counter{StartGVPN: gvpn, EndGVPN: gvpn + 1, Accesses: m.acc[gvpn], LastSeen: m.seen[gvpn]})
+	}
+	return out
+}
+
+// coverage records which store and tracker paths a replay exercised, so
+// the test fails if a sequence stops reaching one of them.
+type coverage struct {
+	resorts, saturated, decremented, evicted, resampled int
+}
+
+func requireSameCounters(t *testing.T, step int, got, want []Counter) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("step %d: %d counters, oracle has %d", step, len(got), len(want))
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("step %d: counter %d = %+v, oracle %+v", step, i, got[i], want[i])
+		}
+	}
+}
+
+// read compares one store read against the oracle, counting reads that
+// had to restore gvpn order.
+func read(t *testing.T, step int, s *pageStore, tr Tracker, m *mapModel, cov *coverage) {
+	t.Helper()
+	if s.unsorted {
+		cov.resorts++
+	}
+	requireSameCounters(t, step, tr.Counters(), m.counters())
+}
+
+// scanOrder visits n pages of [base, base+span) from a random cursor,
+// wrapping like an incremental page-table scan.
+func scanOrder(rng *simrand.Source, base, span uint64, n int) []uint64 {
+	cursor := rng.Uint64n(span)
+	out := make([]uint64, n)
+	for i := range out {
+		out[i] = base + (cursor+uint64(i))%span
+	}
+	return out
+}
+
+func TestPageStoreMatchesMapModel(t *testing.T) {
+	const span = 96
+	for seed := uint64(1); seed <= 20; seed++ {
+		base := 1<<20 + seed*1000
+		t.Run(fmt.Sprintf("abit/seed%d", seed), func(t *testing.T) {
+			rng := simrand.New(seed)
+			tr := &abitTracker{}
+			tr.store.reset()
+			m := newMapModel()
+			var cov coverage
+			hot := rng.Uint64n(span)
+			for step := 0; step < 400; step++ {
+				now := sim.Time(step) * sim.Millisecond
+				for _, gvpn := range scanOrder(rng, base, span, 1+rng.Intn(span)) {
+					// A hot page stays accessed long enough to saturate;
+					// the rest flicker and decay back to zero.
+					accessed := gvpn-base == hot || rng.Intn(4) == 0
+					before := m.acc[gvpn]
+					tr.visit(gvpn, accessed, now)
+					m.abitVisit(gvpn, accessed, now)
+					if before < abitMaxScore && m.acc[gvpn] == abitMaxScore {
+						cov.saturated++
+					}
+					if before == 1 && !accessed {
+						cov.decremented++
+					}
+				}
+				if rng.Intn(3) == 0 {
+					read(t, step, &tr.store, tr, m, &cov)
+				}
+				if step%100 == 99 {
+					hot = rng.Uint64n(span)
+				}
+			}
+			read(t, -1, &tr.store, tr, m, &cov)
+			if cov.resorts == 0 || cov.saturated == 0 || cov.decremented == 0 {
+				t.Fatalf("sequence missed a path: %+v", cov)
+			}
+		})
+		t.Run(fmt.Sprintf("idlepage/seed%d", seed), func(t *testing.T) {
+			rng := simrand.New(seed)
+			tr := &idleTracker{}
+			tr.store.reset()
+			m := newMapModel()
+			var cov coverage
+			for step := 0; step < 400; step++ {
+				now := sim.Time(step) * sim.Millisecond
+				for _, gvpn := range scanOrder(rng, base, span, 1+rng.Intn(span)) {
+					// Set-and-test: only pages found accessed are marked.
+					if rng.Intn(8) == 0 {
+						tr.markActive(gvpn, now)
+						m.idleMarkActive(gvpn, now)
+					}
+				}
+				if rng.Intn(3) == 0 {
+					read(t, step, &tr.store, tr, m, &cov)
+				}
+			}
+			read(t, -1, &tr.store, tr, m, &cov)
+			if cov.resorts == 0 {
+				t.Fatalf("sequence never re-sorted: %+v", cov)
+			}
+		})
+		t.Run(fmt.Sprintf("pebs/seed%d", seed), func(t *testing.T) {
+			rng := simrand.New(seed)
+			tr := &pebsTracker{}
+			tr.store.reset()
+			m := newMapModel()
+			var cov coverage
+			evicted := make(map[uint64]bool)
+			for step := 0; step < 400; step++ {
+				now := sim.Time(step) * sim.Millisecond
+				// Samples arrive in access order, not address order.
+				for i := rng.Intn(12); i > 0; i-- {
+					gvpn := base + rng.Uint64n(span)
+					if evicted[gvpn] {
+						cov.resampled++
+						delete(evicted, gvpn)
+					}
+					tr.sample(gvpn, now)
+					m.pebsSample(gvpn, now)
+				}
+				if rng.Intn(2) == 0 {
+					for gvpn, c := range m.acc {
+						if c*pebsDecay < pebsEvict {
+							evicted[gvpn] = true
+							cov.evicted++
+						}
+					}
+					tr.decay()
+					m.pebsDecay()
+				}
+				if rng.Intn(3) == 0 {
+					read(t, step, &tr.store, tr, m, &cov)
+				}
+			}
+			read(t, -1, &tr.store, tr, m, &cov)
+			if cov.resorts == 0 || cov.evicted == 0 || cov.resampled == 0 {
+				t.Fatalf("sequence missed a path: %+v", cov)
+			}
+		})
+	}
+}

@@ -21,8 +21,7 @@ type pebsTracker struct {
 	ticker *sim.Ticker
 	active bool
 
-	acc  map[uint64]float64
-	seen map[uint64]sim.Time
+	store pageStore
 }
 
 const (
@@ -31,8 +30,8 @@ const (
 	// pebsDecay halves counts each drain period; with the default 10 ms
 	// period the window covers ~a few epochs of heat.
 	pebsDecay = 0.5
-	// pebsEvict drops a page whose decayed count fell below this floor,
-	// bounding the map to recently sampled pages.
+	// pebsEvict zeroes a page's count once it decays below this floor,
+	// so a faded page reads as unsampled until the next sample.
 	pebsEvict = 0.05
 )
 
@@ -66,8 +65,7 @@ func (t *pebsTracker) Attach(eng *sim.Engine, vm *hypervisor.VM) error {
 		return fmt.Errorf("track: pebs tracker: %w", err)
 	}
 	t.eng, t.vm, t.unit, t.active = eng, vm, unit, true
-	t.acc = make(map[uint64]float64)
-	t.seen = make(map[uint64]sim.Time)
+	t.store.reset()
 	unit.OnPMI = func() {
 		if !t.active {
 			return
@@ -102,25 +100,29 @@ func (t *pebsTracker) drain() {
 	chargeTrack(t.vm, sim.Duration(len(samples))*t.vm.Machine.Cost.SampleHandleCost)
 	now := t.eng.Now()
 	for _, s := range samples {
-		t.acc[s.GVPN]++
-		t.seen[s.GVPN] = now
+		t.sample(s.GVPN, now)
 	}
 }
 
-// decay halves all counts, evicting pages that faded out. Eviction only
+// sample counts one PEBS sample against its page.
+func (t *pebsTracker) sample(gvpn uint64, now sim.Time) {
+	c := t.store.touch(gvpn)
+	c.Accesses++
+	c.LastSeen = now
+}
+
+// decay halves all counts, zeroing pages that faded out. Eviction only
 // drops the frequency estimate; LastSeen survives so recency-driven
 // policies keep aging the page rather than forgetting it.
 func (t *pebsTracker) decay() {
-	for gvpn, c := range t.acc {
-		c *= pebsDecay
-		if c < pebsEvict {
-			delete(t.acc, gvpn)
-			continue
+	for i := range t.store.pages {
+		c := &t.store.pages[i]
+		if c.Accesses *= pebsDecay; c.Accesses < pebsEvict {
+			c.Accesses = 0
 		}
-		t.acc[gvpn] = c
 	}
 }
 
 func (t *pebsTracker) Counters() []Counter {
-	return sortedCounters(t.acc, t.seen)
+	return t.store.counters()
 }

@@ -23,7 +23,6 @@ package track
 
 import (
 	"fmt"
-	"sort"
 
 	"demeter/internal/hypervisor"
 	"demeter/internal/sim"
@@ -99,27 +98,6 @@ func New(cfg Config) (Tracker, error) {
 	default:
 		return nil, fmt.Errorf("track: unknown tracker kind %q (want one of %v)", cfg.Kind, Kinds())
 	}
-}
-
-// sortedCounters turns a per-page map into the sorted read model shared
-// by the page-granular trackers. Key iteration feeds a sort, so map
-// order never escapes.
-func sortedCounters(acc map[uint64]float64, seen map[uint64]sim.Time) []Counter {
-	keys := make([]uint64, 0, len(seen))
-	for gvpn := range seen {
-		keys = append(keys, gvpn)
-	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-	out := make([]Counter, 0, len(keys))
-	for _, gvpn := range keys {
-		out = append(out, Counter{
-			StartGVPN: gvpn,
-			EndGVPN:   gvpn + 1,
-			Accesses:  acc[gvpn],
-			LastSeen:  seen[gvpn],
-		})
-	}
-	return out
 }
 
 // chargeTrack books tracking CPU on the guest like every other guest-run
