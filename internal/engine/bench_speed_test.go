@@ -42,8 +42,9 @@ func BenchmarkAccessPath(b *testing.B) {
 
 // BenchmarkAccessBatch is BenchmarkAccessPath's batched twin: the same
 // cluster and access stream, consumed through vm.AccessBatch the way
-// Executor.slice does. The ratio of the two is the batching speedup and
-// is what `demeter-sim bench` ratchets as access_batch_ns_per_op.
+// Executor.slice does. The ratio of the two is the per-access batching
+// speedup; bench/ reports the same pair as hypervisor.access_ns and
+// hypervisor.access_batch_ns.
 func BenchmarkAccessBatch(b *testing.B) {
 	vm, wl := benchMachine()
 	buf := make([]workload.Access, 4096)

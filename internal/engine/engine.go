@@ -20,6 +20,8 @@ import (
 
 // Defaults.
 const (
+	// DefaultBatchSize is the number of accesses simulated per
+	// activation; it must hold the largest workload transaction.
 	DefaultBatchSize = 2048
 	DefaultTimeslice = sim.Millisecond
 	// DefaultPerAccessCompute is the CPU work between memory accesses
@@ -28,29 +30,11 @@ const (
 	DefaultPerAccessCompute = 200 * sim.Nanosecond
 )
 
-// defaultBatchSize is what new executors start with; the demeter-sim
-// -batch flag overrides it process-wide before any executor is built.
-//lint:allow crossshard written once by CLI flag parsing before any executor exists; read-only while runs execute
-var defaultBatchSize = DefaultBatchSize
-
-// SetDefaultBatchSize changes the BatchSize future executors start with.
-// n must hold at least one whole transaction of any canonical workload,
-// or the transactional consume loop could stall.
-func SetDefaultBatchSize(n int) error {
-	if min := workload.MaxTxnAccesses(); n < min {
-		return fmt.Errorf("engine: batch size %d smaller than the largest transaction (%d accesses)", n, min)
-	}
-	defaultBatchSize = n
-	return nil
-}
-
 // Executor runs one workload inside one VM.
 type Executor struct {
 	VM *hypervisor.VM
 	WL workload.Workload
 
-	// BatchSize is the number of accesses simulated per activation.
-	BatchSize int
 	// Timeslice is the guest scheduler quantum; context-switch hooks
 	// (Demeter's sample draining) fire at this cadence.
 	Timeslice sim.Duration
@@ -83,7 +67,6 @@ func NewExecutor(eng *sim.Engine, vm *hypervisor.VM, wl workload.Workload) *Exec
 	x := &Executor{
 		VM:               vm,
 		WL:               wl,
-		BatchSize:        defaultBatchSize,
 		Timeslice:        DefaultTimeslice,
 		PerAccessCompute: DefaultPerAccessCompute,
 		eng:              eng,
@@ -103,7 +86,7 @@ func (x *Executor) Start() {
 	}
 	x.started = true
 	x.startedAt = x.eng.Now()
-	x.buf = make([]workload.Access, x.BatchSize)
+	x.buf = make([]workload.Access, DefaultBatchSize)
 	x.sliceFn = x.slice
 	x.eng.After(0, x.sliceFn)
 }
@@ -171,7 +154,7 @@ func (x *Executor) slice() {
 
 	n, done := x.WL.Fill(x.buf)
 	if n == 0 && !done {
-		panic(fmt.Sprintf("engine: workload %s stalled (batch %d too small?)", x.WL.Name(), x.BatchSize))
+		panic(fmt.Sprintf("engine: workload %s stalled (batch %d too small?)", x.WL.Name(), DefaultBatchSize))
 	}
 
 	var cpu sim.Duration

@@ -29,6 +29,15 @@ func testRig(t *testing.T, fmemFrames, smemFrames uint64) (*sim.Engine, *hypervi
 	return eng, vm
 }
 
+// TestBatchHoldsLargestTransaction pins the slice buffer against the
+// widest canonical transaction: a smaller buffer could never hold one
+// whole transaction, and a transactional executor would stall.
+func TestBatchHoldsLargestTransaction(t *testing.T) {
+	if max := workload.MaxTxnAccesses(); DefaultBatchSize < max {
+		t.Fatalf("DefaultBatchSize %d < largest transaction %d accesses", DefaultBatchSize, max)
+	}
+}
+
 func TestExecutorRunsWorkloadToCompletion(t *testing.T) {
 	eng, vm := testRig(t, 256, 1024)
 	wl := workload.Must(workload.NewGUPS(512, 10000, 1))

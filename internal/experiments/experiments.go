@@ -38,13 +38,9 @@ import (
 	"demeter/internal/workload"
 )
 
-// Policy is the common TMM lifecycle (structurally satisfied by
-// core.Demeter and every tmm design).
-type Policy interface {
-	Name() string
-	Attach(eng *sim.Engine, vm *hypervisor.VM)
-	Detach()
-}
+// Policy is the common TMM lifecycle, satisfied by core.Demeter and
+// every tmm design.
+type Policy = tmm.Policy
 
 // Scale compresses the paper's configuration.
 type Scale struct {
@@ -428,9 +424,6 @@ func auditMachine(m *hypervisor.Machine) {
 // machineAuditErr is auditMachine's error-returning form, used by the
 // chaos runner which reports violations instead of panicking.
 func machineAuditErr(m *hypervisor.Machine) error {
-	for _, vm := range m.VMs {
-		benchAccesses.Add(vm.Stats().Accesses)
-	}
 	if err := m.AuditFrames(); err != nil {
 		return fmt.Errorf("host frame audit failed: %w", err)
 	}

@@ -104,16 +104,6 @@ func FanOut(n int, job func(i int)) {
 	wg.Wait()
 }
 
-// benchAccesses tallies guest memory accesses at the audit chokepoint
-// every run passes through on teardown; the bench harness reads it to
-// report accesses/sec per experiment.
-//lint:allow crossshard monotone atomic tally folded at teardown; commutative adds cannot perturb reports
-var benchAccesses atomic.Uint64
-
-// TakeBenchAccesses returns the accesses accumulated since the last call
-// and resets the tally.
-func TakeBenchAccesses() uint64 { return benchAccesses.Swap(0) }
-
 // Report is one experiment's rendered output plus its wall time.
 type Report struct {
 	ID      string

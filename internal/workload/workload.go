@@ -73,9 +73,9 @@ const defaultScanLength = 8
 
 // MaxTxnAccesses returns the largest transaction footprint any canonical
 // workload construction produces: Silo touches 8 records per transaction
-// and a scan-heavy YCSB widens every operation to 1 + ScanLength. Batch
-// sizing (the demeter-sim -batch flag) validates against this so a batch
-// always holds at least one whole transaction.
+// and a scan-heavy YCSB widens every operation to 1 + ScanLength. The
+// engine's slice buffer (engine.DefaultBatchSize) is tested against this
+// so a batch always holds at least one whole transaction.
 func MaxTxnAccesses() int {
 	// TxnAccesses depends only on the mix and scan width, never on table
 	// size, so bare values with the constructor defaults suffice.
