@@ -13,8 +13,8 @@
 //   - Memtis (Lee et al., SOSP'23): guest PEBS with dedicated collection
 //     threads, per-sample software address translation, a physical-page
 //     hotness histogram and threshold classification.
-//   - Nomad (Xiang et al., OSDI'24): A-bit tracking with transactional
-//     shadow-copy migration that trades placement agility for
+//   - Nomad (Xiang et al., OSDI'24): TPP's guest A-bit scanner with
+//     transactional shadow-copy migration, trading placement agility for
 //     thrash-resistance.
 //
 // All policies share one structural interface (Name/Attach/Detach) so the

@@ -13,6 +13,14 @@ import (
 // rig builds a 1-VM machine plus a GUPS executor.
 func rig(t *testing.T, fmem, smem, footprint, ops uint64) (*sim.Engine, *hypervisor.VM, *engine.Executor, *workload.GUPS) {
 	t.Helper()
+	wl := workload.Must(workload.NewGUPS(footprint, ops, 7))
+	eng, vm, x := rigWith(t, fmem, smem, wl)
+	return eng, vm, x, wl
+}
+
+// rigWith builds a 1-VM machine plus an executor for wl.
+func rigWith(t *testing.T, fmem, smem uint64, wl workload.Workload) (*sim.Engine, *hypervisor.VM, *engine.Executor) {
+	t.Helper()
 	eng := sim.NewEngine()
 	m := hypervisor.NewMachine(eng, mem.PaperDRAMPMEM(fmem, smem))
 	vm, err := m.NewVM(hypervisor.VMConfig{
@@ -22,9 +30,7 @@ func rig(t *testing.T, fmem, smem, footprint, ops uint64) (*sim.Engine, *hypervi
 	if err != nil {
 		t.Fatal(err)
 	}
-	wl := workload.Must(workload.NewGUPS(footprint, ops, 7))
-	x := engine.NewExecutor(eng, vm, wl)
-	return eng, vm, x, wl
+	return eng, vm, engine.NewExecutor(eng, vm, wl)
 }
 
 // compressed cadences for unit tests.
@@ -207,8 +213,29 @@ func TestNomadPromotesWithShadows(t *testing.T) {
 	}
 }
 
+// GUPS writes every hot page, so each shadow is dropped before demotion.
+// Silo writes a quarter of its touches and its hot window drifts: pages
+// promoted late in their hot spell cool off before a write dirties them,
+// and demoting those must go through the shadow path.
+func TestNomadDemotesToCleanShadows(t *testing.T) {
+	eng, vm, x := rigWith(t, 4096, 65536, workload.Must(workload.NewSilo(16000, 100_000, 7)))
+	p := NewNomad(testNomad())
+	p.Attach(eng, vm)
+	defer p.Detach()
+	if !engine.RunAll(eng, 500*sim.Second, x) {
+		t.Fatal("did not finish")
+	}
+	if p.Stats().Promoted == 0 {
+		t.Fatal("Nomad promoted nothing")
+	}
+	if p.ShadowDemotions == 0 {
+		t.Fatalf("none of %d demotions used a retained shadow", p.Stats().Demoted)
+	}
+}
+
 // Nomad's conservatism: with the same scan cadence it promotes later than
-// TPP (higher threshold), so its mid-run placement lags.
+// TPP (its deeper counter, MaxScore 6 vs 4, saturates later), so its
+// mid-run placement lags.
 func TestNomadSlowerToPromoteThanTPP(t *testing.T) {
 	// Compare promotion counts after a fixed simulated horizon.
 	run := func(useNomad bool) uint64 {
@@ -238,7 +265,7 @@ func TestNomadSlowerToPromoteThanTPP(t *testing.T) {
 
 func TestDoubleAttachPanics(t *testing.T) {
 	eng, vm, _, _ := rig(t, 256, 1024, 512, 1000)
-	policies := []Policy{NewTPP(testTPP()), NewTPPH(testTPPH()), NewMemtis(testMemtis()), NewNomad(testNomad())}
+	policies := []Policy{NewTPP(testTPP()), NewTPPH(testTPPH()), NewMemtis(testMemtis()), NewNomad(testNomad()), NewVTMM(testVTMM())}
 	for _, p := range policies {
 		func() {
 			p.Attach(eng, vm)
@@ -255,7 +282,7 @@ func TestDoubleAttachPanics(t *testing.T) {
 
 func TestDetachIsIdempotent(t *testing.T) {
 	eng, vm, _, _ := rig(t, 256, 1024, 512, 1000)
-	for _, p := range []Policy{NewStatic(), NewTPP(testTPP()), NewTPPH(testTPPH()), NewMemtis(testMemtis()), NewNomad(testNomad())} {
+	for _, p := range []Policy{NewStatic(), NewTPP(testTPP()), NewTPPH(testTPPH()), NewMemtis(testMemtis()), NewNomad(testNomad()), NewVTMM(testVTMM())} {
 		p.Attach(eng, vm)
 		p.Detach()
 		p.Detach()

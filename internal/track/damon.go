@@ -25,24 +25,13 @@ type damonTracker struct {
 }
 
 func newDAMONTracker(cfg Config) (Tracker, error) {
-	dcfg := damon.DefaultConfig()
-	if cfg.Period != 0 {
-		dcfg.AggregationInterval = cfg.Period
-		// Keep Linux's 20:1 aggregation:sampling shape under rescaling.
-		dcfg.SamplingInterval = cfg.Period / 20
-		if dcfg.SamplingInterval <= 0 {
-			dcfg.SamplingInterval = 1
-		}
-	}
-	if cfg.Seed != 0 {
-		dcfg.Seed = cfg.Seed
-	}
+	t := &damonTracker{cfg: cfg}
 	// Validate now so a bad period surfaces at config time; Attach
 	// rebuilds the profiler fresh.
-	if _, err := damon.NewProfiler(dcfg); err != nil {
+	if _, err := damon.NewProfiler(t.damonConfig()); err != nil {
 		return nil, fmt.Errorf("track: damon tracker: %w", err)
 	}
-	return &damonTracker{cfg: cfg}, nil
+	return t, nil
 }
 
 func (t *damonTracker) Name() string { return "damon" }
@@ -51,6 +40,7 @@ func (t *damonTracker) damonConfig() damon.Config {
 	dcfg := damon.DefaultConfig()
 	if t.cfg.Period != 0 {
 		dcfg.AggregationInterval = t.cfg.Period
+		// Keep Linux's 20:1 aggregation:sampling shape under rescaling.
 		dcfg.SamplingInterval = t.cfg.Period / 20
 		if dcfg.SamplingInterval <= 0 {
 			dcfg.SamplingInterval = 1
