@@ -81,7 +81,7 @@ type lockOrderEdge struct {
 type lockorderState struct {
 	pass    *ModulePass
 	mod     *flow.Module
-	events  map[*flow.Func][]lockEvent            // whole-body events, for summaries
+	events  map[*flow.Func][]lockEvent              // whole-body events, for summaries
 	byNode  map[*flow.Func]map[ast.Node][]lockEvent // per-CFG-node events, for dataflow
 	summary map[*flow.Func]*lockSummary
 	edges   map[[2]string]lockOrderEdge

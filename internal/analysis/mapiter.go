@@ -24,8 +24,8 @@ var Mapiter = &Analyzer{
 
 // sinkPackages are packages any call into which counts as emission.
 var sinkPackages = map[string]bool{
-	"fmt":           true,
-	"encoding/json": true,
+	"fmt":            true,
+	"encoding/json":  true,
 	"text/tabwriter": true,
 }
 

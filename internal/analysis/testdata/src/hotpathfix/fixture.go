@@ -82,20 +82,20 @@ func ifaceRoot(s stepper, n int) int { return s.step(n) }
 
 //demeter:hotpath
 func dirty(c *counter, xs []int, s string, m map[int]int) {
-	fmt.Println(c.n)        // want `fmt.Println in hot path dirty allocates`
-	f := func() {}          // want `closure literal in hot path dirty allocates`
+	fmt.Println(c.n) // want `fmt.Println in hot path dirty allocates`
+	f := func() {}   // want `closure literal in hot path dirty allocates`
 	f()
-	buf := make([]int, 4)   // want `make in hot path dirty allocates`
-	xs = append(xs, 1)      // want `append in hot path dirty may grow`
-	lit := []int{1, 2}      // want `slice literal in hot path dirty allocates`
-	ml := map[int]int{}     // want `map literal in hot path dirty allocates`
-	p := &counter{}         // want `&composite literal in hot path dirty heap-allocates`
-	cat := s + s            // want `string concatenation in hot path dirty allocates`
-	bs := []byte(s)         // want `string/slice conversion in hot path dirty copies`
-	m[1] = 2                // want `map write in hot path dirty may allocate`
-	sink(c.n)               // want `argument boxes int into interface`
-	var i any = any(c.n)    // want `conversion to interface in hot path dirty boxes`
-	defer sink(i)           // want `defer in hot path dirty allocates`
+	buf := make([]int, 4) // want `make in hot path dirty allocates`
+	xs = append(xs, 1)    // want `append in hot path dirty may grow`
+	lit := []int{1, 2}    // want `slice literal in hot path dirty allocates`
+	ml := map[int]int{}   // want `map literal in hot path dirty allocates`
+	p := &counter{}       // want `&composite literal in hot path dirty heap-allocates`
+	cat := s + s          // want `string concatenation in hot path dirty allocates`
+	bs := []byte(s)       // want `string/slice conversion in hot path dirty copies`
+	m[1] = 2              // want `map write in hot path dirty may allocate`
+	sink(c.n)             // want `argument boxes int into interface`
+	var i any = any(c.n)  // want `conversion to interface in hot path dirty boxes`
+	defer sink(i)         // want `defer in hot path dirty allocates`
 	_, _, _, _, _, _, _, _ = buf, xs, lit, ml, p, cat, bs, i
 }
 

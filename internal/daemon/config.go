@@ -24,6 +24,7 @@ import (
 	"strconv"
 	"strings"
 
+	"demeter/internal/mem"
 	"demeter/internal/policy"
 	"demeter/internal/sim"
 	"demeter/internal/track"
@@ -132,10 +133,8 @@ func LoadConfig(path string) (Config, error) {
 }
 
 func (c Config) validate() error {
-	switch c.Tier {
-	case "", "pmem", "cxl":
-	default:
-		return fmt.Errorf("daemon: config: unknown tier %q (want pmem or cxl)", c.Tier)
+	if _, err := mem.PaperTopology(c.Tier); err != nil {
+		return fmt.Errorf("daemon: config: %w", err)
 	}
 	if c.HostFMEMFrames == 0 || c.HostSMEMFrames == 0 {
 		return fmt.Errorf("daemon: config: host_fmem_frames and host_smem_frames must be positive")

@@ -52,15 +52,15 @@ func New(cfg Config) (*Daemon, error) {
 	if err != nil {
 		return nil, fmt.Errorf("daemon: quantum: %w", err)
 	}
-	eng := sim.NewEngine()
-	topo := mem.PaperDRAMPMEM(cfg.HostFMEMFrames, cfg.HostSMEMFrames)
-	if cfg.Tier == "cxl" {
-		topo = mem.PaperDRAMCXL(cfg.HostFMEMFrames, cfg.HostSMEMFrames)
+	topology, err := mem.PaperTopology(cfg.Tier)
+	if err != nil {
+		return nil, fmt.Errorf("daemon: config: %w", err)
 	}
+	eng := sim.NewEngine()
 	d := &Daemon{
 		cfg:     cfg,
 		eng:     eng,
-		m:       hypervisor.NewMachine(eng, topo),
+		m:       hypervisor.NewMachine(eng, topology(cfg.HostFMEMFrames, cfg.HostSMEMFrames)),
 		o:       obs.New(0),
 		quantum: quantum,
 		vms:     make(map[string]*vmState),

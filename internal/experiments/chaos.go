@@ -7,10 +7,10 @@ import (
 
 	"demeter/internal/balloon"
 	"demeter/internal/core"
-	"demeter/internal/engine"
 	"demeter/internal/fault"
 	"demeter/internal/health"
 	"demeter/internal/hypervisor"
+	"demeter/internal/mem"
 	"demeter/internal/obs"
 	"demeter/internal/sim"
 	"demeter/internal/tmm"
@@ -145,7 +145,7 @@ func (cfg ChaosConfig) Validate() error {
 	if !containsString(ChaosDesigns, cfg.Design) {
 		return fmt.Errorf("chaos: unknown design %q", cfg.Design)
 	}
-	if cfg.Tier != "pmem" && cfg.Tier != "cxl" {
+	if _, err := mem.PaperTopology(cfg.Tier); err != nil {
 		return fmt.Errorf("chaos: unknown tier %q", cfg.Tier)
 	}
 	for _, w := range cfg.Workloads {
@@ -276,7 +276,6 @@ func runChaosRung(s Scale, cfg ChaosConfig, mult float64) (r RungResult) {
 			r.Report = fmt.Sprintf("rung x%g:\n  PANIC: %v\n", mult, p)
 		}
 	}()
-	eng := sim.NewEngine()
 	n := cfg.VMs
 
 	inj := fault.NewInjector(cfg.Seed)
@@ -289,17 +288,13 @@ func runChaosRung(s Scale, cfg ChaosConfig, mult float64) (r RungResult) {
 			hostFMEM = 1
 		}
 	}
-	m := hypervisor.NewMachine(eng, hostTopology(cfg.Tier, hostFMEM, s.VMSMEM*uint64(n)))
-	m.Fault = inj // before NewVM/NewDouble so every layer inherits it
-	if s.ScanPTECost > 0 {
-		m.Cost.ScanPTECost = s.ScanPTECost
-	}
-	o := obs.New(0)
-	m.AttachObs(o) // before NewVM/NewDouble so publish hooks register
+	c := s.newCluster(cfg.Tier, hostFMEM, s.VMSMEM*uint64(n))
+	eng := c.eng
+	c.m.Fault = inj // before NewVM/NewDouble so every layer inherits it
 	// Journal each fired fault. OnFire runs after the draw, so the fault
 	// stream is identical with or without observability attached.
 	inj.OnFire = func(p fault.Point, magnitude float64) {
-		o.Journal.Append(obs.Event{
+		c.o.Journal.Append(obs.Event{
 			At: eng.Now(), Type: obs.EvFault, VM: -1,
 			Note: string(p), Arg1: math.Float64bits(magnitude),
 		})
@@ -312,13 +307,7 @@ func runChaosRung(s Scale, cfg ChaosConfig, mult float64) (r RungResult) {
 	pending := n
 	for i := 0; i < n; i++ {
 		total := s.VMFMEM + s.VMSMEM
-		vm, err := m.NewVM(hypervisor.VMConfig{
-			VCPUs: 4, GuestFMEM: total, GuestSMEM: total,
-			FMEMBacking: 0, SMEMBacking: 1,
-		})
-		if err != nil {
-			panic(err)
-		}
+		vm := c.newVM(4, total, total)
 		d := balloon.NewDouble(eng, vm)
 		d.SetProvision(s.VMFMEM, s.VMSMEM, func() { pending-- })
 		vms = append(vms, vm)
@@ -350,18 +339,10 @@ func runChaosRung(s Scale, cfg ChaosConfig, mult float64) (r RungResult) {
 	reb.SMEMPerVM = s.VMSMEM
 	reb.Start(8 * s.EpochPeriod)
 
-	var xs []*engine.Executor
-	var policies []Policy
 	var ds []*core.Demeter
 	for i, vm := range vms {
-		// The executor's workload Setup must run before the policy
-		// attaches: the range tree snapshots the process VMAs at attach.
-		wl := s.NewApp(cfg.Workloads[i%len(cfg.Workloads)], uint64(i)+1)
-		xs = append(xs, engine.NewExecutor(eng, vm, wl))
-		pol := s.NewPolicy(cfg.Design)
-		pol.Attach(eng, vm)
-		policies = append(policies, pol)
-		if d, ok := pol.(*core.Demeter); ok {
+		c.attach(vm, s.NewApp(cfg.Workloads[i%len(cfg.Workloads)], uint64(i)+1), s.NewPolicy(cfg.Design))
+		if d, ok := c.pols[i].(*core.Demeter); ok {
 			ds = append(ds, d)
 		}
 	}
@@ -371,7 +352,7 @@ func runChaosRung(s Scale, cfg ChaosConfig, mult float64) (r RungResult) {
 	// guest delegate, so Health is a no-op for them by construction.
 	var mons []*health.Monitor
 	if cfg.Health {
-		for i, pol := range policies {
+		for i, pol := range c.pols {
 			d, ok := pol.(*core.Demeter)
 			if !ok {
 				continue
@@ -383,7 +364,7 @@ func runChaosRung(s Scale, cfg ChaosConfig, mult float64) (r RungResult) {
 			hcfg.Failover = !cfg.NoFailover
 			hcfg.Fallback = tmm.DefaultFallbackConfig(s.ScanPeriod, s.ScanBatch, s.MigrationBatch)
 			mon := health.NewMonitor(hcfg, d, doubles[i])
-			mon.AttachExecutor(xs[i])
+			mon.AttachExecutor(c.xs[i])
 			mon.Start(eng, vms[i])
 			mons = append(mons, mon)
 		}
@@ -391,7 +372,7 @@ func runChaosRung(s Scale, cfg ChaosConfig, mult float64) (r RungResult) {
 
 	// Double the horizon: faulty rungs legitimately run slower, and the
 	// degradation floor (not the horizon) is the performance assertion.
-	finished := engine.RunAll(eng, 2*s.Horizon, xs...)
+	finished := c.run(2 * s.Horizon)
 	reb.Stop()
 	// Monitors stop before the idle drain: a DEGRADED monitor's probe
 	// timer self-reschedules with backoff and would otherwise keep the
@@ -399,9 +380,7 @@ func runChaosRung(s Scale, cfg ChaosConfig, mult float64) (r RungResult) {
 	for _, mon := range mons {
 		mon.Stop()
 	}
-	for _, pol := range policies {
-		pol.Detach()
-	}
+	c.detach()
 	for _, d := range doubles {
 		d.StopStats()
 	}
@@ -418,7 +397,7 @@ func runChaosRung(s Scale, cfg ChaosConfig, mult float64) (r RungResult) {
 			r.Violations = append(r.Violations, fmt.Sprintf("VM%d: %d balloon/stats requests still in flight after quiesce", i, left))
 		}
 	}
-	if err := machineAuditErr(m); err != nil {
+	if err := machineAuditErr(c.m); err != nil {
 		r.Violations = append(r.Violations, err.Error())
 	}
 	for i, mon := range mons {
@@ -436,21 +415,14 @@ func runChaosRung(s Scale, cfg ChaosConfig, mult float64) (r RungResult) {
 		}
 	}
 
-	var ops uint64
-	var wall sim.Time
-	for _, x := range xs {
-		ops += x.OpsDone()
-		if x.FinishedAt() > wall {
-			wall = x.FinishedAt()
-		}
-	}
+	ops, wall := c.totals()
 	if wall > 0 {
 		r.Throughput = float64(ops) / wall.Seconds()
 	}
 
 	r.Report = chaosRungReport(mult, r.Throughput, inj, vms, ds, doubles, mons)
-	r.Snapshot = o.Reg.Snapshot()
-	s.finishObs(fmt.Sprintf("chaos-x%g", mult), o)
+	r.Snapshot = c.o.Reg.Snapshot()
+	s.finishObs(fmt.Sprintf("chaos-x%g", mult), c.o)
 	return r
 }
 

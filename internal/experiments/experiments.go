@@ -27,10 +27,6 @@ import (
 
 	"demeter/internal/core"
 	"demeter/internal/damon"
-	"demeter/internal/engine"
-	"demeter/internal/hypervisor"
-	"demeter/internal/mem"
-	"demeter/internal/obs"
 	"demeter/internal/sim"
 	"demeter/internal/stats"
 	"demeter/internal/tlb"
@@ -247,30 +243,17 @@ func (s Scale) NewApp(app string, seed uint64) workload.Workload {
 // Apps is the §5.3 workload list in the paper's presentation order.
 var Apps = []string{"btree", "silo", "bwaves", "xsbench", "graph500", "pagerank", "liblinear"}
 
-// Tier selects the slow medium: "pmem" (Figure 10) or "cxl" (Figure 11).
-func hostTopology(tier string, fmemFrames, smemFrames uint64) *mem.Topology {
-	switch tier {
-	case "", "pmem":
-		return mem.PaperDRAMPMEM(fmemFrames, smemFrames)
-	case "cxl":
-		return mem.PaperDRAMCXL(fmemFrames, smemFrames)
-	default:
-		panic(fmt.Sprintf("experiments: unknown tier %q", tier))
-	}
-}
-
 // ClusterResult aggregates one multi-VM run.
 type ClusterResult struct {
-	Design    string
-	Runtimes  []sim.Duration
-	Wall      sim.Duration // latest finish
-	GuestCPU  *sim.Ledger  // merged per-component guest management time
-	HostCPU   *sim.Ledger
-	TLB       tlb.Stats
-	OpsTotal  uint64
-	Series    *stats.Series    // aggregate throughput when sampled
-	TxnHist   *stats.Histogram // merged transaction latencies (Silo)
-	PerVMHist []*stats.Histogram
+	Design   string
+	Runtimes []sim.Duration
+	Wall     sim.Duration // latest finish
+	GuestCPU *sim.Ledger  // merged per-component guest management time
+	HostCPU  *sim.Ledger
+	TLB      tlb.Stats
+	OpsTotal uint64
+	Series   *stats.Series    // aggregate throughput when sampled
+	TxnHist  *stats.Histogram // merged transaction latencies (Silo)
 }
 
 // AvgRuntime returns the mean VM runtime in seconds.
@@ -301,35 +284,16 @@ func (r ClusterResult) CoresUsed() float64 {
 
 // clusterOptions tweaks RunCluster.
 type clusterOptions struct {
-	tier        string
+	tier        string       // slow medium: "pmem" (Figure 10) or "cxl" (Figure 11)
 	sampleEvery sim.Duration // aggregate throughput sampling (0 = off)
 	txnLatency  bool
-	hostFMEM    uint64 // override host FMEM pool (0 = per-VM sum)
-	hostSMEM    uint64
 }
 
 // RunCluster runs nVMs concurrent VMs, each with its own policy instance
 // of the given design and its own workload (built by mkWL per VM index).
 func (s Scale) RunCluster(design string, nVMs int, mkWL func(vmID int) workload.Workload, opt clusterOptions) ClusterResult {
-	eng := sim.NewEngine()
-	hostFMEM := opt.hostFMEM
-	if hostFMEM == 0 {
-		hostFMEM = s.VMFMEM * uint64(nVMs)
-	}
-	hostSMEM := opt.hostSMEM
-	if hostSMEM == 0 {
-		hostSMEM = s.VMSMEM * uint64(nVMs)
-	}
-	m := hypervisor.NewMachine(eng, hostTopology(opt.tier, hostFMEM, hostSMEM))
-	if s.ScanPTECost > 0 {
-		m.Cost.ScanPTECost = s.ScanPTECost
-	}
-	o := obs.New(0)
-	m.AttachObs(o)
-
+	c := s.newCluster(opt.tier, s.VMFMEM*uint64(nVMs), s.VMSMEM*uint64(nVMs))
 	res := ClusterResult{Design: design, GuestCPU: sim.NewLedger(), HostCPU: sim.NewLedger()}
-	var xs []*engine.Executor
-	var policies []Policy
 	for i := 0; i < nVMs; i++ {
 		guestFMEM, guestSMEM := s.VMFMEM, s.VMSMEM
 		if design == "tpp-h" {
@@ -337,23 +301,12 @@ func (s Scale) RunCluster(design string, nVMs int, mkWL func(vmID int) workload.
 			// whose backing the host shuffles.
 			guestFMEM, guestSMEM = s.VMFMEM+s.VMSMEM, 1
 		}
-		vm, err := m.NewVM(hypervisor.VMConfig{
-			VCPUs: 4, GuestFMEM: guestFMEM, GuestSMEM: guestSMEM,
-			FMEMBacking: 0, SMEMBacking: 1,
-		})
-		if err != nil {
-			panic(err)
-		}
-		x := engine.NewExecutor(eng, vm, mkWL(i))
-		x.PublishObs(o, fmt.Sprintf("%d", i))
+		x := c.attach(c.newVM(4, guestFMEM, guestSMEM), mkWL(i), s.NewPolicy(design))
+		x.PublishObs(c.o, fmt.Sprintf("%d", i))
 		if opt.txnLatency {
 			x.TxnHist = stats.NewHistogram()
-			o.Reg.AttachHistogram("txn_latency_ns", x.TxnHist, "vm", fmt.Sprintf("%d", i))
+			c.o.Reg.AttachHistogram("txn_latency_ns", x.TxnHist, "vm", fmt.Sprintf("%d", i))
 		}
-		pol := s.NewPolicy(design)
-		pol.Attach(eng, vm)
-		policies = append(policies, pol)
-		xs = append(xs, x)
 	}
 
 	var sampler *sim.Ticker
@@ -361,11 +314,8 @@ func (s Scale) RunCluster(design string, nVMs int, mkWL func(vmID int) workload.
 		res.Series = &stats.Series{Name: design}
 		var lastOps uint64
 		var lastT sim.Time
-		sampler = eng.StartTicker(opt.sampleEvery, func(now sim.Time) {
-			var ops uint64
-			for _, x := range xs {
-				ops += x.OpsDone()
-			}
+		sampler = c.eng.StartTicker(opt.sampleEvery, func(now sim.Time) {
+			ops, _ := c.totals()
 			dt := now - lastT
 			if dt > 0 {
 				res.Series.Append(now.Seconds(), float64(ops-lastOps)/dt.Seconds())
@@ -374,25 +324,20 @@ func (s Scale) RunCluster(design string, nVMs int, mkWL func(vmID int) workload.
 		})
 	}
 
-	ok := engine.RunAll(eng, s.Horizon, xs...)
+	ok := c.run(s.Horizon)
 	if sampler != nil {
 		sampler.Stop()
 	}
-	for _, p := range policies {
-		p.Detach()
-	}
+	c.detach()
 	if !ok {
 		panic(fmt.Sprintf("experiments: %s cluster did not finish within horizon %v", design, s.Horizon))
 	}
 
+	res.OpsTotal, res.Wall = c.totals()
 	res.TxnHist = stats.NewHistogram()
-	for i, x := range xs {
+	for i, x := range c.xs {
 		res.Runtimes = append(res.Runtimes, x.Runtime())
-		if x.FinishedAt() > res.Wall {
-			res.Wall = x.FinishedAt()
-		}
-		res.OpsTotal += x.OpsDone()
-		vm := m.VMs[i]
+		vm := c.m.VMs[i]
 		res.GuestCPU.Merge(vm.Ledger)
 		st := vm.TLB.Stats()
 		res.TLB.SingleFlushes += st.SingleFlushes
@@ -402,40 +347,11 @@ func (s Scale) RunCluster(design string, nVMs int, mkWL func(vmID int) workload.
 		res.TLB.Misses += st.Misses
 		if x.TxnHist != nil {
 			res.TxnHist.Merge(x.TxnHist)
-			res.PerVMHist = append(res.PerVMHist, x.TxnHist)
 		}
 	}
-	res.HostCPU.Merge(m.HostLedger)
-	auditMachine(m)
-	s.finishObs(design, o)
+	res.HostCPU.Merge(c.m.HostLedger)
+	s.finish(c, design)
 	return res
-}
-
-// auditMachine runs the end-of-experiment frame-accounting and mapping
-// consistency checks on every layer: host frame conservation, per-VM guest
-// frame conservation, and TLB/GPT/EPT agreement. Experiments panic on a
-// violation — a leak here is a simulator bug, not a result.
-func auditMachine(m *hypervisor.Machine) {
-	if err := machineAuditErr(m); err != nil {
-		panic(fmt.Sprintf("experiments: %v", err))
-	}
-}
-
-// machineAuditErr is auditMachine's error-returning form, used by the
-// chaos runner which reports violations instead of panicking.
-func machineAuditErr(m *hypervisor.Machine) error {
-	if err := m.AuditFrames(); err != nil {
-		return fmt.Errorf("host frame audit failed: %w", err)
-	}
-	for i, vm := range m.VMs {
-		if err := vm.AuditGuestFrames(); err != nil {
-			return fmt.Errorf("VM%d guest frame audit failed: %w", i, err)
-		}
-		if err := vm.AuditMappings(); err != nil {
-			return fmt.Errorf("VM%d mapping audit failed: %w", i, err)
-		}
-	}
-	return nil
 }
 
 // gupsSplit builds per-VM GUPS workloads dividing the full (s.VMs-sized)

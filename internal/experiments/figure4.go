@@ -4,10 +4,7 @@ import (
 	"fmt"
 	"strings"
 
-	"demeter/internal/hypervisor"
 	"demeter/internal/mem"
-	"demeter/internal/obs"
-	"demeter/internal/sim"
 	"demeter/internal/workload"
 )
 
@@ -91,20 +88,8 @@ func (h HeatMap) concentration(top int) float64 {
 
 // Figure4Data runs LibLinear in one VM and collects both heat maps.
 func Figure4Data(s Scale) (gva, gpa HeatMap) {
-	eng := sim.NewEngine()
-	m := hypervisor.NewMachine(eng, hostTopology("pmem", s.VMFMEM, s.VMSMEM))
-	if s.ScanPTECost > 0 {
-		m.Cost.ScanPTECost = s.ScanPTECost
-	}
-	o := obs.New(0)
-	m.AttachObs(o)
-	vm, err := m.NewVM(hypervisor.VMConfig{
-		VCPUs: 4, GuestFMEM: s.VMFMEM, GuestSMEM: s.VMSMEM,
-		FMEMBacking: 0, SMEMBacking: 1,
-	})
-	if err != nil {
-		panic(err)
-	}
+	c := s.newCluster("pmem", s.VMFMEM, s.VMSMEM)
+	vm := c.newVM(4, s.VMFMEM, s.VMSMEM)
 	wl := s.NewApp("liblinear", 1)
 	wl.Setup(vm.Proc)
 
@@ -173,8 +158,7 @@ func Figure4Data(s Scale) (gva, gpa HeatMap) {
 			break
 		}
 	}
-	auditMachine(m)
-	s.finishObs("figure4-heatmap", o)
+	s.finish(c, "figure4-heatmap")
 	return gva, gpa
 }
 

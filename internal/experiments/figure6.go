@@ -4,9 +4,7 @@ import (
 	"fmt"
 
 	"demeter/internal/balloon"
-	"demeter/internal/engine"
 	"demeter/internal/hypervisor"
-	"demeter/internal/obs"
 	"demeter/internal/sim"
 	"demeter/internal/stats"
 	"demeter/internal/workload"
@@ -79,16 +77,8 @@ func Figure6(s Scale) string {
 // runProvisioned builds the cluster, settles provisioning, then runs GUPS
 // and returns aggregate throughput.
 func runProvisioned(s Scale, scheme provisionScheme) float64 {
-	eng := sim.NewEngine()
 	n := s.VMs
-	m := hypervisor.NewMachine(eng, hostTopology("pmem", s.VMFMEM*uint64(n), s.VMSMEM*uint64(n)))
-	if s.ScanPTECost > 0 {
-		m.Cost.ScanPTECost = s.ScanPTECost
-	}
-	o := obs.New(0)
-	m.AttachObs(o) // before balloons attach, so their publish hooks register
-
-	var vms []*hypervisor.VM
+	c := s.newCluster("pmem", s.VMFMEM*uint64(n), s.VMSMEM*uint64(n))
 	pending := n
 	for i := 0; i < n; i++ {
 		guestFMEM, guestSMEM := s.VMFMEM, s.VMSMEM
@@ -96,51 +86,25 @@ func runProvisioned(s Scale, scheme provisionScheme) float64 {
 			total := s.VMFMEM + s.VMSMEM
 			guestFMEM, guestSMEM = total, total
 		}
-		vm, err := m.NewVM(hypervisor.VMConfig{
-			VCPUs: 4, GuestFMEM: guestFMEM, GuestSMEM: guestSMEM,
-			FMEMBacking: 0, SMEMBacking: 1,
-		})
-		if err != nil {
-			panic(err)
-		}
-		vms = append(vms, vm)
-		scheme.setup(eng, vm, s, func() { pending-- })
+		scheme.setup(c.eng, c.newVM(4, guestFMEM, guestSMEM), s, func() { pending-- })
 	}
 	// Settle ballooning before workloads start (boot-time resizing).
 	for pending > 0 {
-		if !eng.Step() {
+		if !c.eng.Step() {
 			panic("experiments: provisioning never settled")
 		}
 	}
 
 	// Each VM runs its own full GUPS instance (16 GiB VM, ~14 GiB table
 	// in the paper).
-	fp := s.GUPSFootprint
-	ops := s.GUPSOps
-	var xs []*engine.Executor
-	var policies []Policy
-	for i, vm := range vms {
-		x := engine.NewExecutor(eng, vm, workload.Must(workload.NewGUPS(fp, ops, uint64(i)+1)))
-		pol := s.NewPolicy(scheme.design)
-		pol.Attach(eng, vm)
-		policies = append(policies, pol)
-		xs = append(xs, x)
+	for i, vm := range c.m.VMs {
+		c.attach(vm, workload.Must(workload.NewGUPS(s.GUPSFootprint, s.GUPSOps, uint64(i)+1)), s.NewPolicy(scheme.design))
 	}
-	if !engine.RunAll(eng, s.Horizon, xs...) {
+	if !c.run(s.Horizon) {
 		panic(fmt.Sprintf("experiments: figure6 %s did not finish", scheme.name))
 	}
-	for _, p := range policies {
-		p.Detach()
-	}
-	var ops2 uint64
-	var wall sim.Time
-	for _, x := range xs {
-		ops2 += x.OpsDone()
-		if x.FinishedAt() > wall {
-			wall = x.FinishedAt()
-		}
-	}
-	auditMachine(m)
-	s.finishObs("figure6-"+scheme.name, o)
-	return float64(ops2) / wall.Seconds()
+	c.detach()
+	ops, wall := c.totals()
+	s.finish(c, "figure6-"+scheme.name)
+	return float64(ops) / wall.Seconds()
 }

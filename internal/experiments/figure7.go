@@ -22,9 +22,9 @@ func init() {
 
 // runGUPSNine runs the §5.2.2 setting: nine VMs, each with its own full
 // GUPS table, under one design.
-func runGUPSNine(s Scale, design string, sampleEvery int64) ClusterResult {
+func runGUPSNine(s Scale, design string, sampled bool) ClusterResult {
 	opt := clusterOptions{}
-	if sampleEvery > 0 {
+	if sampled {
 		opt.sampleEvery = s.EpochPeriod
 	}
 	return s.RunCluster(design, s.VMs, func(vmID int) workload.Workload {
@@ -39,7 +39,7 @@ func runGUPSNine(s Scale, design string, sampleEvery int64) ClusterResult {
 // while moving more hot data.
 func Figure7(s Scale) string {
 	results := runIndexed(len(GuestDesigns), func(i int) ClusterResult {
-		return runGUPSNine(s, GuestDesigns[i], 0)
+		return runGUPSNine(s, GuestDesigns[i], false)
 	})
 
 	tb := stats.NewTable("Figure 7: TMM overhead breakdown (CPU seconds, summed over 9 VMs)",
@@ -84,7 +84,7 @@ func Figure8(s Scale) string {
 		rampTime float64 // time to reach 80% of peak
 	}
 	results := runIndexed(len(GuestDesigns), func(i int) ClusterResult {
-		return runGUPSNine(s, GuestDesigns[i], 1)
+		return runGUPSNine(s, GuestDesigns[i], true)
 	})
 	summaries := map[string]summary{}
 	for i, d := range GuestDesigns {

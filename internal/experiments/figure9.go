@@ -4,9 +4,6 @@ import (
 	"fmt"
 
 	"demeter/internal/core"
-	"demeter/internal/engine"
-	"demeter/internal/hypervisor"
-	"demeter/internal/obs"
 	"demeter/internal/sim"
 	"demeter/internal/stats"
 	"demeter/internal/workload"
@@ -23,41 +20,19 @@ func init() {
 // runDemeterWith runs a small GUPS cluster under a custom Demeter config
 // and returns the average runtime in seconds.
 func runDemeterWith(s Scale, nVMs int, cfg core.Config) float64 {
-	eng := sim.NewEngine()
-	m := hypervisor.NewMachine(eng, hostTopology("pmem", s.VMFMEM*uint64(nVMs), s.VMSMEM*uint64(nVMs)))
-	if s.ScanPTECost > 0 {
-		m.Cost.ScanPTECost = s.ScanPTECost
-	}
-	o := obs.New(0)
-	m.AttachObs(o)
-	var xs []*engine.Executor
-	var ds []*core.Demeter
+	c := s.newCluster("pmem", s.VMFMEM*uint64(nVMs), s.VMSMEM*uint64(nVMs))
 	for i := 0; i < nVMs; i++ {
-		vm, err := m.NewVM(hypervisor.VMConfig{
-			VCPUs: 4, GuestFMEM: s.VMFMEM, GuestSMEM: s.VMSMEM,
-			FMEMBacking: 0, SMEMBacking: 1,
-		})
-		if err != nil {
-			panic(err)
-		}
-		x := engine.NewExecutor(eng, vm, workload.Must(workload.NewGUPS(s.GUPSFootprint, s.GUPSOps, uint64(i)+1)))
-		d := core.New(cfg)
-		d.Attach(eng, vm)
-		ds = append(ds, d)
-		xs = append(xs, x)
+		c.attach(c.newVM(4, s.VMFMEM, s.VMSMEM), workload.Must(workload.NewGUPS(s.GUPSFootprint, s.GUPSOps, uint64(i)+1)), core.New(cfg))
 	}
-	if !engine.RunAll(eng, s.Horizon, xs...) {
+	if !c.run(s.Horizon) {
 		panic("experiments: figure9 run did not finish")
 	}
-	for _, d := range ds {
-		d.Detach()
-	}
+	c.detach()
 	var sum float64
-	for _, x := range xs {
+	for _, x := range c.xs {
 		sum += x.Runtime().Seconds()
 	}
-	auditMachine(m)
-	s.finishObs("demeter-tuned", o)
+	s.finish(c, "demeter-tuned")
 	return sum / float64(nVMs)
 }
 

@@ -82,15 +82,16 @@ func TestScaleParametersSane(t *testing.T) {
 }
 
 func TestHostTopologyTiers(t *testing.T) {
-	pm := hostTopology("pmem", 10, 20)
-	if pm.SlowNode().Spec.Kind.String() != "PMEM" {
+	slowKind := func(tier string) string {
+		return Tiny().newCluster(tier, 10, 20).m.Topo.SlowNode().Spec.Kind.String()
+	}
+	if slowKind("pmem") != "PMEM" {
 		t.Error("pmem tier wrong")
 	}
-	cx := hostTopology("cxl", 10, 20)
-	if cx.SlowNode().Spec.Kind.String() != "CXL" {
+	if slowKind("cxl") != "CXL" {
 		t.Error("cxl tier wrong")
 	}
-	if hostTopology("", 10, 20).SlowNode().Spec.Kind.String() != "PMEM" {
+	if slowKind("") != "PMEM" {
 		t.Error("default tier should be pmem")
 	}
 	defer func() {
@@ -98,7 +99,7 @@ func TestHostTopologyTiers(t *testing.T) {
 			t.Error("unknown tier did not panic")
 		}
 	}()
-	hostTopology("optane9000", 1, 1)
+	Tiny().newCluster("optane9000", 1, 1)
 }
 
 func TestClusterResultMetrics(t *testing.T) {
@@ -144,8 +145,8 @@ func TestHeatMapRender(t *testing.T) {
 }
 
 func TestMeasureTierLatencyStability(t *testing.T) {
-	a := MeasureTierLatency("pmem", 1)
-	b := MeasureTierLatency("pmem", 1)
+	a := Tiny().measureTierLatency("pmem", 1)
+	b := Tiny().measureTierLatency("pmem", 1)
 	if a != b {
 		t.Fatalf("measurement not deterministic: %v vs %v", a, b)
 	}

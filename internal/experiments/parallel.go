@@ -21,6 +21,7 @@ import (
 // workerTokens is the global leaf-run semaphore; nil means sequential.
 // Only leaf jobs acquire tokens — the per-experiment coordinators in
 // RunExperiments are token-free — so nested fan-out cannot deadlock.
+//
 //lint:allow crossshard atomic pointer swapped by SetParallelism before runs start; workers only Load it
 var workerTokens atomic.Pointer[chan struct{}]
 

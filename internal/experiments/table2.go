@@ -3,9 +3,7 @@ package experiments
 import (
 	"fmt"
 
-	"demeter/internal/hypervisor"
 	"demeter/internal/mem"
-	"demeter/internal/obs"
 	"demeter/internal/sim"
 	"demeter/internal/stats"
 )
@@ -18,29 +16,13 @@ func init() {
 	})
 }
 
-// MeasureTierLatency runs an MLC-style dependent-load loop against pages
+// measureTierLatency runs an MLC-style dependent-load loop against pages
 // pinned to one host node and returns the average measured access
 // latency. It exercises the full simulated hardware path (TLB, walks,
 // tier latency) rather than echoing configuration.
-func MeasureTierLatency(tier string, node int) sim.Duration {
-	return Scale{}.measureTierLatency(tier, node)
-}
-
-// measureTierLatency is MeasureTierLatency carrying the Scale so probe
-// runs contribute to the experiment's metrics snapshot.
 func (s Scale) measureTierLatency(tier string, node int) sim.Duration {
-	eng := sim.NewEngine()
-	m := hypervisor.NewMachine(eng, hostTopology(tier, 4096, 4096))
-	o := obs.New(0)
-	m.AttachObs(o)
-	guestFMEM, guestSMEM := uint64(4096), uint64(4096)
-	vm, err := m.NewVM(hypervisor.VMConfig{
-		VCPUs: 1, GuestFMEM: guestFMEM, GuestSMEM: guestSMEM,
-		FMEMBacking: 0, SMEMBacking: 1,
-	})
-	if err != nil {
-		panic(err)
-	}
+	c := s.newCluster(tier, 4096, 4096)
+	vm := c.newVM(1, 4096, 4096)
 	const pages = 512
 	start := vm.Proc.Mmap(pages * mem.PageSize)
 	var burned []mem.Frame
@@ -69,8 +51,7 @@ func (s Scale) measureTierLatency(tier string, node int) sim.Duration {
 	for _, f := range burned {
 		vm.Kernel.FreePage(f)
 	}
-	auditMachine(m)
-	s.finishObs(fmt.Sprintf("mlc-%s-node%d", tier, node), o)
+	s.finish(c, fmt.Sprintf("mlc-%s-node%d", tier, node))
 	return total / (pages * rounds)
 }
 

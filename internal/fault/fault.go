@@ -140,6 +140,7 @@ func (in *Injector) ArmMagnitude(p Point, rate, magnitude float64) {
 
 // Fire reports whether p fires at this check. Nil injectors and unarmed
 // points never fire and consume no randomness.
+//
 //demeter:hotpath
 func (in *Injector) Fire(p Point) bool {
 	ok, _ := in.FireMagnitude(p)
@@ -147,6 +148,7 @@ func (in *Injector) Fire(p Point) bool {
 }
 
 // FireMagnitude is Fire plus the point's configured magnitude.
+//
 //demeter:hotpath
 func (in *Injector) FireMagnitude(p Point) (bool, float64) {
 	if in == nil {

@@ -256,6 +256,7 @@ func (k *Kernel) ContextSwitch() {
 }
 
 // NodeOfGPFN returns the guest node id owning a guest frame.
+//
 //demeter:hotpath
 func (k *Kernel) NodeOfGPFN(gpfn mem.Frame) int { return k.Topo.NodeOf(gpfn).ID }
 

@@ -216,6 +216,7 @@ func NewTopology(nodes ...NodeConfig) *Topology {
 // the access hot path's tier lookup: node ranges are contiguous and
 // ascending, so resolution is a compare per node against the cached
 // bounds — no pointer chasing and no TierSpec copy.
+//
 //demeter:hotpath
 func (t *Topology) Tier(f Frame) (loadedLatency sim.Duration, kind TierKind) {
 	for i := range t.tiers {
@@ -252,6 +253,7 @@ type NodeConfig struct {
 }
 
 // NodeOf returns the node owning frame f.
+//
 //demeter:hotpath
 func (t *Topology) NodeOf(f Frame) *Node {
 	for _, n := range t.Nodes {
@@ -352,4 +354,18 @@ func PaperDRAMCXL(fmemFrames, smemFrames uint64) *Topology {
 		NodeConfig{Spec: SpecLocalDRAM, Frames: fmemFrames},
 		NodeConfig{Spec: SpecCXL, Frames: smemFrames},
 	)
+}
+
+// PaperTopology resolves a slow-tier name to its topology constructor:
+// "pmem" (or "", the default) to PaperDRAMPMEM and "cxl" to PaperDRAMCXL.
+// It is the one place the tier names are decided; any other name is an
+// error.
+func PaperTopology(tier string) (func(fmemFrames, smemFrames uint64) *Topology, error) {
+	switch tier {
+	case "", "pmem":
+		return PaperDRAMPMEM, nil
+	case "cxl":
+		return PaperDRAMCXL, nil
+	}
+	return nil, fmt.Errorf("unknown tier %q (want pmem or cxl)", tier)
 }

@@ -53,11 +53,13 @@ const (
 )
 
 // Present reports whether the entry maps a page.
+//
 //demeter:hotpath
 func (e *Entry) Present() bool { return e.bits&flagPresent != 0 }
 
 // Value returns the mapped frame number (gPFN for GPT entries, hPFN for
 // EPT entries). Only meaningful when Present.
+//
 //demeter:hotpath
 func (e *Entry) Value() uint64 { return e.bits & valueMask }
 
@@ -65,14 +67,17 @@ func (e *Entry) Value() uint64 { return e.bits & valueMask }
 func (e *Entry) Accessed() bool { return e.bits&flagAccessed != 0 }
 
 // Dirty reports the PTE.D bit.
+//
 //demeter:hotpath
 func (e *Entry) Dirty() bool { return e.bits&flagDirty != 0 }
 
 // MarkAccessed sets the PTE.A bit (hardware does this during walks).
+//
 //demeter:hotpath
 func (e *Entry) MarkAccessed() { e.bits |= flagAccessed }
 
 // MarkDirty sets the PTE.D bit (hardware does this on stores).
+//
 //demeter:hotpath
 func (e *Entry) MarkDirty() { e.bits |= flagDirty }
 
@@ -93,6 +98,7 @@ func (e *Entry) MarkHint() { e.bits |= flagHint }
 func (e *Entry) ClearHint() { e.bits &^= flagHint }
 
 // Hinted reports whether the hint trap is armed.
+//
 //demeter:hotpath
 func (e *Entry) Hinted() bool { return e.bits&flagHint != 0 }
 
@@ -130,6 +136,7 @@ func New() *Table {
 }
 
 // blockFor returns the leaf block holding key, consulting the cache first.
+//
 //demeter:hotpath
 func (t *Table) blockFor(blockKey uint64) *leafBlock {
 	slot := &t.cache[blockKey&(cacheSlots-1)]
@@ -158,6 +165,7 @@ func (t *Table) Mapped() uint64 { return t.mapped }
 // Lookup returns the entry for key, or nil when no leaf block exists or
 // the entry is not present. The returned pointer stays valid until the
 // entry is unmapped; hot paths use it to set A/D bits without re-hashing.
+//
 //demeter:hotpath
 func (t *Table) Lookup(key uint64) *Entry {
 	b := t.blockFor(key >> blockShift)

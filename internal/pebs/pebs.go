@@ -235,6 +235,7 @@ func (u *Unit) Stats() Stats { return u.stats }
 // latency the modelled load latency, fastTier whether the backing frame is
 // FMEM. It is the per-access hot path and does nothing beyond a counter
 // decrement for non-qualifying or between-period accesses.
+//
 //demeter:hotpath
 func (u *Unit) Record(gvpn uint64, latency sim.Duration, fastTier bool) {
 	if !u.armed {
@@ -372,6 +373,7 @@ func (u *Unit) CurrentPeriod() uint64 { return u.period }
 // tickWindow advances the adaptation window and adjusts the effective
 // period at each boundary: a storm of PMIs doubles it (shedding sample
 // and interrupt load), sustained calm halves it back toward the base.
+//
 //demeter:hotpath
 func (u *Unit) tickWindow() {
 	if !u.cfg.AdaptivePeriod {

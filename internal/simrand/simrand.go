@@ -61,6 +61,7 @@ func (src *Source) Derive(label uint64) *Source {
 func rotl(x uint64, k uint) uint64 { return (x << k) | (x >> (64 - k)) }
 
 // Uint64 returns the next 64 random bits.
+//
 //demeter:hotpath
 func (src *Source) Uint64() uint64 {
 	s := &src.s
@@ -102,12 +103,14 @@ func (src *Source) Intn(n int) int {
 }
 
 // Float64 returns a uniform value in [0, 1).
+//
 //demeter:hotpath
 func (src *Source) Float64() float64 {
 	return float64(src.Uint64()>>11) * (1.0 / (1 << 53))
 }
 
 // Bool returns true with probability p.
+//
 //demeter:hotpath
 func (src *Source) Bool(p float64) bool {
 	return src.Float64() < p
