@@ -116,7 +116,7 @@ func main() {
 	}
 	prof.Detach()
 	fmt.Printf("\nDAMON cost: %d probes, %d TLB flushes, %v tracking CPU\n",
-		prof.Samples, prof.Flushes, vm.Ledger.Total("track"))
+		prof.Samples, prof.Flushes, vm.Ledger.Total(hypervisor.CompTrack))
 
 	// Pass 2: same run under Demeter's PEBS feed for the cost contrast.
 	eng2, vm2, x2, _ := newRig()
@@ -131,7 +131,7 @@ func main() {
 	}
 	d.Detach()
 	fmt.Printf("Demeter cost on the identical run: %d PEBS samples, %d TLB flushes, %v tracking CPU\n",
-		d.Stats().Samples, vm2.TLB.Stats().SingleFlushes, vm2.Ledger.Total("track"))
+		d.Stats().Samples, vm2.TLB.Stats().SingleFlushes, vm2.Ledger.Total(hypervisor.CompTrack))
 	fmt.Printf("runtimes: DAMON-profiled %v vs Demeter-managed %v\n", x.Runtime(), x2.Runtime())
 	fmt.Println("\nThe left edge (heap weights) should darken: that is the hot range")
 	fmt.Println("DAMON gradually localizes via A-bit probes — the paper's §6.3 contrast.")

@@ -58,7 +58,7 @@ func run(design string) *stats.Histogram {
 			cfg.Params.GranularityPages = 32
 			p = core.New(cfg)
 		case "tpp":
-			cfg := tmm.DefaultTPPConfig()
+			cfg := tmm.DefaultScanConfig()
 			cfg.ScanPeriod = 2 * sim.Millisecond
 			cfg.ScanBatchPages = 7200
 			p = tmm.NewTPP(cfg)

@@ -34,13 +34,6 @@ var (
 		"sample channel consumer wedges: the ring laps and all further pushes drop until host reconciliation", 0, 0)
 )
 
-// Ledger component names (the Figure 7 breakdown categories).
-const (
-	CompTrack    = "track"
-	CompClassify = "classify"
-	CompMigrate  = "migrate"
-)
-
 // Config assembles all of Demeter's tunables.
 type Config struct {
 	// Params drives the range tree (α, τ_split, τ_merge, granularity).
@@ -55,8 +48,6 @@ type Config struct {
 	// Event selects the PEBS trigger; Demeter uses the media-agnostic
 	// load-latency event (§3.2.2 "Event Selection").
 	Event pebs.Event
-	// ChannelCapacity sizes the MPSC sample ring (power of two).
-	ChannelCapacity int
 	// MigrationBatch caps pages promoted per epoch.
 	MigrationBatch int
 	// DrainAtContextSwitch selects Demeter's integrated draining. When
@@ -70,42 +61,48 @@ type Config struct {
 	// sample (the overhead physical-space classifiers pay and Demeter's
 	// direct-gVA design avoids; ablation knob).
 	TranslateSamples bool
-	// MinHotSamples is the minimum decayed access count a range needs to
-	// source promotions: ranges whose counts are sampling noise must not
-	// trigger page movement.
-	MinHotSamples float64
-	// HysteresisRatio gates swapping: a promotion candidate's range must
-	// be at least this many times hotter (per page) than the demotion
-	// candidate's range. Without it, equal-temperature cold ranges at
-	// the FMEM boundary would swap back and forth every epoch.
-	HysteresisRatio float64
 	// SequentialRelocation, when true, replaces balanced swapping with
 	// the traditional demote-then-promote sequence through temporarily
 	// allocated pages (§3.2.3's criticized baseline; ablation knob).
 	// Each demotion under memory pressure also pays a direct-reclaim
 	// penalty, the cascading cost balanced swapping avoids.
 	SequentialRelocation bool
-	// AdaptiveSampling lets the PEBS unit widen its sample period under
-	// sustained PMI storms and narrow it back when calm (graceful
-	// degradation instead of an interrupt livelock).
-	AdaptiveSampling bool
-	// MaxPageRetries caps how often one page is requeued after a
-	// transient migration failure before it is abandoned (the classifier
-	// will rediscover it if it stays hot).
-	MaxPageRetries int
-	// RangeRetryBudget caps total retries charged against one range per
-	// its lifetime in the retry queue; a range whose pages keep failing
-	// is backed off wholesale.
-	RangeRetryBudget int
-	// RetryBackoffCap bounds the exponential epoch backoff between
-	// retries of the same page (in epochs).
-	RetryBackoffCap int
 }
 
+// Fixed tunables: the paper's values, which no caller changes.
+const (
+	// channelCapacity sizes the MPSC sample ring (power of two).
+	channelCapacity = 1 << 14
+	// minHotSamples is the minimum decayed access count a range needs to
+	// source promotions: ranges whose counts are sampling noise must not
+	// trigger page movement.
+	minHotSamples = 8
+	// hysteresisRatio gates swapping: a promotion candidate's range must
+	// be at least this many times hotter (per page) than the demotion
+	// candidate's range. Without it, equal-temperature cold ranges at
+	// the FMEM boundary would swap back and forth every epoch.
+	hysteresisRatio = 1.5
+	// adaptiveSampling lets the PEBS unit widen its sample period under
+	// sustained PMI storms and narrow it back when calm (graceful
+	// degradation instead of an interrupt livelock).
+	adaptiveSampling = true
+	// maxPageRetries caps how often one page is requeued after a
+	// transient migration failure before it is abandoned (the classifier
+	// will rediscover it if it stays hot).
+	maxPageRetries = 4
+	// rangeRetryBudget caps total retries charged against one range per
+	// its lifetime in the retry queue; a range whose pages keep failing
+	// is backed off wholesale.
+	rangeRetryBudget = 64
+	// retryBackoffCap bounds the exponential epoch backoff between
+	// retries of the same page (in epochs).
+	retryBackoffCap = 8
+)
+
 // Validate checks every invariant Attach would otherwise panic on (bad
-// PEBS parameters, a non-power-of-two channel, zero periods), so
-// config-driven callers — the serve daemon — can reject a bad Config as
-// an ordinary error before any engine or VM state is touched. Harness
+// PEBS parameters, zero periods), so config-driven callers — the serve
+// daemon — can reject a bad Config as an ordinary error before any
+// engine or VM state is touched. Harness
 // code with compile-time-constant configs may still rely on the Attach
 // panics.
 func (c Config) Validate() error {
@@ -117,9 +114,6 @@ func (c Config) Validate() error {
 	}
 	if c.LatencyThreshold < 0 {
 		return fmt.Errorf("core: negative latency threshold %v", c.LatencyThreshold)
-	}
-	if c.ChannelCapacity <= 0 || c.ChannelCapacity&(c.ChannelCapacity-1) != 0 {
-		return fmt.Errorf("core: channel capacity must be a positive power of two, got %d", c.ChannelCapacity)
 	}
 	if c.MigrationBatch <= 0 {
 		return fmt.Errorf("core: migration batch must be positive, got %d", c.MigrationBatch)
@@ -141,16 +135,9 @@ func DefaultConfig() Config {
 		SamplePeriod:         4093,
 		LatencyThreshold:     64,
 		Event:                pebs.EventLoadLatency,
-		ChannelCapacity:      1 << 14,
 		MigrationBatch:       4096,
-		MinHotSamples:        8,
-		HysteresisRatio:      1.5,
 		DrainAtContextSwitch: true,
 		PollPeriod:           sim.Millisecond,
-		AdaptiveSampling:     true,
-		MaxPageRetries:       4,
-		RangeRetryBudget:     64,
-		RetryBackoffCap:      8,
 	}
 }
 
@@ -259,7 +246,7 @@ func (d *Demeter) Attach(eng *sim.Engine, vm *hypervisor.VM) {
 	pcfg := pebs.ConfigWithPeriod(d.Cfg.SamplePeriod)
 	pcfg.LatencyThreshold = d.Cfg.LatencyThreshold
 	pcfg.Event = d.Cfg.Event
-	pcfg.AdaptivePeriod = d.Cfg.AdaptiveSampling
+	pcfg.AdaptivePeriod = adaptiveSampling
 	unit, err := pebs.NewUnit(pcfg)
 	if err != nil {
 		panic(fmt.Sprintf("core: bad PEBS config: %v", err))
@@ -270,7 +257,7 @@ func (d *Demeter) Attach(eng *sim.Engine, vm *hypervisor.VM) {
 		panic(fmt.Sprintf("core: PEBS arm failed: %v", err))
 	}
 
-	d.ch = NewSampleChannel(d.Cfg.ChannelCapacity)
+	d.ch = NewSampleChannel(channelCapacity)
 	d.tree = NewRangeTree(d.Cfg.Params, d.trackedRegions()...)
 	d.rangeRetries = make(map[uint64]int)
 
@@ -282,7 +269,7 @@ func (d *Demeter) Attach(eng *sim.Engine, vm *hypervisor.VM) {
 		if d.agentDown() {
 			return
 		}
-		vm.ChargeGuest(CompTrack, vm.Machine.Cost.PMICost)
+		vm.ChargeGuest(hypervisor.CompTrack, vm.Machine.Cost.PMICost)
 		d.drain()
 	}
 
@@ -302,7 +289,7 @@ func (d *Demeter) Attach(eng *sim.Engine, vm *hypervisor.VM) {
 			if !d.active || d.agentDown() {
 				return
 			}
-			vm.ChargeGuest(CompTrack, d.Cfg.PollPeriod/20) // 5% of a core
+			vm.ChargeGuest(hypervisor.CompTrack, d.Cfg.PollPeriod/20) // 5% of a core
 			d.drain()
 		})
 	}
@@ -408,7 +395,7 @@ func (d *Demeter) Reconcile() {
 			return true
 		})
 	}
-	d.vm.ChargeGuest(CompClassify, sim.Duration(visited)*cm.PTEOpCost)
+	d.vm.ChargeGuest(hypervisor.CompClassify, sim.Duration(visited)*cm.PTEOpCost)
 }
 
 // trackedRegions converts the process VMAs to page ranges, excluding
@@ -434,7 +421,7 @@ func (d *Demeter) drain() {
 	if d.Cfg.TranslateSamples {
 		cost += sim.Duration(len(samples)) * d.vm.Machine.Cost.TranslateCost
 	}
-	d.vm.ChargeGuest(CompTrack, cost)
+	d.vm.ChargeGuest(hypervisor.CompTrack, cost)
 	for _, s := range samples {
 		d.ch.Push(s)
 		d.stats.Samples++
@@ -467,10 +454,10 @@ func (d *Demeter) epoch() {
 	}
 	n := d.ch.Drain(func(s pebs.Sample) { d.tree.Record(s.GVPN) })
 	cm := &d.vm.Machine.Cost
-	d.vm.ChargeGuest(CompClassify, sim.Duration(n)*cm.PTEOpCost)
+	d.vm.ChargeGuest(hypervisor.CompClassify, sim.Duration(n)*cm.PTEOpCost)
 	d.tree.EndEpoch(d.vm.VCPUs)
 	// Tree maintenance is proportional to the (small) leaf count.
-	d.vm.ChargeGuest(CompClassify, sim.Duration(d.tree.Leaves())*cm.PTEOpCost)
+	d.vm.ChargeGuest(hypervisor.CompClassify, sim.Duration(d.tree.Leaves())*cm.PTEOpCost)
 	d.stats.Epochs++
 	// Range retry budgets decay so a once-troubled range earns back
 	// headroom instead of being barred forever.
@@ -492,17 +479,17 @@ func (d *Demeter) epoch() {
 // capped exponential backoff, or abandons it when either the page or its
 // range has exhausted its retry budget.
 func (d *Demeter) requeue(gvpn, rangeStart uint64, attempts int) {
-	if attempts >= d.Cfg.MaxPageRetries || d.rangeRetries[rangeStart] >= d.Cfg.RangeRetryBudget {
+	if attempts >= maxPageRetries || d.rangeRetries[rangeStart] >= rangeRetryBudget {
 		d.stats.Abandoned++
 		return
 	}
 	d.rangeRetries[rangeStart]++
 	backoff := 1
-	for i := 0; i < attempts && backoff < d.Cfg.RetryBackoffCap; i++ {
+	for i := 0; i < attempts && backoff < retryBackoffCap; i++ {
 		backoff *= 2
 	}
-	if backoff > d.Cfg.RetryBackoffCap && d.Cfg.RetryBackoffCap > 0 {
-		backoff = d.Cfg.RetryBackoffCap
+	if backoff > retryBackoffCap {
+		backoff = retryBackoffCap
 	}
 	d.retryQ = append(d.retryQ, retryEntry{
 		gvpn:       gvpn,
@@ -546,7 +533,7 @@ func (d *Demeter) processRetries() {
 		}
 	}
 	d.retryQ = keep
-	d.vm.ChargeGuest(CompMigrate, cost)
+	d.vm.ChargeGuest(hypervisor.CompMigrate, cost)
 }
 
 // fmemCapacity returns the guest FMEM frames usable by workloads (node
@@ -597,7 +584,7 @@ func (d *Demeter) relocate() {
 	var proms []cand
 	for i := 0; i < f && len(proms) < d.Cfg.MigrationBatch; i++ {
 		r := ranked[i]
-		if r.Count < d.Cfg.MinHotSamples {
+		if r.Count < minHotSamples {
 			continue // sampling noise, not evidence of heat
 		}
 		visited := gpt.ScanRange(r.StartPage, r.EndPage, func(gvpn uint64, e *pagetable.Entry) bool {
@@ -609,7 +596,7 @@ func (d *Demeter) relocate() {
 		scanCost += sim.Duration(visited) * cm.PTEOpCost
 	}
 	if len(proms) == 0 {
-		d.vm.ChargeGuest(CompMigrate, scanCost)
+		d.vm.ChargeGuest(hypervisor.CompMigrate, scanCost)
 		return
 	}
 
@@ -664,14 +651,10 @@ func (d *Demeter) relocate() {
 	if len(demos) < pairs {
 		pairs = len(demos)
 	}
-	hysteresis := d.Cfg.HysteresisRatio
-	if hysteresis <= 0 {
-		hysteresis = 1
-	}
 	for k := 0; k < pairs; k++ {
 		// Swapping equal-temperature pages is pure churn: require the
 		// promotion side to be clearly hotter.
-		if proms[k].freq < demos[k].freq*hysteresis+1e-9 {
+		if proms[k].freq < demos[k].freq*hysteresisRatio+1e-9 {
 			break
 		}
 		if d.Cfg.SequentialRelocation {
@@ -715,5 +698,5 @@ func (d *Demeter) relocate() {
 			panic(fmt.Sprintf("core: balanced swap failed: %v", err))
 		}
 	}
-	d.vm.ChargeGuest(CompMigrate, scanCost+migrateCost)
+	d.vm.ChargeGuest(hypervisor.CompMigrate, scanCost+migrateCost)
 }

@@ -136,15 +136,15 @@ func TestDemeterChargesAllComponents(t *testing.T) {
 	d.Attach(eng, vm)
 	defer d.Detach()
 	engine.RunAll(eng, 200*sim.Second, x)
-	for _, comp := range []string{CompTrack, CompClassify, CompMigrate} {
+	for _, comp := range []string{hypervisor.CompTrack, hypervisor.CompClassify, hypervisor.CompMigrate} {
 		if vm.Ledger.Total(comp) == 0 {
 			t.Errorf("component %q has no CPU charge", comp)
 		}
 	}
 	// Tracking must be cheap relative to migration (Figure 7's shape).
-	if vm.Ledger.Total(CompTrack) > vm.Ledger.Total(CompMigrate)*10 {
+	if vm.Ledger.Total(hypervisor.CompTrack) > vm.Ledger.Total(hypervisor.CompMigrate)*10 {
 		t.Errorf("tracking cost %v disproportionate to migration %v",
-			vm.Ledger.Total(CompTrack), vm.Ledger.Total(CompMigrate))
+			vm.Ledger.Total(hypervisor.CompTrack), vm.Ledger.Total(hypervisor.CompMigrate))
 	}
 }
 
@@ -188,7 +188,7 @@ func TestDemeterPollingAblationBurnsMoreCPU(t *testing.T) {
 		d.Attach(eng, vm)
 		defer d.Detach()
 		engine.RunAll(eng, 200*sim.Second, x)
-		return vm.Ledger.Total(CompTrack)
+		return vm.Ledger.Total(hypervisor.CompTrack)
 	}
 	ctxCost := run(true)
 	pollCost := run(false)
@@ -206,7 +206,7 @@ func TestDemeterTranslationAblationCostsMore(t *testing.T) {
 		d.Attach(eng, vm)
 		defer d.Detach()
 		engine.RunAll(eng, 200*sim.Second, x)
-		return vm.Ledger.Total(CompTrack)
+		return vm.Ledger.Total(hypervisor.CompTrack)
 	}
 	direct := run(false)
 	translated := run(true)

@@ -334,16 +334,19 @@ func (c Config) mergeSpec(v VMSpec) VMSpec {
 	if v.SMEMFrames == 0 {
 		v.SMEMFrames = pickU(d.SMEMFrames, 512)
 	}
-	if v.Tracker.Kind == "" {
-		v.Tracker = d.Tracker
-		if v.Tracker.Kind == "" {
-			v.Tracker = TrackerSpec{Kind: "abit", Period: "1ms"}
-		}
-	}
 	if v.Policy.Kind == "" {
 		v.Policy = d.Policy
 		if v.Policy.Kind == "" {
 			v.Policy = PolicySpec{Kind: "heat", Period: "2ms"}
+		}
+	}
+	// An integrated policy bundles its own tracking: a default tracker
+	// beside it would only charge track time and, under the A-bit
+	// designs, clear the bits the design reads.
+	if v.Tracker.Kind == "" && policy.TrackerDriven(v.Policy.Kind) {
+		v.Tracker = d.Tracker
+		if v.Tracker.Kind == "" {
+			v.Tracker = TrackerSpec{Kind: "abit", Period: "1ms"}
 		}
 	}
 	return v

@@ -251,9 +251,9 @@ func (d *Daemon) statsTable() string {
 		}
 		t.AddRow(name, s.spec.Workload, trName, s.pol.Name(),
 			st.Accesses, fastPct, st.GuestFaults, st.EPTFaults,
-			millis(s.vm.Ledger.Total("track")),
-			millis(s.vm.Ledger.Total("classify")),
-			millis(s.vm.Ledger.Total("migrate")))
+			millis(s.vm.Ledger.Total(hypervisor.CompTrack)),
+			millis(s.vm.Ledger.Total(hypervisor.CompClassify)),
+			millis(s.vm.Ledger.Total(hypervisor.CompMigrate)))
 	}
 	return t.String()
 }

@@ -203,6 +203,42 @@ func TestServePairingsActuallyTier(t *testing.T) {
 	}
 }
 
+// TestIntegratedVMsRunWithoutTracker pins that an integrated policy
+// runs alone. `vm add` accepts each integrated kind by the name stats
+// prints, and a VM declared or added without a tracker gets none: no
+// default tracker runs beside the design and charges track time.
+func TestIntegratedVMsRunWithoutTracker(t *testing.T) {
+	cfg := `{"host_fmem_frames":512,"host_smem_frames":4096,"vms":[
+  {"name":"vm0","workload":"gups","footprint_pages":200,"fmem_frames":64,"smem_frames":512,"policy":{"kind":"static"}}]}`
+	d := mustDaemon(t, cfg)
+	var out strings.Builder
+	script := "vm add vm1 gups 200 - tpp-h\nvm add vm2 gups 200 - static\nrun 5ms\nstats\nquit\n"
+	if err := d.Serve(strings.NewReader(script), &out); err != nil {
+		t.Fatal(err)
+	}
+	if strings.Contains(out.String(), "error:") {
+		t.Fatalf("script hit an error:\n%s", out.String())
+	}
+	rows := map[string][]string{}
+	for _, line := range strings.Split(out.String(), "\n") {
+		if f := strings.Fields(line); len(f) == 11 && strings.HasPrefix(f[0], "vm") {
+			rows[f[0]] = f
+		}
+	}
+	for _, want := range [][2]string{{"vm0", "static"}, {"vm1", "tpp-h"}, {"vm2", "static"}} {
+		f := rows[want[0]]
+		if f == nil {
+			t.Fatalf("stats has no %s row:\n%s", want[0], out.String())
+		}
+		if f[2] != "-" || f[3] != want[1] {
+			t.Errorf("%s: tracker %q policy %q, want - and %s", want[0], f[2], f[3], want[1])
+		}
+		if want[1] == "static" && f[8] != "0" {
+			t.Errorf("%s: track[ms] %s under a static policy with no tracker", want[0], f[8])
+		}
+	}
+}
+
 // TestConfigErrors pins the panic-free config contract: every malformed
 // config is an error, never a panic.
 func TestConfigErrors(t *testing.T) {

@@ -39,9 +39,6 @@ type Config struct {
 	// MinRegions / MaxRegions bound the adaptive region set (Linux
 	// defaults 10/1000).
 	MinRegions, MaxRegions int
-	// MergeThreshold is the nr_accesses difference below which adjacent
-	// regions merge.
-	MergeThreshold uint32
 	// Seed fixes the sampling RNG.
 	Seed uint64
 }
@@ -53,10 +50,13 @@ func DefaultConfig() Config {
 		AggregationInterval: 100 * sim.Millisecond,
 		MinRegions:          10,
 		MaxRegions:          1000,
-		MergeThreshold:      1,
 		Seed:                1,
 	}
 }
+
+// mergeThreshold is the nr_accesses difference below which adjacent
+// regions merge.
+const mergeThreshold = 1
 
 // Region is one monitored address range with its estimated access count.
 type Region struct {
@@ -189,7 +189,7 @@ func (p *Profiler) sample() {
 			r.probe = 0
 		}
 	}
-	vm.ChargeGuest("track", cost)
+	vm.ChargeGuest(hypervisor.CompTrack, cost)
 }
 
 // aggregate merges similar neighbors, splits to stay adaptive, publishes
@@ -199,7 +199,7 @@ func (p *Profiler) aggregate(now sim.Time) {
 	merged := p.regions[:1]
 	for _, r := range p.regions[1:] {
 		last := &merged[len(merged)-1]
-		close := diffU32(last.NrAccesses, r.NrAccesses) <= p.Cfg.MergeThreshold
+		close := diffU32(last.NrAccesses, r.NrAccesses) <= mergeThreshold
 		if close && last.EndPage == r.StartPage && len(p.regions) > p.Cfg.MinRegions {
 			last.EndPage = r.EndPage
 			last.NrAccesses = (last.NrAccesses + r.NrAccesses) / 2
@@ -234,7 +234,7 @@ func (p *Profiler) aggregate(now sim.Time) {
 		next = append(next, r)
 	}
 	p.regions = next
-	p.vm.ChargeGuest("classify", sim.Duration(len(p.regions))*p.vm.Machine.Cost.PTEOpCost)
+	p.vm.ChargeGuest(hypervisor.CompClassify, sim.Duration(len(p.regions))*p.vm.Machine.Cost.PTEOpCost)
 }
 
 // splitLargest halves the biggest region; reports false when nothing can
@@ -355,5 +355,5 @@ func (p *Policy) apply(s Snapshot) {
 			}
 		}
 	}
-	vm.ChargeGuest("migrate", cost)
+	vm.ChargeGuest(hypervisor.CompMigrate, cost)
 }

@@ -3,6 +3,7 @@ package experiments
 import (
 	"fmt"
 
+	"demeter/internal/hypervisor"
 	"demeter/internal/stats"
 	"demeter/internal/workload"
 )
@@ -99,8 +100,8 @@ func AblationGranularity(s Scale) string {
 	for i, g := range grans {
 		res := results[i]
 		tb.AddRow(g, fmt.Sprintf("%.3f", res.AvgRuntime()),
-			fmt.Sprintf("%.4f", res.GuestCPU.Total("migrate").Seconds()),
-			fmt.Sprintf("%.4f", res.GuestCPU.Total("classify").Seconds()))
+			fmt.Sprintf("%.4f", res.GuestCPU.Total(hypervisor.CompMigrate).Seconds()),
+			fmt.Sprintf("%.4f", res.GuestCPU.Total(hypervisor.CompClassify).Seconds()))
 	}
 	return tb.String() +
 		"\nExpected: a broad plateau — runtime is insensitive across a wide\n" +

@@ -13,7 +13,6 @@ import (
 	"demeter/internal/mem"
 	"demeter/internal/obs"
 	"demeter/internal/sim"
-	"demeter/internal/tmm"
 )
 
 // ChaosConfig parameterizes a chaos run: a seed-driven fault schedule is
@@ -362,7 +361,7 @@ func runChaosRung(s Scale, cfg ChaosConfig, mult float64) (r RungResult) {
 			hcfg.StaleAfter = 4 * hcfg.CheckPeriod
 			hcfg.ProbeBackoff = sim.Backoff{Base: hcfg.CheckPeriod, Max: 16 * hcfg.CheckPeriod}
 			hcfg.Failover = !cfg.NoFailover
-			hcfg.Fallback = tmm.DefaultFallbackConfig(s.ScanPeriod, s.ScanBatch, s.MigrationBatch)
+			hcfg.Fallback = s.scanConfig()
 			mon := health.NewMonitor(hcfg, d, doubles[i])
 			mon.AttachExecutor(c.xs[i])
 			mon.Start(eng, vms[i])

@@ -169,17 +169,9 @@ func (s Scale) NewPolicy(design string) Policy {
 		cfg.MigrationBatch = s.MigrationBatch
 		return core.New(cfg)
 	case "tpp":
-		cfg := tmm.DefaultTPPConfig()
-		cfg.ScanPeriod = s.ScanPeriod
-		cfg.ScanBatchPages = s.ScanBatch
-		cfg.MigrationBatch = s.MigrationBatch
-		return tmm.NewTPP(cfg)
+		return tmm.NewTPP(s.scanConfig())
 	case "tpp-h":
-		cfg := tmm.DefaultTPPHConfig()
-		cfg.ScanPeriod = s.ScanPeriod
-		cfg.ScanBatchPages = s.ScanBatch
-		cfg.MigrationBatch = s.MigrationBatch
-		return tmm.NewTPPH(cfg)
+		return tmm.NewTPPH(s.scanConfig())
 	case "memtis":
 		cfg := tmm.DefaultMemtisConfig()
 		cfg.SamplePeriod = s.MemtisSamplePeriod
@@ -189,17 +181,9 @@ func (s Scale) NewPolicy(design string) Policy {
 		cfg.MigrationBatch = s.MigrationBatch
 		return tmm.NewMemtis(cfg)
 	case "nomad":
-		cfg := tmm.DefaultNomadConfig()
-		cfg.ScanPeriod = s.ScanPeriod
-		cfg.ScanBatchPages = s.ScanBatch
-		cfg.MigrationBatch = s.MigrationBatch
-		return tmm.NewNomad(cfg)
+		return tmm.NewNomad(s.scanConfig())
 	case "vtmm":
-		cfg := tmm.DefaultVTMMConfig()
-		cfg.SortPeriod = s.ScanPeriod
-		cfg.ScanBatchPages = s.ScanBatch
-		cfg.MigrationBatch = s.MigrationBatch
-		return tmm.NewVTMM(cfg)
+		return tmm.NewVTMM(s.scanConfig())
 	case "damon":
 		cfg := damon.DefaultConfig()
 		cfg.SamplingInterval = 100 * sim.Microsecond
@@ -213,6 +197,14 @@ func (s Scale) NewPolicy(design string) Policy {
 	default:
 		panic(fmt.Sprintf("experiments: unknown design %q", design))
 	}
+}
+
+// scanConfig is the scanning designs' cadence, scan bound and migration
+// batch at this scale. The health monitor's host-side fallback runs at
+// it too, so failover follows the run's compressed periods rather than
+// vTMM's full-scale defaults.
+func (s Scale) scanConfig() tmm.ScanConfig {
+	return tmm.ScanConfig{ScanPeriod: s.ScanPeriod, ScanBatchPages: s.ScanBatch, MigrationBatch: s.MigrationBatch}
 }
 
 // NewApp builds one of the §5.3 application workloads at this scale.

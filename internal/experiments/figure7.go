@@ -3,6 +3,7 @@ package experiments
 import (
 	"fmt"
 
+	"demeter/internal/hypervisor"
 	"demeter/internal/stats"
 	"demeter/internal/workload"
 )
@@ -50,9 +51,9 @@ func Figure7(s Scale) string {
 	rows := map[string]row{}
 	for i, d := range GuestDesigns {
 		res := results[i]
-		track := res.GuestCPU.Total("track").Seconds()
-		classify := res.GuestCPU.Total("classify").Seconds()
-		migrate := res.GuestCPU.Total("migrate").Seconds()
+		track := res.GuestCPU.Total(hypervisor.CompTrack).Seconds()
+		classify := res.GuestCPU.Total(hypervisor.CompClassify).Seconds()
+		migrate := res.GuestCPU.Total(hypervisor.CompMigrate).Seconds()
 		rows[d] = row{track: track, migrate: migrate}
 		tb.AddRow(d,
 			fmt.Sprintf("%.4f", track),

@@ -106,15 +106,6 @@ type Config struct {
 	// CalmAfter is how many consecutive clean checks move SUSPECT back
 	// to HEALTHY (the flap damper for transient stalls).
 	CalmAfter int
-	// RecoverAfter is how many consecutive clean checks move
-	// RECOVERING → HEALTHY after a handback.
-	RecoverAfter int
-	// DropRateLimit is the per-window delegation sample drop fraction
-	// above which the channel counts as unhealthy.
-	DropRateLimit float64
-	// TimeoutStreak is how many consecutive windows with fresh balloon
-	// watchdog expiries count as a wedged guest driver (0 disables).
-	TimeoutStreak int
 	// StaleAfter bounds guest telemetry age: a report older than this,
 	// while the workload demonstrably progresses, is a staleness signal.
 	StaleAfter sim.Duration
@@ -125,26 +116,40 @@ type Config struct {
 	// stays frozen — the baseline the degraded experiment compares
 	// against.
 	Failover bool
-	// Fallback configures the host-side VTMM attached on failover.
-	Fallback tmm.VTMMConfig
+	// Fallback configures the host-side VTMM attached on failover. Its
+	// cadence should follow the run's scaled periods. The fallback is
+	// deliberately the hypervisor-only baseline the paper argues
+	// against: it is the only thing a host can run without trusting the
+	// guest.
+	Fallback tmm.ScanConfig
 }
+
+// Fixed thresholds, the same for every monitor.
+const (
+	// recoverAfter is how many consecutive clean checks move
+	// RECOVERING → HEALTHY after a handback.
+	recoverAfter = 2
+	// dropRateLimit is the per-window delegation sample drop fraction
+	// above which the channel counts as unhealthy.
+	dropRateLimit = 0.5
+	// timeoutStreakLimit is how many consecutive windows with fresh
+	// balloon watchdog expiries count as a wedged guest driver.
+	timeoutStreakLimit = 3
+)
 
 // DefaultConfig returns a config scaled to the run's classification
 // epoch: check every other epoch, degrade after ~3 bad windows, probe
 // with exponential backoff from two epochs.
 func DefaultConfig(epoch sim.Duration) Config {
 	return Config{
-		CheckPeriod:   2 * epoch,
-		SuspectAfter:  1,
-		DegradeAfter:  2,
-		CalmAfter:     2,
-		RecoverAfter:  2,
-		DropRateLimit: 0.5,
-		TimeoutStreak: 3,
-		StaleAfter:    8 * epoch,
-		ProbeBackoff:  sim.Backoff{Base: 2 * epoch, Max: 32 * epoch},
-		Failover:      true,
-		Fallback:      tmm.DefaultVTMMConfig(),
+		CheckPeriod:  2 * epoch,
+		SuspectAfter: 1,
+		DegradeAfter: 2,
+		CalmAfter:    2,
+		StaleAfter:   8 * epoch,
+		ProbeBackoff: sim.Backoff{Base: 2 * epoch, Max: 32 * epoch},
+		Failover:     true,
+		Fallback:     tmm.DefaultVTMMConfig(),
 	}
 }
 
@@ -339,7 +344,7 @@ func (m *Monitor) check(now sim.Time) {
 			m.degrade(signals)
 		} else {
 			m.recoverStreak++
-			if m.recoverStreak >= m.Cfg.RecoverAfter {
+			if m.recoverStreak >= recoverAfter {
 				m.stats.Recoveries++
 				m.transition(Healthy, 0)
 			}
@@ -364,7 +369,7 @@ func (m *Monitor) evaluate(now sim.Time) uint64 {
 	dropped := m.delegate.ChannelDropped()
 	attempts := st.Samples - m.lastSamples
 	if d := dropped - m.lastDropped; attempts > 0 &&
-		float64(d)/float64(attempts) > m.Cfg.DropRateLimit {
+		float64(d)/float64(attempts) > dropRateLimit {
 		signals |= SignalDrops
 		m.stats.DropWindows++
 	}
@@ -381,7 +386,7 @@ func (m *Monitor) evaluate(now sim.Time) uint64 {
 			m.timeoutStreak = 0
 		}
 		m.lastTimeouts = t
-		if m.Cfg.TimeoutStreak > 0 && m.timeoutStreak >= m.Cfg.TimeoutStreak {
+		if m.timeoutStreak >= timeoutStreakLimit {
 			signals |= SignalBalloon
 		}
 	}

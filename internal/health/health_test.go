@@ -47,7 +47,7 @@ func newStack(t *testing.T, inj *fault.Injector) (*sim.Engine, *hypervisor.VM, *
 // testConfig returns a tight monitor config over 1 ms epochs.
 func testConfig() health.Config {
 	cfg := health.DefaultConfig(epoch)
-	cfg.Fallback = tmm.DefaultFallbackConfig(2*epoch, 4096, 512)
+	cfg.Fallback = tmm.ScanConfig{ScanPeriod: 2 * epoch, ScanBatchPages: 4096, MigrationBatch: 512}
 	return cfg
 }
 

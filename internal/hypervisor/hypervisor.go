@@ -387,6 +387,14 @@ func (vm *VM) TakeStall() sim.Duration {
 	return d
 }
 
+// Ledger component names. Every design charges its management CPU to
+// one of them: the breakdown Figures 2 and 7 aggregate.
+const (
+	CompTrack    = "track"
+	CompClassify = "classify"
+	CompMigrate  = "migrate"
+)
+
 // ChargeGuest records guest-side management CPU: it is accounted to the
 // component ledger and stalls the VM (guest kthreads run on vCPUs).
 func (vm *VM) ChargeGuest(component string, d sim.Duration) {

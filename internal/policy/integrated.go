@@ -32,23 +32,9 @@ func newIntegrated(cfg Config) (Policy, error) {
 	case "static":
 		inner = tmm.NewStatic()
 	case "tpp":
-		c := tmm.DefaultTPPConfig()
-		if cfg.Period != 0 {
-			c.ScanPeriod = cfg.Period
-		}
-		if cfg.MigrationBatch != defaultMigrationCap {
-			c.MigrationBatch = cfg.MigrationBatch
-		}
-		inner = tmm.NewTPP(c)
-	case "tpph":
-		c := tmm.DefaultTPPHConfig()
-		if cfg.Period != 0 {
-			c.ScanPeriod = cfg.Period
-		}
-		if cfg.MigrationBatch != defaultMigrationCap {
-			c.MigrationBatch = cfg.MigrationBatch
-		}
-		inner = tmm.NewTPPH(c)
+		inner = tmm.NewTPP(cfg.scanConfig(tmm.DefaultScanConfig()))
+	case "tpp-h":
+		inner = tmm.NewTPPH(cfg.scanConfig(tmm.DefaultScanConfig()))
 	case "memtis":
 		c := tmm.DefaultMemtisConfig()
 		if cfg.Period != 0 {
@@ -69,23 +55,9 @@ func newIntegrated(cfg Config) (Policy, error) {
 		}
 		inner = tmm.NewMemtis(c)
 	case "nomad":
-		c := tmm.DefaultNomadConfig()
-		if cfg.Period != 0 {
-			c.ScanPeriod = cfg.Period
-		}
-		if cfg.MigrationBatch != defaultMigrationCap {
-			c.MigrationBatch = cfg.MigrationBatch
-		}
-		inner = tmm.NewNomad(c)
+		inner = tmm.NewNomad(cfg.scanConfig(tmm.DefaultScanConfig()))
 	case "vtmm":
-		c := tmm.DefaultVTMMConfig()
-		if cfg.Period != 0 {
-			c.SortPeriod = cfg.Period
-		}
-		if cfg.MigrationBatch != defaultMigrationCap {
-			c.MigrationBatch = cfg.MigrationBatch
-		}
-		inner = tmm.NewVTMM(c)
+		inner = tmm.NewVTMM(cfg.scanConfig(tmm.DefaultVTMMConfig()))
 	case "demeter":
 		c := core.DefaultConfig()
 		if cfg.Period != 0 {
@@ -120,6 +92,18 @@ func newIntegrated(cfg Config) (Policy, error) {
 		return nil, fmt.Errorf("policy: unknown integrated kind %q", cfg.Kind)
 	}
 	return &integrated{inner: inner}, nil
+}
+
+// scanConfig maps Period onto a scanning design's cadence and
+// MigrationBatch onto its batch, keeping def's scan bound.
+func (cfg Config) scanConfig(def tmm.ScanConfig) tmm.ScanConfig {
+	if cfg.Period != 0 {
+		def.ScanPeriod = cfg.Period
+	}
+	if cfg.MigrationBatch != defaultMigrationCap {
+		def.MigrationBatch = cfg.MigrationBatch
+	}
+	return def
 }
 
 func (a *integrated) Name() string { return a.inner.Name() }

@@ -14,7 +14,7 @@
 //     classifier — sort by score, fill FMEM from the top, swap when
 //     full (§3.2.3's balanced relocation).
 //
-// The five integrated designs (static, tpp, tpph, memtis, nomad, vtmm,
+// The integrated designs (static, tpp, tpp-h, memtis, nomad, vtmm,
 // demeter, damon) are also exposed through the same interface via an
 // adapter that ignores the tracker — they bundle their own tracking —
 // so a serve config selects any of them with the same `policy` stanza.
@@ -27,7 +27,6 @@ import (
 
 	"demeter/internal/hypervisor"
 	"demeter/internal/sim"
-	"demeter/internal/tmm"
 	"demeter/internal/track"
 )
 
@@ -47,7 +46,7 @@ type Policy interface {
 type Config struct {
 	// Kind is one of the tracker-driven kinds ("heat", "age",
 	// "threshold", "ranked") or an integrated design ("static",
-	// "demeter", "tpp", "tpph", "memtis", "nomad", "vtmm", "damon").
+	// "demeter", "tpp", "tpp-h", "memtis", "nomad", "vtmm", "damon").
 	Kind string `json:"kind"`
 	// Period is the classify-and-migrate cadence (tracker-driven kinds).
 	Period sim.Duration `json:"period"`
@@ -66,7 +65,7 @@ type Config struct {
 func Kinds() []string {
 	return []string{
 		"age", "damon", "demeter", "heat", "memtis", "nomad",
-		"ranked", "static", "threshold", "tpp", "tpph", "vtmm",
+		"ranked", "static", "threshold", "tpp", "tpp-h", "vtmm",
 	}
 }
 
@@ -127,7 +126,7 @@ func New(cfg Config) (Policy, error) {
 		return &thresholdPolicy{tickPolicy: newTickPolicy(cfg)}, nil
 	case "ranked":
 		return &rankedPolicy{tickPolicy: newTickPolicy(cfg)}, nil
-	case "static", "demeter", "tpp", "tpph", "memtis", "nomad", "vtmm", "damon":
+	case "static", "demeter", "tpp", "tpp-h", "memtis", "nomad", "vtmm", "damon":
 		return newIntegrated(cfg)
 	default:
 		return nil, fmt.Errorf("policy: unknown policy kind %q (want one of %v)", cfg.Kind, Kinds())
@@ -189,7 +188,7 @@ func (p *tickPolicy) residentNode(gvpn uint64) (node int, ok bool) {
 // chargeClassify books the per-round classification cost: one PTE-op
 // per counter examined, like the integrated designs.
 func (p *tickPolicy) chargeClassify(counters int) {
-	p.vm.ChargeGuest(tmm.CompClassify, sim.Duration(counters)*p.vm.Machine.Cost.PTEOpCost)
+	p.vm.ChargeGuest(hypervisor.CompClassify, sim.Duration(counters)*p.vm.Machine.Cost.PTEOpCost)
 }
 
 // migrate moves the listed pages to node, bounded by the batch cap,
@@ -207,7 +206,7 @@ func (p *tickPolicy) migrate(gvpns []uint64, node int, budget int) int {
 			moved++
 		}
 	}
-	p.vm.ChargeGuest(tmm.CompMigrate, cost)
+	p.vm.ChargeGuest(hypervisor.CompMigrate, cost)
 	return moved
 }
 

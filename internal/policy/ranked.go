@@ -3,7 +3,6 @@ package policy
 import (
 	"demeter/internal/hypervisor"
 	"demeter/internal/sim"
-	"demeter/internal/tmm"
 	"demeter/internal/track"
 )
 
@@ -86,5 +85,5 @@ func (p *rankedPolicy) round() {
 			moved++
 		}
 	}
-	p.vm.ChargeGuest(tmm.CompMigrate, cost)
+	p.vm.ChargeGuest(hypervisor.CompMigrate, cost)
 }

@@ -9,12 +9,9 @@ import (
 
 // ScanStats counts scanning-design activity (shared by TPP/TPPH/Nomad).
 type ScanStats struct {
-	Rounds           uint64
-	PTEsVisited      uint64
-	HotObserved      uint64
-	Promoted         uint64
-	Demoted          uint64
-	FailedPromotions uint64
+	Rounds   uint64
+	Promoted uint64
+	Demoted  uint64
 }
 
 // guestScan is the guest A-bit machinery TPP and Nomad share: bounded
@@ -24,7 +21,8 @@ type ScanStats struct {
 // hooks are where a design departs from plain TPP; nil means TPP's
 // behaviour.
 type guestScan struct {
-	cfg          TPPConfig
+	cfg          ScanConfig
+	freeTarget   float64 // FMEM free watermark, as a fraction of FMEM
 	vm           *hypervisor.VM
 	board        *scoreboard
 	ticker       *sim.Ticker
@@ -48,14 +46,15 @@ type guestScan struct {
 // Stats returns a copy of the counters.
 func (g *guestScan) Stats() ScanStats { return g.stats }
 
-// attach starts scanning vm with cfg; design names the policy in the
-// double-attach panic.
-func (g *guestScan) attach(eng *sim.Engine, vm *hypervisor.VM, design string, cfg TPPConfig) {
+// attach starts scanning vm with cfg and the design's saturating score
+// and free-frame watermark; design names the policy in the double-attach
+// panic.
+func (g *guestScan) attach(eng *sim.Engine, vm *hypervisor.VM, design string, cfg ScanConfig, maxScore uint8, freeTarget float64) {
 	if g.active {
 		panic("tmm: " + design + " attached twice")
 	}
-	g.cfg, g.vm, g.active = cfg, vm, true
-	g.board = newScoreboard(cfg.MaxScore)
+	g.cfg, g.freeTarget, g.vm, g.active = cfg, freeTarget, vm, true
+	g.board = newScoreboard(maxScore)
 	vm.OnHintFault = g.hintFault
 	g.ticker = eng.StartTicker(cfg.ScanPeriod, func(sim.Time) {
 		if g.active {
@@ -92,10 +91,8 @@ func (g *guestScan) hintFault(gvpn uint64) sim.Duration {
 		if g.promoted != nil {
 			cost += g.promoted(gvpn)
 		}
-	} else {
-		g.stats.FailedPromotions++
 	}
-	vm.Ledger.Charge(CompMigrate, cost)
+	vm.Ledger.Charge(hypervisor.CompMigrate, cost)
 	return cost
 }
 
@@ -108,13 +105,7 @@ func (g *guestScan) round() {
 
 	var coldFast []uint64 // FMEM-resident, score 0: demotion candidates
 	var flushCost sim.Duration
-	cleared := 0
-
-	batch := g.cfg.ScanBatchPages
-	if batch <= 0 {
-		batch = int(gpt.Mapped())
-	}
-	visited, next := gpt.ScanFrom(g.cursor, batch, func(gvpn uint64, e *pagetable.Entry) bool {
+	visited, next := gpt.ScanFrom(g.cursor, g.cfg.scanBudget(gpt.Mapped()), func(gvpn uint64, e *pagetable.Entry) bool {
 		accessed := e.Accessed()
 		onFast := kernel.NodeOfGPFN(mem.Frame(e.Value())) == 0
 		if !accessed && onFast && g.board.get(gvpn) > 0 {
@@ -127,7 +118,7 @@ func (g *guestScan) round() {
 		}
 		if accessed {
 			e.ClearAccessed()
-			if !onFast || g.board.get(gvpn) < g.cfg.MaxScore {
+			if !onFast || g.board.get(gvpn) < g.board.max {
 				// Flush only where precise recency matters: promotion
 				// candidates in SMEM and not-yet-established fast-tier
 				// pages. Saturated hot pages are cleared WITHOUT a flush
@@ -137,14 +128,13 @@ func (g *guestScan) round() {
 				// invlpg volume well below its resident page count while
 				// still aging genuinely cold pages to zero.
 				flushCost += vm.FlushSingle(gvpn)
-				cleared++
 			}
 		}
 		if g.scanned != nil {
 			g.scanned(gvpn, e)
 		}
 		score := g.board.observe(gvpn, accessed)
-		if e.Hinted() && score < g.cfg.MaxScore {
+		if e.Hinted() && score < g.board.max {
 			// The candidate cooled off before its promotion fault fired;
 			// expire the trap so stale marks don't win frames from
 			// genuinely hot pages.
@@ -157,11 +147,9 @@ func (g *guestScan) round() {
 	})
 	g.cursor = next
 	g.stats.Rounds++
-	g.stats.PTEsVisited += uint64(visited)
-	g.stats.HotObserved += uint64(cleared)
 
-	vm.ChargeGuest(CompTrack, sim.Duration(visited)*cm.ScanPTECost+flushCost)
-	vm.ChargeGuest(CompClassify, sim.Duration(visited)*cm.PTEOpCost/2)
+	vm.ChargeGuest(hypervisor.CompTrack, sim.Duration(visited)*cm.ScanPTECost+flushCost)
+	vm.ChargeGuest(hypervisor.CompClassify, sim.Duration(visited)*cm.PTEOpCost/2)
 
 	g.markPass()
 	g.demoteCold(coldFast)
@@ -185,19 +173,15 @@ func (g *guestScan) markPass() {
 		markCap = 4 * g.cfg.MigrationBatch
 	}
 	marked := 0
-	scanBudget := g.cfg.ScanBatchPages
-	if scanBudget <= 0 {
-		scanBudget = int(vm.Proc.GPT.Mapped())
-	}
 	var cost sim.Duration
-	visited, next := vm.Proc.GPT.ScanFrom(g.markCursor, scanBudget, func(gvpn uint64, e *pagetable.Entry) bool {
+	visited, next := vm.Proc.GPT.ScanFrom(g.markCursor, g.cfg.scanBudget(vm.Proc.GPT.Mapped()), func(gvpn uint64, e *pagetable.Entry) bool {
 		// Mark only saturated-score pages: sustained heat across several
 		// scans, not a lucky window. This is what keeps the promotion
 		// race dominated by genuinely hot pages instead of cold drifters
 		// whose A bit happened to be set. A deeper counter (Nomad's
-		// MaxScore 6 against TPP's 4) makes saturation slower to reach.
+		// max score 6 against TPP's 4) makes saturation slower to reach.
 		if kernel.NodeOfGPFN(mem.Frame(e.Value())) != 0 && !e.Hinted() &&
-			g.board.get(gvpn) >= g.cfg.MaxScore {
+			g.board.get(gvpn) >= g.board.max {
 			e.MarkHint()
 			cost += vm.FlushSingle(gvpn) // PROT_NONE change
 			marked++
@@ -210,7 +194,7 @@ func (g *guestScan) markPass() {
 	g.markCursor = next
 	// The pass rides along the balancing scan; charge a light touch per
 	// visited PTE plus the flushes.
-	vm.ChargeGuest(CompTrack, sim.Duration(visited)*cm.PTEOpCost+cost)
+	vm.ChargeGuest(hypervisor.CompTrack, sim.Duration(visited)*cm.PTEOpCost+cost)
 }
 
 // demoteCold is the kswapd side: restore the free watermark so hint
@@ -220,7 +204,7 @@ func (g *guestScan) demoteCold(coldFast []uint64) {
 	vm := g.vm
 	fastNode := vm.Kernel.Topo.Nodes[0]
 	var migrateCost sim.Duration
-	target := uint64(float64(fastNode.Frames()) * g.cfg.FreeTargetFrac)
+	target := uint64(float64(fastNode.Frames()) * g.freeTarget)
 	moved := 0
 	ci := 0
 	for fastNode.FreeFrames() < target && ci < len(coldFast) && moved < g.cfg.MigrationBatch {
@@ -241,5 +225,5 @@ func (g *guestScan) demoteCold(coldFast []uint64) {
 			moved++
 		}
 	}
-	vm.ChargeGuest(CompMigrate, migrateCost)
+	vm.ChargeGuest(hypervisor.CompMigrate, migrateCost)
 }

@@ -18,19 +18,12 @@ type MemtisConfig struct {
 	SamplePeriod uint64
 	// PollPeriod is the dedicated collection kthread's cadence.
 	PollPeriod sim.Duration
-	// KthreadShare is the fraction of one core the collection thread
-	// burns even when idle — the overhead Demeter's context-switch
-	// draining eliminates (Figure 7's 16× tracking gap).
-	KthreadShare float64
 	// HotThreshold is the per-page access count that classifies a page
 	// hot. Static thresholds are exactly what §3.2.1 criticizes: pages
 	// just below it are never promoted regardless of FMEM headroom.
 	HotThreshold float64
 	// ClassifyPeriod is the classification + migration cadence.
 	ClassifyPeriod sim.Duration
-	// CoolEveryRounds halves the histogram every N classification
-	// rounds (Memtis' periodic cooling).
-	CoolEveryRounds uint64
 	// MigrationBatch caps page moves per classification round.
 	MigrationBatch int
 }
@@ -38,15 +31,24 @@ type MemtisConfig struct {
 // DefaultMemtisConfig mirrors Memtis' published configuration.
 func DefaultMemtisConfig() MemtisConfig {
 	return MemtisConfig{
-		SamplePeriod:    2039,
-		PollPeriod:      sim.Millisecond,
-		KthreadShare:    0.10,
-		HotThreshold:    4,
-		ClassifyPeriod:  sim.Second,
-		CoolEveryRounds: 10,
-		MigrationBatch:  4096,
+		SamplePeriod:   2039,
+		PollPeriod:     sim.Millisecond,
+		HotThreshold:   4,
+		ClassifyPeriod: sim.Second,
+		MigrationBatch: 4096,
 	}
 }
+
+// Memtis' published tunables.
+const (
+	// memtisKthreadShare is the fraction of one core the collection
+	// thread burns even when idle — the overhead Demeter's
+	// context-switch draining eliminates (Figure 7's 16× tracking gap).
+	memtisKthreadShare = 0.10
+	// memtisCoolEveryRounds halves the histogram every N classification
+	// rounds (Memtis' periodic cooling).
+	memtisCoolEveryRounds = 10
+)
 
 // Memtis is the PEBS-based kernel TMM run inside the guest. Differences
 // from Demeter, each individually modelled: a dedicated polling thread
@@ -57,7 +59,6 @@ func DefaultMemtisConfig() MemtisConfig {
 type Memtis struct {
 	Cfg MemtisConfig
 
-	eng      *sim.Engine
 	vm       *hypervisor.VM
 	unit     *pebs.Unit
 	hist     map[uint64]float64 // gpfn → decayed access count
@@ -90,7 +91,7 @@ func (p *Memtis) Attach(eng *sim.Engine, vm *hypervisor.VM) {
 	if p.active {
 		panic("tmm: Memtis attached twice")
 	}
-	p.eng, p.vm, p.active = eng, vm, true
+	p.vm, p.active = vm, true
 	p.hist = make(map[uint64]float64)
 
 	unit, err := pebs.NewUnit(pebs.ConfigWithPeriod(p.Cfg.SamplePeriod))
@@ -103,7 +104,7 @@ func (p *Memtis) Attach(eng *sim.Engine, vm *hypervisor.VM) {
 		panic(fmt.Sprintf("tmm: Memtis PEBS arm failed: %v", err))
 	}
 	unit.OnPMI = func() {
-		vm.ChargeGuest(CompTrack, vm.Machine.Cost.PMICost)
+		vm.ChargeGuest(hypervisor.CompTrack, vm.Machine.Cost.PMICost)
 		p.drain()
 	}
 
@@ -112,7 +113,7 @@ func (p *Memtis) Attach(eng *sim.Engine, vm *hypervisor.VM) {
 			return
 		}
 		// The kthread burns its share whether or not samples arrived.
-		vm.ChargeGuest(CompTrack, sim.Duration(float64(p.Cfg.PollPeriod)*p.Cfg.KthreadShare))
+		vm.ChargeGuest(hypervisor.CompTrack, sim.Duration(float64(p.Cfg.PollPeriod)*memtisKthreadShare))
 		p.drain()
 	})
 	p.classify = eng.StartTicker(p.Cfg.ClassifyPeriod, func(sim.Time) {
@@ -143,7 +144,7 @@ func (p *Memtis) drain() {
 	vm := p.vm
 	cm := &vm.Machine.Cost
 	cost := sim.Duration(len(samples)) * (cm.SampleHandleCost + cm.TranslateCost)
-	vm.ChargeGuest(CompTrack, cost)
+	vm.ChargeGuest(hypervisor.CompTrack, cost)
 	for _, s := range samples {
 		p.stats.Samples++
 		if gpfn, ok := vm.Proc.Translate(s.GVPN); ok {
@@ -168,7 +169,7 @@ func (p *Memtis) round() {
 		keys = append(keys, gpfn)
 	}
 	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-	cool := p.Cfg.CoolEveryRounds > 0 && (p.stats.Rounds+1)%p.Cfg.CoolEveryRounds == 0
+	cool := (p.stats.Rounds+1)%memtisCoolEveryRounds == 0
 	for _, gpfn := range keys {
 		count := p.hist[gpfn]
 		if count >= p.Cfg.HotThreshold {
@@ -185,7 +186,7 @@ func (p *Memtis) round() {
 			}
 		}
 	}
-	vm.ChargeGuest(CompClassify, sim.Duration(len(p.hist))*cm.PTEOpCost)
+	vm.ChargeGuest(hypervisor.CompClassify, sim.Duration(len(p.hist))*cm.PTEOpCost)
 	p.stats.Rounds++
 
 	// Memtis migrates physical pages; the guest variant moves the gVA
@@ -195,7 +196,7 @@ func (p *Memtis) round() {
 		return
 	}
 	gvaOf := p.reverseMap(hot, coldFast)
-	vm.ChargeGuest(CompClassify, sim.Duration(vm.Proc.GPT.Mapped())*cm.PTEOpCost/4)
+	vm.ChargeGuest(hypervisor.CompClassify, sim.Duration(vm.Proc.GPT.Mapped())*cm.PTEOpCost/4)
 
 	var migrateCost sim.Duration
 	fastNode := kernel.Topo.Nodes[0]
@@ -219,7 +220,7 @@ func (p *Memtis) round() {
 			p.stats.Promoted++
 		}
 	}
-	vm.ChargeGuest(CompMigrate, migrateCost)
+	vm.ChargeGuest(hypervisor.CompMigrate, migrateCost)
 }
 
 // reverseMap finds the gVA currently mapping each wanted gpfn.

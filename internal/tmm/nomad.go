@@ -7,41 +7,23 @@ import (
 	"demeter/internal/sim"
 )
 
-// NomadConfig tunes the Nomad model.
-type NomadConfig struct {
-	// ScanPeriod is the A-bit scan cadence.
-	ScanPeriod sim.Duration
-	// MaxScore caps the saturating counter. It is deliberately deeper
-	// than TPP's: Nomad optimizes against migration thrashing, so a page
-	// needs more consecutive hot scans before it is armed for promotion.
-	MaxScore uint8
-	// MigrationBatch caps transactional promotions per round.
-	MigrationBatch int
-	// ScanBatchPages bounds PTEs visited per round (incremental LRU
-	// walk); zero means unbounded.
-	ScanBatchPages int
-	// ShadowFaultCount is the number of write-protect faults each
+// Nomad's published tunables.
+const (
+	// nomadMaxScore caps the saturating counter. It is deliberately
+	// deeper than TPP's: Nomad optimizes against migration thrashing, so
+	// a page needs more consecutive hot scans before it is armed for
+	// promotion.
+	nomadMaxScore = 6
+	// nomadShadowFaultCount is the number of write-protect faults each
 	// transactional copy pays (protect + resolve).
-	ShadowFaultCount int
-	// DirtyRetryFrac is the fraction of transactional copies aborted by
-	// a concurrent write and retried.
-	DirtyRetryFrac float64
-}
-
-// DefaultNomadConfig mirrors Nomad's published behaviour.
-func DefaultNomadConfig() NomadConfig {
-	return NomadConfig{
-		ScanPeriod:       sim.Second,
-		MaxScore:         6,
-		MigrationBatch:   4096,
-		ShadowFaultCount: 2,
-		DirtyRetryFrac:   0.15,
-	}
-}
-
-// nomadFreeTargetFrac is the small FMEM free watermark Nomad's demotion
-// keeps for hint faults.
-const nomadFreeTargetFrac = 0.02
+	nomadShadowFaultCount = 2
+	// nomadDirtyRetryFrac is the fraction of transactional copies
+	// aborted by a concurrent write and retried.
+	nomadDirtyRetryFrac = 0.15
+	// nomadFreeTargetFrac is the small FMEM free watermark Nomad's
+	// demotion keeps for hint faults.
+	nomadFreeTargetFrac = 0.02
+)
 
 // Nomad models non-exclusive memory tiering via transactional page
 // migration (OSDI'24). It is TPP's guest A-bit scanner with one change:
@@ -51,10 +33,10 @@ const nomadFreeTargetFrac = 0.02
 // shadowed page is nearly free (drop the fast copy and remap to the
 // retained shadow). The design's published weakness — slow reaction to
 // static hotspots because of its conservative, thrash-avoidance-first
-// policy — emerges from the deeper saturating counter (MaxScore 6 vs
+// policy — emerges from the deeper saturating counter (max score 6 vs
 // TPP's 4), which delays promotion arming.
 type Nomad struct {
-	Cfg NomadConfig
+	Cfg ScanConfig
 	guestScan
 	shadow map[uint64]bool // gvpn → has a retained slow-tier shadow
 
@@ -63,20 +45,14 @@ type Nomad struct {
 }
 
 // NewNomad returns a detached Nomad.
-func NewNomad(cfg NomadConfig) *Nomad { return &Nomad{Cfg: cfg} }
+func NewNomad(cfg ScanConfig) *Nomad { return &Nomad{Cfg: cfg} }
 
 // Name implements Policy.
 func (p *Nomad) Name() string { return "nomad" }
 
 // Attach implements Policy.
 func (p *Nomad) Attach(eng *sim.Engine, vm *hypervisor.VM) {
-	p.attach(eng, vm, "Nomad", TPPConfig{
-		ScanPeriod:     p.Cfg.ScanPeriod,
-		MaxScore:       p.Cfg.MaxScore,
-		MigrationBatch: p.Cfg.MigrationBatch,
-		ScanBatchPages: p.Cfg.ScanBatchPages,
-		FreeTargetFrac: nomadFreeTargetFrac,
-	})
+	p.attach(eng, vm, "Nomad", p.Cfg, nomadMaxScore, nomadFreeTargetFrac)
 	p.shadow = make(map[uint64]bool)
 	p.promoted, p.scanned, p.demote = p.shadowPromoted, p.dropDirtyShadow, p.shadowDemote
 }
@@ -85,8 +61,8 @@ func (p *Nomad) Attach(eng *sim.Engine, vm *hypervisor.VM) {
 // setup write-protect faults and the dirty-retry tax — and retains the
 // slow-tier original as a shadow.
 func (p *Nomad) shadowPromoted(gvpn uint64) sim.Duration {
-	cost := sim.Duration(p.Cfg.ShadowFaultCount) * p.vm.Machine.Cost.HintFaultCost
-	cost += sim.Duration(p.Cfg.DirtyRetryFrac * float64(mem.CopyCost(mem.SpecPMEM, mem.SpecLocalDRAM, mem.PageSize)))
+	cost := nomadShadowFaultCount * p.vm.Machine.Cost.HintFaultCost
+	cost += sim.Duration(nomadDirtyRetryFrac * float64(mem.CopyCost(mem.SpecPMEM, mem.SpecLocalDRAM, mem.PageSize)))
 	p.shadow[gvpn] = true
 	return cost
 }

@@ -19,8 +19,9 @@
 //
 // All policies share one structural interface (Name/Attach/Detach) so the
 // experiment harness treats them and core.Demeter uniformly, and all
-// charge their CPU time to the same ledger components ("track",
-// "classify", "migrate") that Figures 2 and 7 aggregate.
+// charge their CPU time to the same ledger components
+// (hypervisor.CompTrack, CompClassify, CompMigrate) that Figures 2 and 7
+// aggregate.
 package tmm
 
 import (
@@ -28,12 +29,34 @@ import (
 	"demeter/internal/sim"
 )
 
-// Ledger component names, shared with core.Demeter.
-const (
-	CompTrack    = "track"
-	CompClassify = "classify"
-	CompMigrate  = "migrate"
-)
+// ScanConfig is what the evaluation varies with scale for the scanning
+// designs (TPP, TPP-H, Nomad, vTMM). Everything else about a design is
+// a constant at its published value in the design's file.
+type ScanConfig struct {
+	// ScanPeriod is the A-bit scan cadence (vTMM also classifies at it).
+	ScanPeriod sim.Duration
+	// ScanBatchPages bounds the page-table entries visited per round;
+	// the scan resumes from a cursor next round, like kswapd's
+	// incremental LRU walks. Zero means unbounded.
+	ScanBatchPages int
+	// MigrationBatch caps page moves per round.
+	MigrationBatch int
+}
+
+// DefaultScanConfig is the published full-time-scale cadence and batch
+// TPP, TPP-H and Nomad share.
+func DefaultScanConfig() ScanConfig {
+	return ScanConfig{ScanPeriod: sim.Second, MigrationBatch: 4096}
+}
+
+// scanBudget is how many entries one round may visit in a table holding
+// mapped entries.
+func (c ScanConfig) scanBudget(mapped uint64) int {
+	if c.ScanBatchPages > 0 {
+		return c.ScanBatchPages
+	}
+	return int(mapped)
+}
 
 // Policy is the common TMM lifecycle. core.Demeter satisfies it too.
 type Policy interface {

@@ -6,6 +6,7 @@ import (
 	"demeter/internal/engine"
 	"demeter/internal/hypervisor"
 	"demeter/internal/mem"
+	"demeter/internal/pagetable"
 	"demeter/internal/sim"
 	"demeter/internal/workload"
 )
@@ -34,14 +35,8 @@ func rigWith(t *testing.T, fmem, smem uint64, wl workload.Workload) (*sim.Engine
 }
 
 // compressed cadences for unit tests.
-func testTPP() TPPConfig {
-	cfg := DefaultTPPConfig()
-	cfg.ScanPeriod = 2 * sim.Millisecond
-	return cfg
-}
-
-func testTPPH() TPPHConfig {
-	cfg := DefaultTPPHConfig()
+func testScan() ScanConfig {
+	cfg := DefaultScanConfig()
 	cfg.ScanPeriod = 2 * sim.Millisecond
 	return cfg
 }
@@ -52,12 +47,6 @@ func testMemtis() MemtisConfig {
 	cfg.HotThreshold = 2
 	cfg.PollPeriod = 500 * sim.Microsecond
 	cfg.ClassifyPeriod = 2 * sim.Millisecond
-	return cfg
-}
-
-func testNomad() NomadConfig {
-	cfg := DefaultNomadConfig()
-	cfg.ScanPeriod = 2 * sim.Millisecond
 	return cfg
 }
 
@@ -90,7 +79,7 @@ func TestStaticDoesNothing(t *testing.T) {
 
 func TestTPPPromotesHotSetWithSingleFlushesOnly(t *testing.T) {
 	eng, vm, x, wl := rig(t, 4096, 65536, 32768, 1_500_000)
-	p := NewTPP(testTPP())
+	p := NewTPP(testScan())
 	p.Attach(eng, vm)
 	defer p.Detach()
 	if !engine.RunAll(eng, 200*sim.Second, x) {
@@ -116,7 +105,7 @@ func TestTPPPromotesHotSetWithSingleFlushesOnly(t *testing.T) {
 
 func TestTPPHUsesFullFlushes(t *testing.T) {
 	eng, vm, x, _ := rig(t, 4096, 65536, 32768, 400_000)
-	p := NewTPPH(testTPPH())
+	p := NewTPPH(testScan())
 	p.Attach(eng, vm)
 	defer p.Detach()
 	if !engine.RunAll(eng, 200*sim.Second, x) {
@@ -148,12 +137,12 @@ func TestHypervisorTPPSlowerThanGuestTPP(t *testing.T) {
 		return x.Runtime()
 	}
 	gtpp := run(func(eng *sim.Engine, vm *hypervisor.VM) func() {
-		p := NewTPP(testTPP())
+		p := NewTPP(testScan())
 		p.Attach(eng, vm)
 		return p.Detach
 	})
 	htpp := run(func(eng *sim.Engine, vm *hypervisor.VM) func() {
-		p := NewTPPH(testTPPH())
+		p := NewTPPH(testScan())
 		p.Attach(eng, vm)
 		return p.Detach
 	})
@@ -177,7 +166,7 @@ func TestMemtisSamplesAndPromotes(t *testing.T) {
 	if st.Promoted == 0 {
 		t.Fatal("Memtis promoted nothing")
 	}
-	if vm.Ledger.Total(CompTrack) == 0 {
+	if vm.Ledger.Total(hypervisor.CompTrack) == 0 {
 		t.Fatal("Memtis kthread charged no tracking CPU")
 	}
 }
@@ -192,14 +181,14 @@ func TestMemtisKthreadBurnsIdleCPU(t *testing.T) {
 	p.Attach(eng, vm)
 	defer p.Detach()
 	engine.RunAll(eng, 200*sim.Second, x)
-	if vm.Ledger.Total(CompTrack) == 0 {
+	if vm.Ledger.Total(hypervisor.CompTrack) == 0 {
 		t.Fatal("idle kthread should still burn CPU")
 	}
 }
 
 func TestNomadPromotesWithShadows(t *testing.T) {
 	eng, vm, x, wl := rig(t, 4096, 65536, 32768, 900_000)
-	p := NewNomad(testNomad())
+	p := NewNomad(testScan())
 	p.Attach(eng, vm)
 	defer p.Detach()
 	if !engine.RunAll(eng, 500*sim.Second, x) {
@@ -219,7 +208,7 @@ func TestNomadPromotesWithShadows(t *testing.T) {
 // and demoting those must go through the shadow path.
 func TestNomadDemotesToCleanShadows(t *testing.T) {
 	eng, vm, x := rigWith(t, 4096, 65536, workload.Must(workload.NewSilo(16000, 100_000, 7)))
-	p := NewNomad(testNomad())
+	p := NewNomad(testScan())
 	p.Attach(eng, vm)
 	defer p.Detach()
 	if !engine.RunAll(eng, 500*sim.Second, x) {
@@ -234,7 +223,7 @@ func TestNomadDemotesToCleanShadows(t *testing.T) {
 }
 
 // Nomad's conservatism: with the same scan cadence it promotes later than
-// TPP (its deeper counter, MaxScore 6 vs 4, saturates later), so its
+// TPP (its deeper counter, max score 6 vs 4, saturates later), so its
 // mid-run placement lags.
 func TestNomadSlowerToPromoteThanTPP(t *testing.T) {
 	// Compare promotion counts after a fixed simulated horizon.
@@ -242,12 +231,12 @@ func TestNomadSlowerToPromoteThanTPP(t *testing.T) {
 		eng, vm, x, _ := rig(t, 4096, 65536, 32768, 10_000_000)
 		var promoted func() uint64
 		if useNomad {
-			p := NewNomad(testNomad())
+			p := NewNomad(testScan())
 			p.Attach(eng, vm)
 			defer p.Detach()
 			promoted = func() uint64 { return p.Stats().Promoted }
 		} else {
-			p := NewTPP(testTPP())
+			p := NewTPP(testScan())
 			p.Attach(eng, vm)
 			defer p.Detach()
 			promoted = func() uint64 { return p.Stats().Promoted }
@@ -265,7 +254,7 @@ func TestNomadSlowerToPromoteThanTPP(t *testing.T) {
 
 func TestDoubleAttachPanics(t *testing.T) {
 	eng, vm, _, _ := rig(t, 256, 1024, 512, 1000)
-	policies := []Policy{NewTPP(testTPP()), NewTPPH(testTPPH()), NewMemtis(testMemtis()), NewNomad(testNomad()), NewVTMM(testVTMM())}
+	policies := []Policy{NewTPP(testScan()), NewTPPH(testScan()), NewMemtis(testMemtis()), NewNomad(testScan()), NewVTMM(testVTMM())}
 	for _, p := range policies {
 		func() {
 			p.Attach(eng, vm)
@@ -282,7 +271,7 @@ func TestDoubleAttachPanics(t *testing.T) {
 
 func TestDetachIsIdempotent(t *testing.T) {
 	eng, vm, _, _ := rig(t, 256, 1024, 512, 1000)
-	for _, p := range []Policy{NewStatic(), NewTPP(testTPP()), NewTPPH(testTPPH()), NewMemtis(testMemtis()), NewNomad(testNomad()), NewVTMM(testVTMM())} {
+	for _, p := range []Policy{NewStatic(), NewTPP(testScan()), NewTPPH(testScan()), NewMemtis(testMemtis()), NewNomad(testScan()), NewVTMM(testVTMM())} {
 		p.Attach(eng, vm)
 		p.Detach()
 		p.Detach()
@@ -310,9 +299,9 @@ func TestScoreboard(t *testing.T) {
 	}
 }
 
-func testVTMM() VTMMConfig {
+func testVTMM() ScanConfig {
 	cfg := DefaultVTMMConfig()
-	cfg.SortPeriod = 2 * sim.Millisecond
+	cfg.ScanPeriod = 2 * sim.Millisecond
 	cfg.ScanBatchPages = 7200
 	return cfg
 }
@@ -350,7 +339,7 @@ func TestVTMMSlowerThanDemeterStyleGuest(t *testing.T) {
 		if useVTMM {
 			pol = NewVTMM(testVTMM())
 		} else {
-			pol = NewTPP(testTPP())
+			pol = NewTPP(testScan())
 		}
 		pol.Attach(eng, vm)
 		defer pol.Detach()
@@ -363,5 +352,40 @@ func TestVTMMSlowerThanDemeterStyleGuest(t *testing.T) {
 	vtmm := run(true)
 	if vtmm <= tpp {
 		t.Fatalf("vTMM (%v) should be slower than guest TPP (%v)", vtmm, tpp)
+	}
+}
+
+// A zero scan bound means unbounded, as for the other scanners: one
+// vTMM round must harvest every EPT A bit the workload left set.
+func TestVTMMZeroScanBatchScansEverything(t *testing.T) {
+	eng, vm, x, _ := rig(t, 4096, 65536, 2048, 50_000)
+	if !engine.RunAll(eng, 200*sim.Second, x) {
+		t.Fatal("did not finish")
+	}
+	accessed := func() int {
+		n := 0
+		vm.EPT.Scan(func(_ uint64, e *pagetable.Entry) bool {
+			if e.Accessed() {
+				n++
+			}
+			return true
+		})
+		return n
+	}
+	before := accessed()
+	if before == 0 {
+		t.Fatal("the workload left no EPT A bit set")
+	}
+	cfg := testVTMM()
+	cfg.ScanBatchPages = 0
+	p := NewVTMM(cfg)
+	p.Attach(eng, vm)
+	defer p.Detach()
+	eng.Run(eng.Now() + cfg.ScanPeriod)
+	if rounds := p.Stats().Rounds; rounds != 1 {
+		t.Fatalf("ran %d rounds, want 1", rounds)
+	}
+	if after := accessed(); after != 0 {
+		t.Fatalf("an unbounded round left %d of %d EPT A bits set", after, before)
 	}
 }

@@ -5,33 +5,15 @@ import (
 	"demeter/internal/sim"
 )
 
-// TPPConfig tunes the guest-resident TPP model.
-type TPPConfig struct {
-	// ScanPeriod is the A-bit scan cadence.
-	ScanPeriod sim.Duration
-	// MaxScore caps the saturating counter; a slow-tier page is armed
+// TPP's published tunables.
+const (
+	// tppMaxScore caps the saturating counter; a slow-tier page is armed
 	// for promotion once its score saturates.
-	MaxScore uint8
-	// MigrationBatch caps promotions per round.
-	MigrationBatch int
-	// ScanBatchPages bounds the PTEs visited per round; the scan resumes
-	// from a cursor next round, like kswapd's incremental LRU walks.
-	// Zero means unbounded.
-	ScanBatchPages int
-	// FreeTargetFrac is the FMEM free watermark the demotion side
+	tppMaxScore = 4
+	// tppFreeTargetFrac is the FMEM free watermark the demotion side
 	// (kswapd) maintains so promotions always find headroom.
-	FreeTargetFrac float64
-}
-
-// DefaultTPPConfig mirrors TPP's Linux incarnation at full time scale.
-func DefaultTPPConfig() TPPConfig {
-	return TPPConfig{
-		ScanPeriod:     sim.Second,
-		MaxScore:       4,
-		MigrationBatch: 4096,
-		FreeTargetFrac: 0.04,
-	}
-}
+	tppFreeTargetFrac = 0.04
+)
 
 // TPP is Transparent Page Placement inside the guest (G-TPP). Tracking
 // walks the guest page table in bounded rounds, clearing A bits; because
@@ -42,17 +24,17 @@ func DefaultTPPConfig() TPPConfig {
 // fault, so hotter pages naturally win the race for free fast-tier frames.
 // Demotion is kswapd-style watermark maintenance.
 type TPP struct {
-	Cfg TPPConfig
+	Cfg ScanConfig
 	guestScan
 }
 
 // NewTPP returns a detached guest TPP.
-func NewTPP(cfg TPPConfig) *TPP { return &TPP{Cfg: cfg} }
+func NewTPP(cfg ScanConfig) *TPP { return &TPP{Cfg: cfg} }
 
 // Name implements Policy.
 func (p *TPP) Name() string { return "tpp" }
 
 // Attach implements Policy.
 func (p *TPP) Attach(eng *sim.Engine, vm *hypervisor.VM) {
-	p.attach(eng, vm, "TPP", p.Cfg)
+	p.attach(eng, vm, "TPP", p.Cfg, tppMaxScore, tppFreeTargetFrac)
 }

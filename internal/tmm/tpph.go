@@ -7,53 +7,33 @@ import (
 	"demeter/internal/sim"
 )
 
-// TPPHConfig tunes the hypervisor-based TPP conversion.
-type TPPHConfig struct {
-	// ScanPeriod is the EPT A-bit scan cadence.
-	ScanPeriod sim.Duration
-	// PromoteThreshold / MaxScore as in TPP, but over gPFNs.
-	PromoteThreshold uint8
-	MaxScore         uint8
-	// MigrationBatch caps host migrations per round.
-	MigrationBatch int
-	// ScanBatchPages bounds EPT entries visited per round (the notifier
-	// processes bounded batches); zero means unbounded.
-	ScanBatchPages int
-	// FlushBatchPages is how many cleared A bits the MMU notifier
+// H-TPP's tunables, as the paper converts TPP to the hypervisor.
+const (
+	// tpphPromoteThreshold / tpphMaxScore as in TPP, but over gPFNs.
+	tpphPromoteThreshold = 2
+	tpphMaxScore         = 4
+	// tpphFlushBatchPages is how many cleared A bits the MMU notifier
 	// accumulates before issuing one full EPT invalidation. KVM batches
 	// notifier work, but every batch still costs an invept because EPT
 	// entries carry no gVA to invalidate selectively (§2.3.1).
-	FlushBatchPages int
-	// NotifierStallFrac is the fraction of scan time the guest is
+	tpphFlushBatchPages = 512
+	// tpphNotifierStallFrac is the fraction of scan time the guest is
 	// stalled by mmu_lock contention.
-	NotifierStallFrac float64
-	// ShootdownStall is guest vCPU time lost to the IPI storm of each
-	// invept shootdown (all vCPUs are interrupted).
-	ShootdownStall sim.Duration
-}
-
-// DefaultTPPHConfig mirrors the paper's H-TPP conversion.
-func DefaultTPPHConfig() TPPHConfig {
-	return TPPHConfig{
-		ScanPeriod:        sim.Second,
-		PromoteThreshold:  2,
-		MaxScore:          4,
-		MigrationBatch:    4096,
-		FlushBatchPages:   512,
-		NotifierStallFrac: 0.5,
-		ShootdownStall:    8 * sim.Microsecond,
-	}
-}
+	tpphNotifierStallFrac = 0.5
+	// tpphShootdownStall is guest vCPU time lost to the IPI storm of
+	// each invept shootdown (all vCPUs are interrupted).
+	tpphShootdownStall = 8 * sim.Microsecond
+)
 
 // TPPH is the hypervisor-based TPP (the paper's H-TPP / TPP-H): it scans
 // EPT A bits through the KVM MMU notifier and migrates pages by changing
 // their host backing. It sees only gPAs and hPAs; without gVAs every
 // A-bit harvest batch and every migration forces a destructive full EPT
-// invalidation — the mechanism behind Table 1's 2.5× slowdown.
+// invalidation — the mechanism behind Table 1's 2.5× slowdown. The
+// notifier processes bounded batches of Cfg.ScanBatchPages EPT entries.
 type TPPH struct {
-	Cfg TPPHConfig
+	Cfg ScanConfig
 
-	eng    *sim.Engine
 	vm     *hypervisor.VM
 	board  *scoreboard
 	ticker *sim.Ticker
@@ -63,7 +43,7 @@ type TPPH struct {
 }
 
 // NewTPPH returns a detached hypervisor TPP.
-func NewTPPH(cfg TPPHConfig) *TPPH { return &TPPH{Cfg: cfg} }
+func NewTPPH(cfg ScanConfig) *TPPH { return &TPPH{Cfg: cfg} }
 
 // Name implements Policy.
 func (p *TPPH) Name() string { return "tpp-h" }
@@ -76,8 +56,8 @@ func (p *TPPH) Attach(eng *sim.Engine, vm *hypervisor.VM) {
 	if p.active {
 		panic("tmm: TPPH attached twice")
 	}
-	p.eng, p.vm, p.active = eng, vm, true
-	p.board = newScoreboard(p.Cfg.MaxScore)
+	p.vm, p.active = vm, true
+	p.board = newScoreboard(tpphMaxScore)
 	p.ticker = eng.StartTicker(p.Cfg.ScanPeriod, func(sim.Time) {
 		if p.active {
 			p.round()
@@ -106,17 +86,13 @@ func (p *TPPH) round() {
 	cleared := 0
 	fulls := 0
 
-	batch := p.Cfg.ScanBatchPages
-	if batch <= 0 {
-		batch = int(vm.EPT.Mapped())
-	}
-	visited, next := vm.EPT.ScanFrom(p.cursor, batch, func(gpfn uint64, e *pagetable.Entry) bool {
+	visited, next := vm.EPT.ScanFrom(p.cursor, p.Cfg.scanBudget(vm.EPT.Mapped()), func(gpfn uint64, e *pagetable.Entry) bool {
 		accessed := e.Accessed()
 		if accessed {
 			e.ClearAccessed()
 			cleared++
 			// The notifier batches clears; each batch ends in invept.
-			if cleared%p.Cfg.FlushBatchPages == 0 {
+			if cleared%tpphFlushBatchPages == 0 {
 				flushCost += vm.FlushFull()
 				fulls++
 			}
@@ -124,29 +100,27 @@ func (p *TPPH) round() {
 		score := p.board.observe(gpfn, accessed)
 		onFast := fastHost.Contains(hostFrameOf(e))
 		switch {
-		case !onFast && score >= p.Cfg.PromoteThreshold && len(hot) < p.Cfg.MigrationBatch:
+		case !onFast && score >= tpphPromoteThreshold && len(hot) < p.Cfg.MigrationBatch:
 			hot = append(hot, gpfn)
 		case onFast && score == 0 && len(coldFast) < 4*p.Cfg.MigrationBatch:
 			coldFast = append(coldFast, gpfn)
 		}
 		return true
 	})
-	if cleared > 0 && cleared%p.Cfg.FlushBatchPages != 0 {
+	if cleared > 0 && cleared%tpphFlushBatchPages != 0 {
 		flushCost += vm.FlushFull() // trailing partial batch
 		fulls++
 	}
 	p.cursor = next
 	p.stats.Rounds++
-	p.stats.PTEsVisited += uint64(visited)
-	p.stats.HotObserved += uint64(cleared)
 
 	scanCost := sim.Duration(visited) * cm.ScanPTECost
-	vm.ChargeHost(CompTrack, scanCost+flushCost)
-	vm.ChargeHost(CompClassify, sim.Duration(visited)*cm.PTEOpCost/2)
+	vm.ChargeHost(hypervisor.CompTrack, scanCost+flushCost)
+	vm.ChargeHost(hypervisor.CompClassify, sim.Duration(visited)*cm.PTEOpCost/2)
 	// Notifier scanning holds mmu_lock against the guest's fault paths,
 	// and every invept shootdown interrupts all vCPUs.
-	vm.Stall(sim.Duration(float64(scanCost) * p.Cfg.NotifierStallFrac))
-	vm.Stall(sim.Duration(fulls) * p.Cfg.ShootdownStall * sim.Duration(vm.VCPUs))
+	vm.Stall(sim.Duration(float64(scanCost) * tpphNotifierStallFrac))
+	vm.Stall(sim.Duration(fulls) * tpphShootdownStall * sim.Duration(vm.VCPUs))
 
 	// Migration at the hypervisor's discretion: demote cold, promote hot.
 	var migrateCost sim.Duration
@@ -164,13 +138,12 @@ func (p *TPPH) round() {
 	for _, gpfn := range hot {
 		cost, ok := vm.HostMigrate(gpfn, fastHost.ID)
 		if !ok {
-			p.stats.FailedPromotions++
 			continue
 		}
 		migrateCost += cost
 		p.stats.Promoted++
 	}
-	vm.ChargeHost(CompMigrate, migrateCost)
+	vm.ChargeHost(hypervisor.CompMigrate, migrateCost)
 }
 
 // hostFrameOf extracts the host frame from an EPT entry.

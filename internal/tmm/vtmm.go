@@ -8,46 +8,21 @@ import (
 	"demeter/internal/sim"
 )
 
-// VTMMConfig tunes the vTMM model.
-type VTMMConfig struct {
-	// SortPeriod is the classification cadence: vTMM aggregates access
-	// information across rounds, then sorts page frequencies.
-	SortPeriod sim.Duration
-	// ScanBatchPages bounds the read-side EPT A-bit scan per round.
-	ScanBatchPages int
-	// DirtyResetBatch is how many EPT D bits are cleared per round to
-	// re-arm PML (each batch forces an invept, like A-bit harvesting).
-	DirtyResetBatch int
-	// MigrationBatch caps host migrations per round.
-	MigrationBatch int
-	// HotFraction is the share of FMEM refilled with the sort's top
+// vTMM's published tunables.
+const (
+	// vtmmDirtyResetBatch is how many EPT D bits are cleared per round
+	// to re-arm PML (each batch forces an invept, like A-bit harvesting).
+	vtmmDirtyResetBatch = 4096
+	// vtmmHotFraction is the share of FMEM refilled with the sort's top
 	// pages each round.
-	HotFraction float64
-}
+	vtmmHotFraction = 0.5
+)
 
-// DefaultVTMMConfig mirrors vTMM's published cadence at full time scale.
-func DefaultVTMMConfig() VTMMConfig {
-	return VTMMConfig{
-		SortPeriod:      sim.Second,
-		ScanBatchPages:  28000,
-		DirtyResetBatch: 4096,
-		MigrationBatch:  4096,
-		HotFraction:     0.5,
-	}
-}
-
-// DefaultFallbackConfig tunes a VTMM instance for degraded-mode duty:
-// the delegation health monitor attaches it host-side when a guest agent
-// stops cooperating, so its cadence must follow the run's scaled periods
-// rather than the paper's full-scale defaults. The A-bit scan loop and
-// classification are unchanged — the fallback is deliberately the
-// hypervisor-only baseline the paper argues against, because it is the
-// only thing a host can run without trusting the guest.
-func DefaultFallbackConfig(sortPeriod sim.Duration, scanBatch, migrationBatch int) VTMMConfig {
-	cfg := DefaultVTMMConfig()
-	cfg.SortPeriod = sortPeriod
-	cfg.ScanBatchPages = scanBatch
-	cfg.MigrationBatch = migrationBatch
+// DefaultVTMMConfig mirrors vTMM's published cadence at full time scale,
+// with its read-side EPT A-bit scan bounded to 28000 pages per round.
+func DefaultVTMMConfig() ScanConfig {
+	cfg := DefaultScanConfig()
+	cfg.ScanBatchPages = 28000
 	return cfg
 }
 
@@ -58,10 +33,11 @@ func DefaultFallbackConfig(sortPeriod sim.Duration, scanBatch, migrationBatch in
 // the paper identifies: PML's fixed-frequency VM exits (§7.3), full EPT
 // invalidations to re-arm both A and D bits, sorting cost over
 // uncorrelated physical pages, and host-level migration flushes.
+// Cfg.ScanPeriod is also the classification cadence: vTMM aggregates
+// access information across rounds, then sorts page frequencies.
 type VTMM struct {
-	Cfg VTMMConfig
+	Cfg ScanConfig
 
-	eng         *sim.Engine
 	vm          *hypervisor.VM
 	pml         *hypervisor.PML
 	counts      map[uint64]float64 // gpfn → access score
@@ -76,7 +52,7 @@ type VTMM struct {
 }
 
 // NewVTMM returns a detached vTMM.
-func NewVTMM(cfg VTMMConfig) *VTMM { return &VTMM{Cfg: cfg} }
+func NewVTMM(cfg ScanConfig) *VTMM { return &VTMM{Cfg: cfg} }
 
 // Name implements Policy.
 func (p *VTMM) Name() string { return "vtmm" }
@@ -89,18 +65,18 @@ func (p *VTMM) Attach(eng *sim.Engine, vm *hypervisor.VM) {
 	if p.active {
 		panic("tmm: vTMM attached twice")
 	}
-	p.eng, p.vm, p.active = eng, vm, true
+	p.vm, p.active = vm, true
 	p.counts = make(map[uint64]float64)
 	p.pml = hypervisor.NewPML()
 	p.pml.OnFull = func(gpfns []uint64) {
 		// Drain on the exit path: each logged write bumps its page.
-		vm.ChargeHost(CompTrack, sim.Duration(len(gpfns))*vm.Machine.Cost.SampleHandleCost)
+		vm.ChargeHost(hypervisor.CompTrack, sim.Duration(len(gpfns))*vm.Machine.Cost.SampleHandleCost)
 		for _, g := range gpfns {
 			p.counts[g]++
 		}
 	}
 	vm.EnablePML(p.pml)
-	p.ticker = eng.StartTicker(p.Cfg.SortPeriod, func(sim.Time) {
+	p.ticker = eng.StartTicker(p.Cfg.ScanPeriod, func(sim.Time) {
 		if p.active {
 			p.round()
 		}
@@ -126,7 +102,7 @@ func (p *VTMM) round() {
 	// Read-side tracking: EPT A-bit scan (like H-TPP, full flush per
 	// round because there is no gVA to invalidate with).
 	cleared := 0
-	visited, next := vm.EPT.ScanFrom(p.cursor, p.Cfg.ScanBatchPages, func(gpfn uint64, e *pagetable.Entry) bool {
+	visited, next := vm.EPT.ScanFrom(p.cursor, p.Cfg.scanBudget(vm.EPT.Mapped()), func(gpfn uint64, e *pagetable.Entry) bool {
 		if e.Accessed() {
 			e.ClearAccessed()
 			p.counts[gpfn]++
@@ -143,7 +119,7 @@ func (p *VTMM) round() {
 	// Write-side re-arm: clear a batch of D bits so PML keeps logging;
 	// EPT modification again requires invept.
 	dirtyCleared := 0
-	_, p.dirtyCursor = vm.EPT.ScanFrom(p.dirtyCursor, p.Cfg.DirtyResetBatch, func(gpfn uint64, e *pagetable.Entry) bool {
+	_, p.dirtyCursor = vm.EPT.ScanFrom(p.dirtyCursor, vtmmDirtyResetBatch, func(gpfn uint64, e *pagetable.Entry) bool {
 		if e.Dirty() {
 			e.ClearDirty()
 			dirtyCleared++
@@ -154,12 +130,10 @@ func (p *VTMM) round() {
 		flushCost += vm.FlushFull()
 	}
 	p.stats.Rounds++
-	p.stats.PTEsVisited += uint64(visited)
-	p.stats.HotObserved += uint64(cleared)
 	p.PMLExits = p.pml.Stats().Exits
 
-	scanCost := sim.Duration(visited+p.Cfg.DirtyResetBatch) * cm.ScanPTECost
-	vm.ChargeHost(CompTrack, scanCost+flushCost)
+	scanCost := sim.Duration(visited+vtmmDirtyResetBatch) * cm.ScanPTECost
+	vm.ChargeHost(hypervisor.CompTrack, scanCost+flushCost)
 
 	// Classification: sort all tracked pages by score (vTMM's frequency
 	// sort), charging n log n comparisons.
@@ -190,11 +164,11 @@ func (p *VTMM) round() {
 		}
 		sortCost = sim.Duration(n*logN) * cm.PTEOpCost
 	}
-	vm.ChargeHost(CompClassify, sortCost)
+	vm.ChargeHost(hypervisor.CompClassify, sortCost)
 
 	// Migration: fill a slice of FMEM with the sort's top pages.
 	var migrateCost sim.Duration
-	budget := int(float64(fastHost.Frames()) * p.Cfg.HotFraction)
+	budget := int(float64(fastHost.Frames()) * vtmmHotFraction)
 	if budget > p.Cfg.MigrationBatch {
 		budget = p.Cfg.MigrationBatch
 	}
@@ -231,9 +205,7 @@ func (p *VTMM) round() {
 			migrateCost += cost
 			p.stats.Promoted++
 			moved++
-		} else {
-			p.stats.FailedPromotions++
 		}
 	}
-	vm.ChargeHost(CompMigrate, migrateCost)
+	vm.ChargeHost(hypervisor.CompMigrate, migrateCost)
 }

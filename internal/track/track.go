@@ -26,7 +26,6 @@ import (
 
 	"demeter/internal/hypervisor"
 	"demeter/internal/sim"
-	"demeter/internal/tmm"
 )
 
 // Counter is one tracked page range: [StartGVPN, EndGVPN) with a decayed
@@ -103,5 +102,5 @@ func New(cfg Config) (Tracker, error) {
 // chargeTrack books tracking CPU on the guest like every other guest-run
 // tracking mechanism.
 func chargeTrack(vm *hypervisor.VM, d sim.Duration) {
-	vm.ChargeGuest(tmm.CompTrack, d)
+	vm.ChargeGuest(hypervisor.CompTrack, d)
 }
