@@ -82,14 +82,9 @@ func main() {
 		os.Exit(2)
 	}
 
-	var scale experiments.Scale
-	switch *scaleFlag {
-	case "quick":
-		scale = experiments.Quick()
-	case "tiny":
-		scale = experiments.Tiny()
-	default:
-		fmt.Fprintf(os.Stderr, "unknown scale %q\n", *scaleFlag)
+	scale, err := experiments.ScaleByName(*scaleFlag)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
 	if *vms > 0 {

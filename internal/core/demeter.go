@@ -366,9 +366,6 @@ func (d *Demeter) ChannelDropped() uint64 {
 	return n
 }
 
-// Channel exposes the live sample channel for tests.
-func (d *Demeter) Channel() *SampleChannel { return d.ch }
-
 // Reconcile re-arms a freshly re-attached classifier after a degraded
 // window: pre-handback samples buffered in the PEBS unit are discarded
 // (they predate the fallback TMM's relocations and must not skew the

@@ -246,9 +246,6 @@ func (t *RangeTree) Ranked() []RangeInfo {
 // this to stay small — tens, not thousands).
 func (t *RangeTree) Leaves() int { return len(t.leavesInOrder()) }
 
-// Epoch returns the completed epoch count.
-func (t *RangeTree) Epoch() uint64 { return t.epoch }
-
 // Ignored returns samples that fell outside tracked regions.
 func (t *RangeTree) Ignored() uint64 { return t.ignored }
 

@@ -22,7 +22,6 @@ import (
 	"io"
 	"os"
 	"strconv"
-	"strings"
 
 	"demeter/internal/mem"
 	"demeter/internal/policy"
@@ -31,40 +30,11 @@ import (
 	"demeter/internal/workload"
 )
 
-// TrackerSpec selects a tracker in a serve config. Durations are
-// strings ("500us", "2ms") so configs read naturally.
-type TrackerSpec struct {
-	// Kind is one of track.Kinds(): "abit", "damon", "idlepage",
-	// "pebs". Empty means no tracker (only valid with an integrated
-	// policy, which bundles its own tracking).
-	Kind string `json:"kind"`
-	// Period is the tracker cadence ("" = kind default).
-	Period string `json:"period,omitempty"`
-	// SamplePeriod is the PEBS sampling period (pebs kind only).
-	SamplePeriod uint64 `json:"sample_period,omitempty"`
-	// ScanBatch bounds pages visited per scan round (abit/idlepage).
-	ScanBatch int `json:"scan_batch,omitempty"`
-}
-
-// PolicySpec selects a policy in a serve config.
-type PolicySpec struct {
-	// Kind is one of policy.Kinds(): a tracker-driven kind ("heat",
-	// "age", "threshold", "ranked") or an integrated design.
-	Kind string `json:"kind"`
-	// Period is the classify-and-migrate cadence ("" = kind default).
-	Period string `json:"period,omitempty"`
-	// MigrationBatch caps page moves per round (0 = default).
-	MigrationBatch int `json:"migration_batch,omitempty"`
-	// HotThreshold classifies a page hot (threshold/memtis kinds).
-	HotThreshold float64 `json:"hot_threshold,omitempty"`
-	// ActiveWithin promotes pages seen at most this long ago (age).
-	ActiveWithin string `json:"active_within,omitempty"`
-	// IdleAfter demotes pages idle at least this long (age).
-	IdleAfter string `json:"idle_after,omitempty"`
-}
-
 // VMSpec declares one guest: its workload stream, sizing and the
-// tracker × policy pairing that manages its pages.
+// tracker × policy pairing that manages its pages. The tracker and
+// policy stanzas are the components' own configs, so their keys and
+// defaults are defined once, in internal/track and internal/policy;
+// durations in them are strings ("500us", "2ms", see sim.ParseDuration).
 type VMSpec struct {
 	Name     string `json:"name"`
 	Workload string `json:"workload"`
@@ -80,8 +50,11 @@ type VMSpec struct {
 	FMEMFrames uint64 `json:"fmem_frames"`
 	SMEMFrames uint64 `json:"smem_frames"`
 
-	Tracker TrackerSpec `json:"tracker"`
-	Policy  PolicySpec  `json:"policy"`
+	// Tracker may be left out (empty kind) for an integrated policy,
+	// which bundles its own tracking. Its Seed is never read from the
+	// config: the daemon derives it from the VM seed.
+	Tracker track.Config  `json:"tracker"`
+	Policy  policy.Config `json:"policy"`
 }
 
 // Config is the serve daemon's top-level JSON document.
@@ -94,9 +67,10 @@ type Config struct {
 	// HostFMEMFrames / HostSMEMFrames size the host's tiers.
 	HostFMEMFrames uint64 `json:"host_fmem_frames"`
 	HostSMEMFrames uint64 `json:"host_smem_frames"`
-	// Quantum is the step `run` advances when no duration is given
-	// ("" = 10ms).
-	Quantum string `json:"quantum,omitempty"`
+	// Quantum is the step `run` advances when no duration is given.
+	// ParseConfig starts it at 10ms, so leaving the key out keeps that
+	// default; an explicit zero is rejected.
+	Quantum sim.Duration `json:"quantum,omitempty"`
 	// Defaults is the template `vm add` fills missing fields from.
 	Defaults VMSpec `json:"defaults,omitempty"`
 	// VMs boot with the daemon.
@@ -110,7 +84,7 @@ const openEndedOps = 1 << 40
 // (a typo must not silently become a default), and every declared value
 // is validated before any simulation state exists.
 func ParseConfig(r io.Reader) (Config, error) {
-	var c Config
+	c := Config{Quantum: defaultQuantum}
 	dec := json.NewDecoder(r)
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&c); err != nil {
@@ -139,8 +113,8 @@ func (c Config) validate() error {
 	if c.HostFMEMFrames == 0 || c.HostSMEMFrames == 0 {
 		return fmt.Errorf("daemon: config: host_fmem_frames and host_smem_frames must be positive")
 	}
-	if _, err := parseOptionalDuration(c.Quantum, defaultQuantum); err != nil {
-		return fmt.Errorf("daemon: config: quantum: %w", err)
+	if c.Quantum <= 0 {
+		return fmt.Errorf("daemon: config: quantum must be positive")
 	}
 	if len(c.VMs) == 0 {
 		return fmt.Errorf("daemon: config: no vms declared")
@@ -160,53 +134,6 @@ func (c Config) validate() error {
 
 // defaultQuantum is the `run` step when the command names no duration.
 const defaultQuantum = 10 * sim.Millisecond
-
-// parseDuration parses a simulated duration like "250ns", "10us",
-// "1.5ms" or "2s" ("0" is accepted bare). It exists because sim.Duration
-// is not time.Duration and serve configs should read like memtierd's.
-func parseDuration(s string) (sim.Duration, error) {
-	s = strings.TrimSpace(s)
-	if s == "" {
-		return 0, fmt.Errorf("empty duration")
-	}
-	if s == "0" {
-		return 0, nil
-	}
-	units := []struct {
-		suffix string
-		scale  sim.Duration
-	}{
-		{"ns", sim.Nanosecond},
-		{"us", sim.Microsecond},
-		{"µs", sim.Microsecond},
-		{"ms", sim.Millisecond},
-		{"s", sim.Second},
-	}
-	for _, u := range units {
-		if !strings.HasSuffix(s, u.suffix) {
-			continue
-		}
-		num := strings.TrimSuffix(s, u.suffix)
-		// "ms" also ends in "s"; only accept when the number parses.
-		v, err := strconv.ParseFloat(num, 64)
-		if err != nil {
-			continue
-		}
-		if v < 0 {
-			return 0, fmt.Errorf("negative duration %q", s)
-		}
-		return sim.Duration(v * float64(u.scale)), nil
-	}
-	return 0, fmt.Errorf("bad duration %q (want e.g. 500ns, 10us, 1.5ms, 2s)", s)
-}
-
-// parseOptionalDuration maps "" to a default.
-func parseOptionalDuration(s string, def sim.Duration) (sim.Duration, error) {
-	if strings.TrimSpace(s) == "" {
-		return def, nil
-	}
-	return parseDuration(s)
-}
 
 // formatSeconds renders a simulated duration in seconds for the
 // idle-age table (memtierd's tables are denominated in seconds).
@@ -268,49 +195,11 @@ func newWorkload(name string, pages, ops, seed uint64) (workload.Workload, error
 	}
 }
 
-// trackConfig converts a TrackerSpec to a track.Config, deriving the
-// tracker's seed from the VM seed so twin configs replay identically.
-func (t TrackerSpec) trackConfig(vmSeed uint64) (track.Config, error) {
-	period, err := parseOptionalDuration(t.Period, 0)
-	if err != nil {
-		return track.Config{}, fmt.Errorf("daemon: tracker period: %w", err)
-	}
-	return track.Config{
-		Kind:         t.Kind,
-		Period:       period,
-		SamplePeriod: t.SamplePeriod,
-		ScanBatch:    t.ScanBatch,
-		Seed:         vmSeed + 1,
-	}, nil
-}
-
-// policyConfig converts a PolicySpec to a policy.Config.
-func (p PolicySpec) policyConfig() (policy.Config, error) {
-	period, err := parseOptionalDuration(p.Period, 0)
-	if err != nil {
-		return policy.Config{}, fmt.Errorf("daemon: policy period: %w", err)
-	}
-	active, err := parseOptionalDuration(p.ActiveWithin, 0)
-	if err != nil {
-		return policy.Config{}, fmt.Errorf("daemon: policy active_within: %w", err)
-	}
-	idle, err := parseOptionalDuration(p.IdleAfter, 0)
-	if err != nil {
-		return policy.Config{}, fmt.Errorf("daemon: policy idle_after: %w", err)
-	}
-	return policy.Config{
-		Kind:           p.Kind,
-		Period:         period,
-		MigrationBatch: p.MigrationBatch,
-		HotThreshold:   p.HotThreshold,
-		ActiveWithin:   active,
-		IdleAfter:      idle,
-	}, nil
-}
-
 // mergeSpec fills v's zero fields from the daemon-level defaults, which
-// themselves fall back to built-in values. `vm add` builds its spec this
-// way so a five-token command yields a fully sized VM.
+// themselves fall back to built-in values, and derives the tracker's
+// seed from the VM seed so twin configs replay identically. `vm add`
+// builds its spec this way so a five-token command yields a fully sized
+// VM.
 func (c Config) mergeSpec(v VMSpec) VMSpec {
 	d := c.Defaults
 	if v.Workload == "" {
@@ -337,7 +226,7 @@ func (c Config) mergeSpec(v VMSpec) VMSpec {
 	if v.Policy.Kind == "" {
 		v.Policy = d.Policy
 		if v.Policy.Kind == "" {
-			v.Policy = PolicySpec{Kind: "heat", Period: "2ms"}
+			v.Policy = policy.Config{Kind: "heat", Period: 2 * sim.Millisecond}
 		}
 	}
 	// An integrated policy bundles its own tracking: a default tracker
@@ -346,9 +235,10 @@ func (c Config) mergeSpec(v VMSpec) VMSpec {
 	if v.Tracker.Kind == "" && policy.TrackerDriven(v.Policy.Kind) {
 		v.Tracker = d.Tracker
 		if v.Tracker.Kind == "" {
-			v.Tracker = TrackerSpec{Kind: "abit", Period: "1ms"}
+			v.Tracker = track.Config{Kind: "abit", Period: sim.Millisecond}
 		}
 	}
+	v.Tracker.Seed = v.Seed + 1
 	return v
 }
 

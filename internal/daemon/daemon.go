@@ -30,14 +30,13 @@ type vmState struct {
 // single-threaded (one engine, simulated time), but Snapshot may be
 // called from other goroutines while a Serve loop executes commands.
 type Daemon struct {
-	mu      sync.Mutex
-	cfg     Config
-	eng     *sim.Engine
-	m       *hypervisor.Machine
-	o       *obs.Obs
-	quantum sim.Duration
-	vms     map[string]*vmState
-	order   []string // vm names in creation order, the rendering order
+	mu    sync.Mutex
+	cfg   Config
+	eng   *sim.Engine
+	m     *hypervisor.Machine
+	o     *obs.Obs
+	vms   map[string]*vmState
+	order []string // vm names in creation order, the rendering order
 }
 
 // New builds a daemon from a validated config: host topology, obs
@@ -48,22 +47,17 @@ func New(cfg Config) (*Daemon, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
-	quantum, err := parseOptionalDuration(cfg.Quantum, defaultQuantum)
-	if err != nil {
-		return nil, fmt.Errorf("daemon: quantum: %w", err)
-	}
 	topology, err := mem.PaperTopology(cfg.Tier)
 	if err != nil {
 		return nil, fmt.Errorf("daemon: config: %w", err)
 	}
 	eng := sim.NewEngine()
 	d := &Daemon{
-		cfg:     cfg,
-		eng:     eng,
-		m:       hypervisor.NewMachine(eng, topology(cfg.HostFMEMFrames, cfg.HostSMEMFrames)),
-		o:       obs.New(0),
-		quantum: quantum,
-		vms:     make(map[string]*vmState),
+		cfg: cfg,
+		eng: eng,
+		m:   hypervisor.NewMachine(eng, topology(cfg.HostFMEMFrames, cfg.HostSMEMFrames)),
+		o:   obs.New(0),
+		vms: make(map[string]*vmState),
 	}
 	d.m.AttachObs(d.o)
 	for _, spec := range cfg.VMs {
@@ -106,21 +100,13 @@ func (d *Daemon) addVM(spec VMSpec) error {
 		return fmt.Errorf("daemon: vm %q: %w", spec.Name, err)
 	}
 
-	pcfg, err := spec.Policy.policyConfig()
-	if err != nil {
-		return fmt.Errorf("daemon: vm %q: %w", spec.Name, err)
-	}
-	pol, err := policy.New(pcfg)
+	pol, err := policy.New(spec.Policy)
 	if err != nil {
 		return fmt.Errorf("daemon: vm %q: %w", spec.Name, err)
 	}
 	var tr track.Tracker
 	if spec.Tracker.Kind != "" {
-		tcfg, err := spec.Tracker.trackConfig(spec.Seed)
-		if err != nil {
-			return fmt.Errorf("daemon: vm %q: %w", spec.Name, err)
-		}
-		if tr, err = track.New(tcfg); err != nil {
+		if tr, err = track.New(spec.Tracker); err != nil {
 			return fmt.Errorf("daemon: vm %q: %w", spec.Name, err)
 		}
 	} else if policy.TrackerDriven(spec.Policy.Kind) {
@@ -194,11 +180,7 @@ func (d *Daemon) switchTracker(name, kind string) error {
 	}
 	spec := s.spec.Tracker
 	spec.Kind = kind
-	tcfg, err := spec.trackConfig(s.spec.Seed)
-	if err != nil {
-		return err
-	}
-	tr, err := track.New(tcfg)
+	tr, err := track.New(spec)
 	if err != nil {
 		return err
 	}
@@ -273,7 +255,7 @@ func parseBuckets(spec string) ([]sim.Duration, error) {
 	}
 	bounds := make([]sim.Duration, len(parts))
 	for i, p := range parts {
-		b, err := parseDuration(p)
+		b, err := sim.ParseDuration(p)
 		if err != nil {
 			return nil, fmt.Errorf("daemon: bucket %d: %w", i, err)
 		}
@@ -359,11 +341,4 @@ func (d *Daemon) dumpAccessed(spec string) (string, error) {
 		}
 	}
 	return t.String(), nil
-}
-
-// vmNames returns the managed VM names in creation order.
-func (d *Daemon) vmNames() []string {
-	names := make([]string, len(d.order))
-	copy(names, d.order)
-	return names
 }

@@ -6,7 +6,9 @@ import (
 	"sync"
 	"testing"
 
+	"demeter/internal/policy"
 	"demeter/internal/sim"
+	"demeter/internal/track"
 )
 
 // sampleConfig mirrors configs/serve.sample.json: two VMs with distinct
@@ -253,6 +255,7 @@ func TestConfigErrors(t *testing.T) {
 		"unnamed vm":       `{"host_fmem_frames":64,"host_smem_frames":64,"vms":[{"name":""}]}`,
 		"bad quantum":      `{"host_fmem_frames":64,"host_smem_frames":64,"quantum":"fast","vms":[{"name":"a"}]}`,
 		"negative quantum": `{"host_fmem_frames":64,"host_smem_frames":64,"quantum":"-5ms","vms":[{"name":"a"}]}`,
+		"zero quantum":     `{"host_fmem_frames":64,"host_smem_frames":64,"quantum":"0","vms":[{"name":"a"}]}`,
 	}
 	for name, cfg := range cases {
 		t.Run(name, func(t *testing.T) {
@@ -260,6 +263,68 @@ func TestConfigErrors(t *testing.T) {
 				t.Errorf("config accepted: %s", cfg)
 			}
 		})
+	}
+}
+
+// TestConfigSchema pins the serve schema, whose tracker and policy
+// stanzas are track.Config and policy.Config: the sample config decodes
+// to the kinds and tunings it declares, every stanza key is accepted,
+// the tracker seed is no key (the daemon derives it from the VM seed),
+// and a bad duration is rejected with its key named.
+func TestConfigSchema(t *testing.T) {
+	c, err := LoadConfig("../../configs/serve.sample.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	abit := track.Config{Kind: "abit", Period: sim.Millisecond}
+	heat := policy.Config{Kind: "heat", Period: 2 * sim.Millisecond}
+	want := []struct {
+		where string
+		tr    track.Config
+		pol   policy.Config
+	}{
+		{"defaults", abit, policy.Config{Kind: "heat", Period: 2 * sim.Millisecond, MigrationBatch: 64}},
+		{"vm0", abit, heat},
+		{"vm1", track.Config{Kind: "pebs", Period: sim.Millisecond, SamplePeriod: 97},
+			policy.Config{Kind: "ranked", Period: 2 * sim.Millisecond}},
+	}
+	got := []VMSpec{c.Defaults, c.VMs[0], c.VMs[1]}
+	for i, w := range want {
+		if got[i].Tracker != w.tr || got[i].Policy != w.pol {
+			t.Errorf("%s: tracker %+v policy %+v, want %+v and %+v", w.where, got[i].Tracker, got[i].Policy, w.tr, w.pol)
+		}
+	}
+	if c.Quantum != 5*sim.Millisecond {
+		t.Errorf("quantum = %v, want 5ms", c.Quantum)
+	}
+	d, err := New(c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if seed := d.vms["vm0"].spec.Tracker.Seed; seed != 4 {
+		t.Errorf("vm0 tracker seed = %d, want the vm seed 3 + 1", seed)
+	}
+
+	base := `{"host_fmem_frames":512,"host_smem_frames":4096,%s"vms":[{"name":"a","tracker":%s,"policy":%s}]}`
+	full := fmt.Sprintf(base, `"quantum":"",`,
+		`{"kind":"abit","period":"","sample_period":0,"scan_batch":8}`,
+		`{"kind":"age","period":"2ms","migration_batch":4,"hot_threshold":1.5,"active_within":"1ms","idle_after":"3ms"}`)
+	c, err = ParseConfig(strings.NewReader(full))
+	if err != nil {
+		t.Fatalf("config with every stanza key rejected: %v", err)
+	}
+	if c.Quantum != defaultQuantum || c.VMs[0].Policy.IdleAfter != 3*sim.Millisecond {
+		t.Errorf("quantum %v idle_after %v, want the 10ms default and 3ms", c.Quantum, c.VMs[0].Policy.IdleAfter)
+	}
+	for _, r := range []struct{ tracker, policy, key string }{
+		{`{"kind":"damon","seed":9}`, `{"kind":"heat"}`, `"seed"`},
+		{`{"kind":"abit","period":"soon"}`, `{"kind":"heat"}`, "tracker.period"},
+		{`{"kind":"abit"}`, `{"kind":"age","idle_after":5}`, "policy.idle_after"},
+	} {
+		_, err := ParseConfig(strings.NewReader(fmt.Sprintf(base, "", r.tracker, r.policy)))
+		if err == nil || !strings.Contains(err.Error(), r.key) {
+			t.Errorf("tracker %s policy %s: error %v, want one naming %s", r.tracker, r.policy, err, r.key)
+		}
 	}
 }
 
@@ -378,30 +443,5 @@ func TestVMRemoveFreesHostFrames(t *testing.T) {
 	}
 	if strings.Contains(s, "vm1") && strings.Contains(strings.Split(s, "vm remove vm1")[1], "vm1  ") {
 		t.Fatalf("removed VM still renders in stats:\n%s", s)
-	}
-}
-
-func TestParseDuration(t *testing.T) {
-	good := map[string]sim.Duration{
-		"0":     0,
-		"250ns": 250 * sim.Nanosecond,
-		"10us":  10 * sim.Microsecond,
-		"10µs":  10 * sim.Microsecond,
-		"1.5ms": 1500 * sim.Microsecond,
-		"2s":    2 * sim.Second,
-		" 3ms ": 3 * sim.Millisecond,
-	}
-	for s, want := range good {
-		got, err := parseDuration(s)
-		if err != nil {
-			t.Errorf("parseDuration(%q): %v", s, err)
-		} else if got != want {
-			t.Errorf("parseDuration(%q) = %v, want %v", s, got, want)
-		}
-	}
-	for _, s := range []string{"", "5", "-5ms", "fast", "5m", "ms", "1.2.3s"} {
-		if _, err := parseDuration(s); err == nil {
-			t.Errorf("parseDuration(%q) accepted", s)
-		}
 	}
 }

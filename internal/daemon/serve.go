@@ -8,6 +8,7 @@ import (
 	"strings"
 
 	"demeter/internal/policy"
+	"demeter/internal/sim"
 	"demeter/internal/track"
 )
 
@@ -47,9 +48,9 @@ func (d *Daemon) Execute(line string) (out string, quit bool, err error) {
 	case "quit", "exit":
 		return "", true, nil
 	case "run":
-		dur := d.quantum
+		dur := d.cfg.Quantum
 		if len(fields) > 1 {
-			if dur, err = parseDuration(fields[1]); err != nil {
+			if dur, err = sim.ParseDuration(fields[1]); err != nil {
 				return "", false, err
 			}
 		}
@@ -114,23 +115,18 @@ func (d *Daemon) vmCommand(args []string) (string, bool, error) {
 				return "", false, fmt.Errorf("daemon: policy %q needs a tracker (one of %v)", args[5], track.Kinds())
 			}
 		}
+		// Carry the defaults' tuning (periods, batches) onto the chosen
+		// kinds so an added VM matches its config-declared siblings.
 		spec := VMSpec{
 			Name:           args[1],
 			Workload:       args[2],
 			FootprintPages: pages,
-			Tracker:        TrackerSpec{Kind: trackerKind},
-			Policy:         PolicySpec{Kind: args[5]},
+			Policy:         d.cfg.Defaults.Policy,
 		}
-		// Carry the defaults' tuning (periods, batches) onto the chosen
-		// kinds so an added VM matches its config-declared siblings.
-		if def := d.cfg.Defaults.Tracker; trackerKind != "" {
-			spec.Tracker = def
+		spec.Policy.Kind = args[5]
+		if trackerKind != "" {
+			spec.Tracker = d.cfg.Defaults.Tracker
 			spec.Tracker.Kind = trackerKind
-		}
-		if def := d.cfg.Defaults.Policy; def.Kind != "" || args[5] != "" {
-			p := def
-			p.Kind = args[5]
-			spec.Policy = p
 		}
 		if err := d.addVM(spec); err != nil {
 			return "", false, err

@@ -221,34 +221,6 @@ func (x *Executor) slice() {
 
 func (x *Executor) txnHistActive() bool { return x.TxnHist != nil && x.txnSize > 0 }
 
-// Sampler periodically records an executor's instantaneous throughput
-// (accesses per second over the sampling window) into a Series.
-type Sampler struct {
-	Series *stats.Series
-	ticker *sim.Ticker
-}
-
-// NewSampler starts sampling x every period.
-func NewSampler(eng *sim.Engine, x *Executor, period sim.Duration, name string) *Sampler {
-	s := &Sampler{Series: &stats.Series{Name: name}}
-	var lastOps uint64
-	var lastT sim.Time
-	s.ticker = eng.StartTicker(period, func(now sim.Time) {
-		dt := now - lastT
-		if dt <= 0 {
-			return
-		}
-		ops := x.OpsDone()
-		rate := float64(ops-lastOps) / dt.Seconds()
-		s.Series.Append(now.Seconds(), rate)
-		lastOps, lastT = ops, now
-	})
-	return s
-}
-
-// Stop ends sampling.
-func (s *Sampler) Stop() { s.ticker.Stop() }
-
 // RunAll starts every executor and runs the engine until all finish or
 // the horizon passes. It returns true when all finished.
 func RunAll(eng *sim.Engine, horizon sim.Duration, xs ...*Executor) bool {

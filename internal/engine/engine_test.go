@@ -147,20 +147,6 @@ func TestTxnHistogramRecordsSiloTransactions(t *testing.T) {
 	}
 }
 
-func TestSamplerRecordsThroughput(t *testing.T) {
-	eng, vm := testRig(t, 256, 1024)
-	x := NewExecutor(eng, vm, workload.Must(workload.NewGUPS(512, 50000, 1)))
-	s := NewSampler(eng, x, 200*sim.Microsecond, "gups")
-	RunAll(eng, 100*sim.Second, x)
-	s.Stop()
-	if s.Series.Len() == 0 {
-		t.Fatal("no throughput samples")
-	}
-	if s.Series.Mean() <= 0 {
-		t.Fatal("throughput mean not positive")
-	}
-}
-
 func TestMultipleVMsProgressConcurrently(t *testing.T) {
 	eng := sim.NewEngine()
 	m := hypervisor.NewMachine(eng, mem.PaperDRAMPMEM(1024, 4096))

@@ -34,11 +34,7 @@ func init() {
 // ablate runs a 3-VM GUPS cluster under a modified Demeter config and
 // reports (avg runtime s, tracking CPU s, promoted pages).
 func ablate(s Scale, mutate func(*core.Config)) (runtime float64) {
-	cfg := core.DefaultConfig()
-	cfg.EpochPeriod = s.EpochPeriod
-	cfg.SamplePeriod = s.SamplePeriod
-	cfg.Params.GranularityPages = s.Granularity
-	cfg.MigrationBatch = s.MigrationBatch
+	cfg := s.demeterConfig()
 	if mutate != nil {
 		mutate(&cfg)
 	}

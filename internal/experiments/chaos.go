@@ -358,8 +358,6 @@ func runChaosRung(s Scale, cfg ChaosConfig, mult float64) (r RungResult) {
 			}
 			hcfg := health.DefaultConfig(s.EpochPeriod)
 			hcfg.CheckPeriod = sim.Duration(cfg.HeartbeatEpochs) * s.EpochPeriod
-			hcfg.StaleAfter = 4 * hcfg.CheckPeriod
-			hcfg.ProbeBackoff = sim.Backoff{Base: hcfg.CheckPeriod, Max: 16 * hcfg.CheckPeriod}
 			hcfg.Failover = !cfg.NoFailover
 			hcfg.Fallback = s.scanConfig()
 			mon := health.NewMonitor(hcfg, d, doubles[i])

@@ -162,12 +162,7 @@ func (s Scale) NewPolicy(design string) Policy {
 	case "static":
 		return tmm.NewStatic()
 	case "demeter":
-		cfg := core.DefaultConfig()
-		cfg.EpochPeriod = s.EpochPeriod
-		cfg.SamplePeriod = s.SamplePeriod
-		cfg.Params.GranularityPages = s.Granularity
-		cfg.MigrationBatch = s.MigrationBatch
-		return core.New(cfg)
+		return core.New(s.demeterConfig())
 	case "tpp":
 		return tmm.NewTPP(s.scanConfig())
 	case "tpp-h":
@@ -205,6 +200,18 @@ func (s Scale) NewPolicy(design string) Policy {
 // vTMM's full-scale defaults.
 func (s Scale) scanConfig() tmm.ScanConfig {
 	return tmm.ScanConfig{ScanPeriod: s.ScanPeriod, ScanBatchPages: s.ScanBatch, MigrationBatch: s.MigrationBatch}
+}
+
+// demeterConfig is Demeter's default config with this scale's epoch,
+// sample period, range granularity and migration batch: the baseline
+// the guest-design runs, the sensitivity sweeps and the ablations share.
+func (s Scale) demeterConfig() core.Config {
+	cfg := core.DefaultConfig()
+	cfg.EpochPeriod = s.EpochPeriod
+	cfg.SamplePeriod = s.SamplePeriod
+	cfg.Params.GranularityPages = s.Granularity
+	cfg.MigrationBatch = s.MigrationBatch
+	return cfg
 }
 
 // NewApp builds one of the §5.3 application workloads at this scale.

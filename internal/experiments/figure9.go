@@ -42,15 +42,6 @@ func runDemeterWith(s Scale, nVMs int, cfg core.Config) float64 {
 // latency thresholds, very long split periods or thresholds).
 func Figure9(s Scale) string {
 	nVMs := 3 // sensitivity uses a reduced cluster; ratios are per-VM
-	base := func() core.Config {
-		cfg := core.DefaultConfig()
-		cfg.EpochPeriod = s.EpochPeriod
-		cfg.SamplePeriod = s.SamplePeriod
-		cfg.Params.GranularityPages = s.Granularity
-		cfg.MigrationBatch = s.MigrationBatch
-		return cfg
-	}
-
 	out := "Figure 9: parameter sensitivity (average GUPS runtime, seconds)\n"
 	out += fmt.Sprintf("defaults at this scale: sample period %d, latency threshold 64ns,\n", s.SamplePeriod)
 	out += fmt.Sprintf("split period %v, split threshold 15 (paper defaults: 4093/64ns/500ms/15)\n\n", s.EpochPeriod)
@@ -66,7 +57,7 @@ func Figure9(s Scale) string {
 
 	// Sweep 1: PEBS sample period (paper sweeps 64ns..16µs-scale periods).
 	for _, mul := range []float64{0.25, 0.5, 1, 2, 8, 32} {
-		cfg := base()
+		cfg := s.demeterConfig()
 		cfg.SamplePeriod = uint64(float64(s.SamplePeriod) * mul)
 		if cfg.SamplePeriod == 0 {
 			cfg.SamplePeriod = 1
@@ -76,19 +67,19 @@ func Figure9(s Scale) string {
 	// Sweep 2: load-latency threshold. Beyond the slow tier's latency no
 	// access qualifies and classification starves.
 	for _, thr := range []sim.Duration{30, 64, 128, 300, 950, 1200} {
-		cfg := base()
+		cfg := s.demeterConfig()
 		cfg.LatencyThreshold = thr
 		points = append(points, point{sweep: 1, label: int64(thr), cfg: cfg})
 	}
 	// Sweep 3: split period (t_split).
 	for _, mul := range []float64{0.2, 0.5, 1, 2, 5, 10} {
-		cfg := base()
+		cfg := s.demeterConfig()
 		cfg.EpochPeriod = sim.Duration(float64(s.EpochPeriod) * mul)
 		points = append(points, point{sweep: 2, label: cfg.EpochPeriod.String(), cfg: cfg})
 	}
 	// Sweep 4: split threshold (τ_split).
 	for _, tau := range []float64{1, 3, 7, 15, 17, 40} {
-		cfg := base()
+		cfg := s.demeterConfig()
 		cfg.Params.SplitThreshold = tau
 		points = append(points, point{sweep: 3, label: tau, cfg: cfg})
 	}

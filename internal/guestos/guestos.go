@@ -95,9 +95,6 @@ func (k *Kernel) NewProcess(name string) *Process {
 	return p
 }
 
-// Processes returns the kernel's process list.
-func (k *Kernel) Processes() []*Process { return k.procs }
-
 // AllocPage takes one frame, trying preferred first (pass -1 to use the
 // default local-first order), then falling back across nodes. The second
 // result is the node the frame came from.
@@ -311,34 +308,6 @@ func (p *Process) Mmap(bytes uint64) uint64 {
 // Regions returns the process VMAs (heap region present only once Brk has
 // been called).
 func (p *Process) Regions() []Region { return p.regions }
-
-// Munmap removes the mmap VMA starting at start, unmapping every resident
-// page and returning its frames to the allocator. It returns the number
-// of pages freed. Unmapping an address that is not the start of an mmap
-// region panics, like the simulated kernel's other misuse paths.
-func (p *Process) Munmap(start uint64) (freed int) {
-	idx := -1
-	for i, r := range p.regions {
-		if r.Kind == "mmap" && r.Start == start {
-			idx = i
-			break
-		}
-	}
-	if idx < 0 {
-		panic(fmt.Sprintf("guestos: %s: munmap of unknown region %#x", p.Name, start))
-	}
-	r := p.regions[idx]
-	for gvpn := r.Start >> PageShift; gvpn < r.End>>PageShift; gvpn++ {
-		if p.GPT.Lookup(gvpn) == nil {
-			continue
-		}
-		gpfn, _ := p.GPT.Unmap(gvpn)
-		p.kernel.FreePage(mem.Frame(gpfn))
-		freed++
-	}
-	p.regions = append(p.regions[:idx], p.regions[idx+1:]...)
-	return freed
-}
 
 // HeapRange returns [start_brk, brk).
 func (p *Process) HeapRange() (start, end uint64) { return HeapBase, p.brk }

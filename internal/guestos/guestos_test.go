@@ -243,53 +243,3 @@ func TestNodeOfGPFN(t *testing.T) {
 		t.Fatal("NodeOfGPFN wrong")
 	}
 }
-
-func TestMunmapFreesPages(t *testing.T) {
-	k := NewKernel(guestTopo())
-	p := k.NewProcess("w")
-	a := p.Mmap(8 * mem.PageSize)
-	b := p.Mmap(8 * mem.PageSize)
-	for i := uint64(0); i < 8; i++ {
-		p.HandleFault((a >> PageShift) + i)
-	}
-	p.HandleFault(b >> PageShift)
-	freeBefore := k.Topo.Nodes[0].FreeFrames() + k.Topo.Nodes[1].FreeFrames()
-	if got := p.Munmap(a); got != 8 {
-		t.Fatalf("freed = %d", got)
-	}
-	freeAfter := k.Topo.Nodes[0].FreeFrames() + k.Topo.Nodes[1].FreeFrames()
-	if freeAfter != freeBefore+8 {
-		t.Fatalf("frames not returned: %d -> %d", freeBefore, freeAfter)
-	}
-	// The other region is untouched; the removed one is gone.
-	if _, ok := p.Translate(b >> PageShift); !ok {
-		t.Fatal("munmap damaged another region")
-	}
-	found := false
-	for _, r := range p.Regions() {
-		if r.Start == a {
-			found = true
-		}
-	}
-	if found {
-		t.Fatal("region still listed")
-	}
-	// Faulting into the removed region is now a segfault.
-	defer func() {
-		if recover() == nil {
-			t.Fatal("fault into unmapped region did not panic")
-		}
-	}()
-	p.HandleFault(a >> PageShift)
-}
-
-func TestMunmapUnknownRegionPanics(t *testing.T) {
-	k := NewKernel(guestTopo())
-	p := k.NewProcess("w")
-	defer func() {
-		if recover() == nil {
-			t.Fatal("munmap of unknown region did not panic")
-		}
-	}()
-	p.Munmap(0xdead000)
-}

@@ -106,11 +106,6 @@ type Config struct {
 	// CalmAfter is how many consecutive clean checks move SUSPECT back
 	// to HEALTHY (the flap damper for transient stalls).
 	CalmAfter int
-	// StaleAfter bounds guest telemetry age: a report older than this,
-	// while the workload demonstrably progresses, is a staleness signal.
-	StaleAfter sim.Duration
-	// ProbeBackoff paces recovery probes while DEGRADED.
-	ProbeBackoff sim.Backoff
 	// Failover enables the host-side fallback TMM on DEGRADED. When
 	// false the monitor detects, journals and detaches, but tiering
 	// stays frozen — the baseline the degraded experiment compares
@@ -135,19 +130,24 @@ const (
 	// timeoutStreakLimit is how many consecutive windows with fresh
 	// balloon watchdog expiries count as a wedged guest driver.
 	timeoutStreakLimit = 3
+	// staleChecks bounds guest telemetry age in check periods: a report
+	// older than this, while the workload demonstrably progresses, is a
+	// staleness signal.
+	staleChecks = 4
+	// probeBackoffChecks caps the recovery probe backoff while DEGRADED,
+	// in check periods; the first probe waits one check period.
+	probeBackoffChecks = 16
 )
 
 // DefaultConfig returns a config scaled to the run's classification
 // epoch: check every other epoch, degrade after ~3 bad windows, probe
-// with exponential backoff from two epochs.
+// with exponential backoff from one check period.
 func DefaultConfig(epoch sim.Duration) Config {
 	return Config{
 		CheckPeriod:  2 * epoch,
 		SuspectAfter: 1,
 		DegradeAfter: 2,
 		CalmAfter:    2,
-		StaleAfter:   8 * epoch,
-		ProbeBackoff: sim.Backoff{Base: 2 * epoch, Max: 32 * epoch},
 		Failover:     true,
 		Fallback:     tmm.DefaultVTMMConfig(),
 	}
@@ -402,7 +402,7 @@ func (m *Monitor) evaluate(now sim.Time) uint64 {
 	}
 	if m.statsFn != nil {
 		if ms, ok := m.statsFn(); ok {
-			stale := progressed && now-ms.When > m.Cfg.StaleAfter
+			stale := progressed && now-ms.When > staleChecks*m.Cfg.CheckPeriod
 			if stale || m.implausible(ms) {
 				signals |= SignalTelemetry
 				m.stats.BadStats++
@@ -446,7 +446,8 @@ func (m *Monitor) degrade(signals uint64) {
 
 // scheduleProbe arms the next recovery probe with exponential backoff.
 func (m *Monitor) scheduleProbe() {
-	delay := m.Cfg.ProbeBackoff.Delay(m.probeAttempt)
+	backoff := sim.Backoff{Base: m.Cfg.CheckPeriod, Max: probeBackoffChecks * m.Cfg.CheckPeriod}
+	delay := backoff.Delay(m.probeAttempt)
 	m.eng.After(delay, func() {
 		if !m.running || m.state != Degraded {
 			return

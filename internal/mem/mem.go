@@ -298,10 +298,6 @@ func (t *Topology) SlowNode() *Node {
 	panic("mem: topology has no slow node")
 }
 
-// FreeList returns a copy of the node's free frames (audit/diagnostic
-// use).
-func (n *Node) FreeList() []Frame { return append([]Frame(nil), n.free...) }
-
 // Audit verifies frame conservation for every node of t:
 //
 //	mapped + held + free == total

@@ -367,24 +367,3 @@ func (t *Table) ScanFrom(start uint64, maxVisits int, fn func(key uint64, e *Ent
 	}
 	return visited, 0
 }
-
-// HarvestAccessed scans all present entries, reporting and clearing the
-// A bit of each. fn receives every present entry's key, value and whether
-// it was accessed since the previous harvest; visited is the number of
-// PTEs touched (the scan's CPU cost driver) and hot the number that had
-// the A bit set (each of which needs a TLB invalidation to keep future
-// A-bit observations truthful).
-func (t *Table) HarvestAccessed(fn func(key, value uint64, accessed bool)) (visited, hot int) {
-	visited = t.Scan(func(key uint64, e *Entry) bool {
-		a := e.Accessed()
-		if a {
-			hot++
-			e.ClearAccessed()
-		}
-		if fn != nil {
-			fn(key, e.Value(), a)
-		}
-		return true
-	})
-	return visited, hot
-}

@@ -154,36 +154,6 @@ func TestScanRange(t *testing.T) {
 	}
 }
 
-func TestHarvestAccessed(t *testing.T) {
-	pt := New()
-	for i := uint64(0); i < 10; i++ {
-		e := pt.Map(i, i+100)
-		if i%3 == 0 {
-			e.MarkAccessed()
-		}
-	}
-	var hotKeys []uint64
-	visited, hot := pt.HarvestAccessed(func(key, value uint64, accessed bool) {
-		if accessed {
-			hotKeys = append(hotKeys, key)
-		}
-		if value != key+100 {
-			t.Fatalf("value mismatch at %d", key)
-		}
-	})
-	if visited != 10 {
-		t.Fatalf("visited = %d", visited)
-	}
-	if hot != 4 { // keys 0,3,6,9
-		t.Fatalf("hot = %d (%v)", hot, hotKeys)
-	}
-	// Second harvest: all A bits were cleared.
-	_, hot = pt.HarvestAccessed(nil)
-	if hot != 0 {
-		t.Fatalf("second harvest hot = %d", hot)
-	}
-}
-
 func TestBlockReclaimedWhenEmpty(t *testing.T) {
 	pt := New()
 	pt.Map(1000, 1)

@@ -27,9 +27,6 @@ const (
 // Seconds converts t to floating-point seconds.
 func (t Time) Seconds() float64 { return float64(t) / float64(Second) }
 
-// Millis converts t to floating-point milliseconds.
-func (t Time) Millis() float64 { return float64(t) / float64(Millisecond) }
-
 func (t Time) String() string {
 	switch {
 	case t >= Second:

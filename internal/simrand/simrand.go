@@ -116,17 +116,6 @@ func (src *Source) Bool(p float64) bool {
 	return src.Float64() < p
 }
 
-// Perm returns a random permutation of [0, n).
-func (src *Source) Perm(n int) []int {
-	p := make([]int, n)
-	for i := range p {
-		j := src.Intn(i + 1)
-		p[i] = p[j]
-		p[j] = i
-	}
-	return p
-}
-
 // Shuffle permutes the elements addressed by swap using the Fisher-Yates
 // algorithm.
 func (src *Source) Shuffle(n int, swap func(i, j int)) {

@@ -112,23 +112,6 @@ func TestIntnPanics(t *testing.T) {
 	New(1).Intn(0)
 }
 
-func TestPerm(t *testing.T) {
-	src := New(8)
-	for _, n := range []int{0, 1, 2, 10, 100} {
-		p := src.Perm(n)
-		if len(p) != n {
-			t.Fatalf("Perm(%d) returned %d elements", n, len(p))
-		}
-		seen := make([]bool, n)
-		for _, v := range p {
-			if v < 0 || v >= n || seen[v] {
-				t.Fatalf("Perm(%d) invalid: %v", n, p)
-			}
-			seen[v] = true
-		}
-	}
-}
-
 func TestShuffleIsPermutation(t *testing.T) {
 	src := New(13)
 	xs := []int{0, 1, 2, 3, 4, 5, 6, 7}

@@ -7,7 +7,6 @@ package stats
 import (
 	"fmt"
 	"math"
-	"sort"
 )
 
 // Histogram is a log-bucketed streaming histogram. Values are grouped into
@@ -259,26 +258,4 @@ func GeoMean(xs []float64) float64 {
 		logSum += math.Log(x)
 	}
 	return math.Exp(logSum / float64(len(xs)))
-}
-
-// Percentiles returns the exact q-quantiles of xs (sorted copy, nearest
-// rank). Useful in tests to validate Histogram against ground truth.
-func Percentiles(xs []float64, qs ...float64) []float64 {
-	out := make([]float64, len(qs))
-	if len(xs) == 0 {
-		return out
-	}
-	sorted := append([]float64(nil), xs...)
-	sort.Float64s(sorted)
-	for i, q := range qs {
-		rank := int(q * float64(len(sorted)))
-		if rank >= len(sorted) {
-			rank = len(sorted) - 1
-		}
-		if rank < 0 {
-			rank = 0
-		}
-		out[i] = sorted[rank]
-	}
-	return out
 }

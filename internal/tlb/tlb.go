@@ -23,14 +23,6 @@ import "fmt"
 // plane, so an 8-way set costs one cache line instead of two, and the
 // value plane is touched only on a hit.
 
-// frontSlots sizes the direct-mapped front cache (a power of two). The
-// front cache is a pure lookup accelerator: every valid front entry
-// mirrors a valid entry in the set-associative array, so its presence
-// never changes hit/miss accounting — only how fast a hit is found. It is
-// deliberately tiny: at 256 slots × 16 bytes across the two planes it
-// stays L1-resident, so the extra probe on a front miss is nearly free.
-const frontSlots = 256
-
 // Stats holds instruction and traffic counters. Single/Full count flush
 // *instructions issued* (the unit of Table 1), independent of whether a
 // matching entry was cached.
@@ -57,18 +49,14 @@ func (s Stats) HitRate() float64 {
 //
 // Entries live in two flat parallel planes (set i occupies index range
 // [i*assoc, (i+1)*assoc) of both keys and vals) rather than a slice of
-// per-set structs, and a small direct-mapped front cache — itself split
-// into parallel planes — short-circuits repeated hits to the same page
-// without touching the counted hit/miss events.
+// per-set structs.
 type TLB struct {
-	keys      []uint64 // tag plane: gvpn+1; 0 = invalid
-	vals      []uint64 // value plane: hpfn, parallel to keys
-	assoc     int
-	setMask   uint64
-	next      []uint8 // per-set round-robin replacement cursor (assoc ≤ 255)
-	frontKeys [frontSlots]uint64
-	frontVals [frontSlots]uint64
-	stats     Stats
+	keys    []uint64 // tag plane: gvpn+1; 0 = invalid
+	vals    []uint64 // value plane: hpfn, parallel to keys
+	assoc   int
+	setMask uint64
+	next    []uint8 // per-set round-robin replacement cursor (assoc ≤ 255)
+	stats   Stats
 }
 
 // New returns a TLB with the given total entry count and associativity.
@@ -118,55 +106,23 @@ func (t *TLB) ResetStats() { t.stats = Stats{} }
 func (t *TLB) Lookup(gvpn uint64) (hpfn uint64, ok bool) {
 	t.stats.Lookups++
 	key := gvpn + 1
-	fi := gvpn & (frontSlots - 1)
-	if t.frontKeys[fi] == key {
-		t.stats.Hits++
-		return t.frontVals[fi], true
-	}
 	base := int(gvpn&t.setMask) * t.assoc
 	keys := t.keys[base : base+t.assoc]
 	for i := range keys {
 		if keys[i] == key {
 			t.stats.Hits++
-			v := t.vals[base+i]
-			t.frontKeys[fi] = key
-			t.frontVals[fi] = v
-			return v, true
+			return t.vals[base+i], true
 		}
 	}
 	t.stats.Misses++
 	return 0, false
 }
 
-// Probe reports whether gvpn is cached without counting a lookup and
-// without refreshing the front cache. It exists for the batched access
-// path's prefetch stage, which peeks ahead at upcoming accesses to decide
-// which page-table lines to warm: the peek must leave every counted
-// statistic and every replacement decision exactly as the later real
-// Lookup will find them.
-//
-//demeter:hotpath
-func (t *TLB) Probe(gvpn uint64) bool {
-	key := gvpn + 1
-	if t.frontKeys[gvpn&(frontSlots-1)] == key {
-		return true
-	}
-	base := int(gvpn&t.setMask) * t.assoc
-	keys := t.keys[base : base+t.assoc]
-	for i := range keys {
-		if keys[i] == key {
-			return true
-		}
-	}
-	return false
-}
-
-// WarmTags touches the front-cache tag slot and the set's tag line for
-// every gvpn and returns a checksum of the words read. Like Probe it is
-// a pure lookup accelerator for the batched access path's prefetch
-// stage: no counter moves, no entry changes, and the checksum exists
-// only so the compiler cannot discard the loads. Unlike Probe it is
-// branchless — each gvpn costs two independent loads regardless of
+// WarmTags touches the set's tag line for every gvpn and returns a
+// checksum of the words read. It is a pure lookup accelerator for the
+// batched access path's prefetch stage: no counter moves, no entry
+// changes, and the checksum exists only so the compiler cannot discard
+// the loads. It is branchless — each gvpn costs one load regardless of
 // whether it hits, so a window's worth of warming issues as one
 // overlapped burst instead of a chain of mispredicted compares.
 //
@@ -174,20 +130,9 @@ func (t *TLB) Probe(gvpn uint64) bool {
 func (t *TLB) WarmTags(gvpns []uint64) uint64 {
 	var sum uint64
 	for _, g := range gvpns {
-		sum += t.frontKeys[g&(frontSlots-1)]
 		sum += t.keys[int(g&t.setMask)*t.assoc]
 	}
 	return sum
-}
-
-// frontDrop removes key's front-cache mirror, if present.
-//
-//demeter:hotpath
-func (t *TLB) frontDrop(key uint64) {
-	if fi := (key - 1) & (frontSlots - 1); t.frontKeys[fi] == key {
-		t.frontKeys[fi] = 0
-		t.frontVals[fi] = 0
-	}
 }
 
 // Insert caches gvpn→hpfn after a walk, evicting round-robin within the
@@ -203,9 +148,6 @@ func (t *TLB) Insert(gvpn, hpfn uint64) {
 	for i := range keys {
 		if keys[i] == key {
 			t.vals[base+i] = hpfn
-			if fi := gvpn & (frontSlots - 1); t.frontKeys[fi] == key {
-				t.frontVals[fi] = hpfn
-			}
 			return
 		}
 		if keys[i] == 0 && free < 0 {
@@ -224,7 +166,6 @@ func (t *TLB) Insert(gvpn, hpfn uint64) {
 	} else {
 		t.next[si] = uint8(v + 1)
 	}
-	t.frontDrop(keys[v])
 	keys[v] = key
 	t.vals[base+v] = hpfn
 	t.stats.Evictions++
@@ -235,7 +176,6 @@ func (t *TLB) Insert(gvpn, hpfn uint64) {
 func (t *TLB) FlushSingle(gvpn uint64) {
 	t.stats.SingleFlushes++
 	key := gvpn + 1
-	t.frontDrop(key)
 	base := int(gvpn&t.setMask) * t.assoc
 	keys := t.keys[base : base+t.assoc]
 	for i := range keys {
@@ -248,17 +188,15 @@ func (t *TLB) FlushSingle(gvpn uint64) {
 }
 
 // FlushAll issues a full invalidation (invept), destroying all entries.
-// Every plane resets: both set-associative planes, both front-cache
-// planes, and the per-set round-robin cursors. A flush empties every set,
-// so any state surviving it — a stale front tag that could fabricate a
-// hit, or a replacement cursor making post-flush eviction victims depend
-// on pre-flush history — would break determinism or correctness.
+// Both planes and the per-set round-robin cursors reset. A flush empties
+// every set, so any state surviving it — a stale tag that could
+// fabricate a hit, or a replacement cursor making post-flush eviction
+// victims depend on pre-flush history — would break determinism or
+// correctness.
 func (t *TLB) FlushAll() {
 	t.stats.FullFlushes++
 	clear(t.keys)
 	clear(t.vals)
-	clear(t.frontKeys[:])
-	clear(t.frontVals[:])
 	clear(t.next)
 }
 

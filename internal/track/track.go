@@ -69,8 +69,9 @@ type Config struct {
 	SamplePeriod uint64 `json:"sample_period"`
 	// ScanBatch bounds pages visited per scan round (abit/idlepage).
 	ScanBatch int `json:"scan_batch"`
-	// Seed fixes internal randomness where a kind has any (damon).
-	Seed uint64 `json:"seed"`
+	// Seed fixes internal randomness where a kind has any (damon). It is
+	// not a config key: the owner derives it (serve uses the VM seed + 1).
+	Seed uint64 `json:"-"`
 }
 
 // Kinds lists the selectable tracker kinds in deterministic order.
