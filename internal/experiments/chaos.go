@@ -356,11 +356,11 @@ func runChaosRung(s Scale, cfg ChaosConfig, mult float64) (r RungResult) {
 			if !ok {
 				continue
 			}
-			hcfg := health.DefaultConfig(s.EpochPeriod)
-			hcfg.CheckPeriod = sim.Duration(cfg.HeartbeatEpochs) * s.EpochPeriod
-			hcfg.Failover = !cfg.NoFailover
-			hcfg.Fallback = s.scanConfig()
-			mon := health.NewMonitor(hcfg, d, doubles[i])
+			mon := health.NewMonitor(health.Config{
+				CheckPeriod: sim.Duration(cfg.HeartbeatEpochs) * s.EpochPeriod,
+				Failover:    !cfg.NoFailover,
+				Fallback:    s.scanConfig(),
+			}, d, doubles[i])
 			mon.AttachExecutor(c.xs[i])
 			mon.Start(eng, vms[i])
 			mons = append(mons, mon)

@@ -97,15 +97,6 @@ type Config struct {
 	// CheckPeriod is the evaluation cadence. A window with no heartbeat
 	// counts as a missed beat, so it must be at least one epoch.
 	CheckPeriod sim.Duration
-	// SuspectAfter is how many consecutive unhealthy checks move
-	// HEALTHY → SUSPECT.
-	SuspectAfter int
-	// DegradeAfter is how many further consecutive unhealthy checks move
-	// SUSPECT → DEGRADED.
-	DegradeAfter int
-	// CalmAfter is how many consecutive clean checks move SUSPECT back
-	// to HEALTHY (the flap damper for transient stalls).
-	CalmAfter int
 	// Failover enables the host-side fallback TMM on DEGRADED. When
 	// false the monitor detects, journals and detaches, but tiering
 	// stays frozen — the baseline the degraded experiment compares
@@ -119,8 +110,18 @@ type Config struct {
 	Fallback tmm.ScanConfig
 }
 
-// Fixed thresholds, the same for every monitor.
+// Fixed thresholds, the same for every monitor. Together the streaks
+// degrade a monitor after three consecutive bad windows.
 const (
+	// suspectAfter is how many consecutive unhealthy checks move
+	// HEALTHY → SUSPECT.
+	suspectAfter = 1
+	// degradeAfter is how many further consecutive unhealthy checks move
+	// SUSPECT → DEGRADED.
+	degradeAfter = 2
+	// calmAfter is how many consecutive clean checks move SUSPECT back
+	// to HEALTHY (the flap damper for transient stalls).
+	calmAfter = 2
 	// recoverAfter is how many consecutive clean checks move
 	// RECOVERING → HEALTHY after a handback.
 	recoverAfter = 2
@@ -138,20 +139,6 @@ const (
 	// in check periods; the first probe waits one check period.
 	probeBackoffChecks = 16
 )
-
-// DefaultConfig returns a config scaled to the run's classification
-// epoch: check every other epoch, degrade after ~3 bad windows, probe
-// with exponential backoff from one check period.
-func DefaultConfig(epoch sim.Duration) Config {
-	return Config{
-		CheckPeriod:  2 * epoch,
-		SuspectAfter: 1,
-		DegradeAfter: 2,
-		CalmAfter:    2,
-		Failover:     true,
-		Fallback:     tmm.DefaultVTMMConfig(),
-	}
-}
 
 // Stats counts one monitor's activity.
 type Stats struct {
@@ -311,7 +298,7 @@ func (m *Monitor) check(now sim.Time) {
 	case Healthy:
 		if signals := m.evaluate(now); signals != 0 {
 			m.badStreak++
-			if m.badStreak >= m.Cfg.SuspectAfter {
+			if m.badStreak >= suspectAfter {
 				m.stats.Suspects++
 				m.transition(Suspect, signals)
 				m.badStreak = 0
@@ -323,13 +310,13 @@ func (m *Monitor) check(now sim.Time) {
 		if signals := m.evaluate(now); signals != 0 {
 			m.calmStreak = 0
 			m.badStreak++
-			if m.badStreak >= m.Cfg.DegradeAfter {
+			if m.badStreak >= degradeAfter {
 				m.degrade(signals)
 			}
 		} else {
 			m.badStreak = 0
 			m.calmStreak++
-			if m.calmStreak >= m.Cfg.CalmAfter {
+			if m.calmStreak >= calmAfter {
 				m.calmStreak = 0
 				m.transition(Healthy, 0)
 			}

@@ -46,9 +46,11 @@ func newStack(t *testing.T, inj *fault.Injector) (*sim.Engine, *hypervisor.VM, *
 
 // testConfig returns a tight monitor config over 1 ms epochs.
 func testConfig() health.Config {
-	cfg := health.DefaultConfig(epoch)
-	cfg.Fallback = tmm.ScanConfig{ScanPeriod: 2 * epoch, ScanBatchPages: 4096, MigrationBatch: 512}
-	return cfg
+	return health.Config{
+		CheckPeriod: 2 * epoch,
+		Failover:    true,
+		Fallback:    tmm.ScanConfig{ScanPeriod: 2 * epoch, ScanBatchPages: 4096, MigrationBatch: 512},
+	}
 }
 
 // transitionNotes extracts the health transition sequence from the journal.
@@ -153,11 +155,7 @@ func TestHysteresisDampsTransientSignals(t *testing.T) {
 	inj := fault.NewInjector(1)
 	eng, vm, d, _ := newStack(t, inj)
 
-	cfg := testConfig()
-	cfg.SuspectAfter = 1
-	cfg.DegradeAfter = 3
-	cfg.CalmAfter = 2
-	mon := health.NewMonitor(cfg, d, nil)
+	mon := health.NewMonitor(testConfig(), d, nil)
 	badUntil := 5 * epoch // covers the checks at 2 ms and 4 ms
 	mon.SetStatsSource(func() (balloon.MemStats, bool) {
 		if eng.Now() < badUntil {

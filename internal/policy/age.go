@@ -23,30 +23,14 @@ func (p *agePolicy) Attach(eng *sim.Engine, vm *hypervisor.VM, tr track.Tracker)
 }
 
 func (p *agePolicy) round() {
-	counters := p.tr.Counters()
-	p.chargeClassify(len(counters))
-	p.pages = expandPages(p.pages[:0], counters, 16*p.cfg.MigrationBatch)
-	pages := p.pages
+	pages := p.expand(16 * p.cfg.MigrationBatch)
 	if len(pages) == 0 {
 		return
 	}
 	now := p.eng.Now()
-
-	promote, idleFast := p.promote[:0], p.demote[:0]
-	for _, pg := range pages {
-		node, ok := p.residentNode(pg.gvpn)
-		if !ok {
-			continue
-		}
-		age := now - pg.seen
-		switch {
-		case age <= p.cfg.ActiveWithin && node != 0:
-			promote = append(promote, pg.gvpn)
-		case age >= p.cfg.IdleAfter && node == 0:
-			idleFast = append(idleFast, pg.gvpn)
-		}
-	}
-	p.promote, p.demote = promote, idleFast
+	promote, idleFast := p.split(pages,
+		func(pg pageScore) bool { return now-pg.seen <= p.cfg.ActiveWithin },
+		func(pg pageScore) bool { return now-pg.seen >= p.cfg.IdleAfter })
 	// Idle pages demote unconditionally — that is the aging semantic —
 	// and the freed frames then serve this round's promotions.
 	p.migrate(idleFast, 1, p.cfg.MigrationBatch)

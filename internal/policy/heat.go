@@ -47,14 +47,7 @@ func heatClass(score, max float64) int {
 }
 
 func (p *heatPolicy) round() {
-	counters := p.tr.Counters()
-	p.chargeClassify(len(counters))
-	p.pages = expandPages(p.pages[:0], counters, 16*p.cfg.MigrationBatch)
-	pages := p.pages
-	if len(pages) == 0 {
-		return
-	}
-
+	pages := p.expand(16 * p.cfg.MigrationBatch)
 	var max float64
 	for _, pg := range pages {
 		if pg.score > max {
@@ -64,39 +57,7 @@ func (p *heatPolicy) round() {
 	if max <= 0 {
 		return
 	}
-
-	promote, coldFast := p.promote[:0], p.demote[:0]
-	for _, pg := range pages {
-		node, ok := p.residentNode(pg.gvpn)
-		if !ok {
-			continue
-		}
-		switch c := heatClass(pg.score, max); {
-		case c == 0 && node != 0:
-			promote = append(promote, pg.gvpn)
-		case c == coldestHeatClass && node == 0:
-			coldFast = append(coldFast, pg.gvpn)
-		}
-	}
-	p.promote, p.demote = promote, coldFast
-	p.makeRoomAndPromote(promote, coldFast)
-}
-
-// makeRoomAndPromote demotes cold fast-tier pages until the promotion
-// set fits the fast tier's free frames, then promotes. Shared by the
-// heat and threshold policies (the promote/demote skeleton is identical;
-// only candidate selection differs).
-func (p *tickPolicy) makeRoomAndPromote(promote, coldFast []uint64) {
-	if len(promote) == 0 {
-		return
-	}
-	if len(promote) > p.cfg.MigrationBatch {
-		promote = promote[:p.cfg.MigrationBatch]
-	}
-	fastNode := p.vm.Kernel.Topo.Nodes[0]
-	need := uint64(len(promote))
-	if free := fastNode.FreeFrames(); free < need {
-		p.migrate(coldFast, 1, int(need-free))
-	}
-	p.migrate(promote, 0, p.cfg.MigrationBatch)
+	p.makeRoomAndPromote(p.split(pages,
+		func(pg pageScore) bool { return heatClass(pg.score, max) == 0 },
+		func(pg pageScore) bool { return heatClass(pg.score, max) == coldestHeatClass }))
 }

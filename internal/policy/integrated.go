@@ -23,9 +23,10 @@ type integrated struct {
 }
 
 // newIntegrated maps the generic policy Config onto each design's own
-// knobs (Period → its dominant cadence, MigrationBatch → its batch) and
-// validates everything that the designs' Attach methods would otherwise
-// panic on, keeping the config path panic-free.
+// knobs (Period → its dominant cadence, a set MigrationBatch → its batch)
+// and validates everything that the designs' Attach methods would
+// otherwise panic on, keeping the config path panic-free. New has
+// already defaulted Period.
 func newIntegrated(cfg Config) (Policy, error) {
 	var inner tmm.Policy
 	switch cfg.Kind {
@@ -37,14 +38,9 @@ func newIntegrated(cfg Config) (Policy, error) {
 		inner = tmm.NewTPPH(cfg.scanConfig(tmm.DefaultScanConfig()))
 	case "memtis":
 		c := tmm.DefaultMemtisConfig()
-		if cfg.Period != 0 {
-			c.ClassifyPeriod = cfg.Period
-			c.PollPeriod = cfg.Period / 10
-			if c.PollPeriod <= 0 {
-				c.PollPeriod = 1
-			}
-		}
-		if cfg.MigrationBatch != defaultMigrationCap {
+		c.ClassifyPeriod = cfg.Period
+		c.PollPeriod = max(cfg.Period/10, 1)
+		if cfg.MigrationBatch != 0 {
 			c.MigrationBatch = cfg.MigrationBatch
 		}
 		if cfg.HotThreshold != 0 {
@@ -60,10 +56,8 @@ func newIntegrated(cfg Config) (Policy, error) {
 		inner = tmm.NewVTMM(cfg.scanConfig(tmm.DefaultVTMMConfig()))
 	case "demeter":
 		c := core.DefaultConfig()
-		if cfg.Period != 0 {
-			c.EpochPeriod = cfg.Period
-		}
-		if cfg.MigrationBatch != defaultMigrationCap {
+		c.EpochPeriod = cfg.Period
+		if cfg.MigrationBatch != 0 {
 			c.MigrationBatch = cfg.MigrationBatch
 		}
 		if err := c.Validate(); err != nil {
@@ -72,35 +66,32 @@ func newIntegrated(cfg Config) (Policy, error) {
 		inner = core.New(c)
 	case "damon":
 		dcfg := damon.DefaultConfig()
-		if cfg.Period != 0 {
-			dcfg.AggregationInterval = cfg.Period
-			dcfg.SamplingInterval = cfg.Period / 20
-			if dcfg.SamplingInterval <= 0 {
-				dcfg.SamplingInterval = 1
-			}
-		}
+		dcfg.AggregationInterval = cfg.Period
+		dcfg.SamplingInterval = max(cfg.Period/20, 1)
 		hotBar := uint32(defaultHotThreshold)
 		if cfg.HotThreshold > 0 {
 			hotBar = uint32(cfg.HotThreshold)
 		}
-		p, err := damon.NewPolicy(dcfg, hotBar, cfg.MigrationBatch)
+		batch := cfg.MigrationBatch
+		if batch == 0 {
+			batch = defaultMigrationCap
+		}
+		p, err := damon.NewPolicy(dcfg, hotBar, batch)
 		if err != nil {
 			return nil, fmt.Errorf("policy: damon: %w", err)
 		}
 		inner = p
 	default:
-		return nil, fmt.Errorf("policy: unknown integrated kind %q", cfg.Kind)
+		return nil, fmt.Errorf("policy: unknown policy kind %q (want one of %v)", cfg.Kind, Kinds())
 	}
 	return &integrated{inner: inner}, nil
 }
 
-// scanConfig maps Period onto a scanning design's cadence and
+// scanConfig maps Period onto a scanning design's cadence and a set
 // MigrationBatch onto its batch, keeping def's scan bound.
 func (cfg Config) scanConfig(def tmm.ScanConfig) tmm.ScanConfig {
-	if cfg.Period != 0 {
-		def.ScanPeriod = cfg.Period
-	}
-	if cfg.MigrationBatch != defaultMigrationCap {
+	def.ScanPeriod = cfg.Period
+	if cfg.MigrationBatch != 0 {
 		def.MigrationBatch = cfg.MigrationBatch
 	}
 	return def

@@ -48,9 +48,11 @@ type Config struct {
 	// "threshold", "ranked") or an integrated design ("static",
 	// "demeter", "tpp", "tpp-h", "memtis", "nomad", "vtmm", "damon").
 	Kind string `json:"kind"`
-	// Period is the classify-and-migrate cadence (tracker-driven kinds).
+	// Period is the classify-and-migrate cadence; an integrated design
+	// takes it as its dominant cadence.
 	Period sim.Duration `json:"period"`
-	// MigrationBatch caps page moves per round.
+	// MigrationBatch caps page moves per round; zero takes the kind's
+	// default.
 	MigrationBatch int `json:"migration_batch"`
 	// HotThreshold is the access estimate classifying a page hot
 	// (threshold kind).
@@ -99,9 +101,6 @@ func New(cfg Config) (Policy, error) {
 	if cfg.Period == 0 {
 		cfg.Period = defaultPolicyPeriod
 	}
-	if cfg.MigrationBatch == 0 {
-		cfg.MigrationBatch = defaultMigrationCap
-	}
 	switch cfg.Kind {
 	case "heat":
 		return &heatPolicy{tickPolicy: newTickPolicy(cfg)}, nil
@@ -126,10 +125,8 @@ func New(cfg Config) (Policy, error) {
 		return &thresholdPolicy{tickPolicy: newTickPolicy(cfg)}, nil
 	case "ranked":
 		return &rankedPolicy{tickPolicy: newTickPolicy(cfg)}, nil
-	case "static", "demeter", "tpp", "tpp-h", "memtis", "nomad", "vtmm", "damon":
-		return newIntegrated(cfg)
 	default:
-		return nil, fmt.Errorf("policy: unknown policy kind %q (want one of %v)", cfg.Kind, Kinds())
+		return newIntegrated(cfg)
 	}
 }
 
@@ -149,7 +146,12 @@ type tickPolicy struct {
 	promote, demote []uint64
 }
 
-func newTickPolicy(cfg Config) tickPolicy { return tickPolicy{cfg: cfg} }
+func newTickPolicy(cfg Config) tickPolicy {
+	if cfg.MigrationBatch == 0 {
+		cfg.MigrationBatch = defaultMigrationCap
+	}
+	return tickPolicy{cfg: cfg}
+}
 
 func (p *tickPolicy) attach(eng *sim.Engine, vm *hypervisor.VM, tr track.Tracker, name string, round func()) error {
 	if p.active {
@@ -173,6 +175,36 @@ func (p *tickPolicy) Detach() {
 	}
 	p.active = false
 	p.ticker.Stop()
+}
+
+// expand reads the tracker's counters, charges their classification and
+// expands them into the reused pages buffer, bounded by limit pages.
+func (p *tickPolicy) expand(limit int) []pageScore {
+	counters := p.tr.Counters()
+	p.chargeClassify(len(counters))
+	p.pages = expandPages(p.pages[:0], counters, limit)
+	return p.pages
+}
+
+// split fills the reused promote and demote buffers, in page order, with
+// the slow-tier pages hot selects and the fast-tier pages cold selects,
+// skipping unmapped pages.
+func (p *tickPolicy) split(pages []pageScore, hot, cold func(pageScore) bool) (promote, demote []uint64) {
+	promote, demote = p.promote[:0], p.demote[:0]
+	for _, pg := range pages {
+		node, ok := p.residentNode(pg.gvpn)
+		if !ok {
+			continue
+		}
+		switch {
+		case node != 0 && hot(pg):
+			promote = append(promote, pg.gvpn)
+		case node == 0 && cold(pg):
+			demote = append(demote, pg.gvpn)
+		}
+	}
+	p.promote, p.demote = promote, demote
+	return promote, demote
 }
 
 // residentNode returns the guest NUMA node currently backing gvpn, or
@@ -208,6 +240,24 @@ func (p *tickPolicy) migrate(gvpns []uint64, node int, budget int) int {
 	}
 	p.vm.ChargeGuest(hypervisor.CompMigrate, cost)
 	return moved
+}
+
+// makeRoomAndPromote demotes cold fast-tier pages until the promotion
+// set fits the fast tier's free frames, then promotes: the migration
+// step of the heat and threshold policies.
+func (p *tickPolicy) makeRoomAndPromote(promote, coldFast []uint64) {
+	if len(promote) == 0 {
+		return
+	}
+	if len(promote) > p.cfg.MigrationBatch {
+		promote = promote[:p.cfg.MigrationBatch]
+	}
+	fastNode := p.vm.Kernel.Topo.Nodes[0]
+	need := uint64(len(promote))
+	if free := fastNode.FreeFrames(); free < need {
+		p.migrate(coldFast, 1, int(need-free))
+	}
+	p.migrate(promote, 0, p.cfg.MigrationBatch)
 }
 
 // pageScore is one expanded, scored page used by the round functions.

@@ -29,10 +29,7 @@ func (p *rankedPolicy) Attach(eng *sim.Engine, vm *hypervisor.VM, tr track.Track
 }
 
 func (p *rankedPolicy) round() {
-	counters := p.tr.Counters()
-	p.chargeClassify(len(counters))
-	p.pages = expandPages(p.pages[:0], counters, rankedExpandLimit)
-	pages := p.pages
+	pages := p.expand(rankedExpandLimit)
 	if len(pages) == 0 {
 		return
 	}

@@ -23,27 +23,12 @@ func (p *thresholdPolicy) Attach(eng *sim.Engine, vm *hypervisor.VM, tr track.Tr
 }
 
 func (p *thresholdPolicy) round() {
-	counters := p.tr.Counters()
-	p.chargeClassify(len(counters))
-	p.pages = expandPages(p.pages[:0], counters, 16*p.cfg.MigrationBatch)
-	pages := p.pages
+	pages := p.expand(16 * p.cfg.MigrationBatch)
 	if len(pages) == 0 {
 		return
 	}
-
-	promote, coldFast := p.promote[:0], p.demote[:0]
-	for _, pg := range pages {
-		node, ok := p.residentNode(pg.gvpn)
-		if !ok {
-			continue
-		}
-		switch {
-		case pg.score >= p.cfg.HotThreshold && node != 0:
-			promote = append(promote, pg.gvpn)
-		case pg.score < p.cfg.HotThreshold && node == 0:
-			coldFast = append(coldFast, pg.gvpn)
-		}
-	}
-	p.promote, p.demote = promote, coldFast
-	p.makeRoomAndPromote(promote, coldFast)
+	bar := p.cfg.HotThreshold
+	p.makeRoomAndPromote(p.split(pages,
+		func(pg pageScore) bool { return pg.score >= bar },
+		func(pg pageScore) bool { return pg.score < bar }))
 }

@@ -201,11 +201,11 @@ func TestPropertyLookupNeverReturnsStaleAfterFlush(t *testing.T) {
 	}
 }
 
-// TestFlushAllResetsFrontCache pins invept against the value plane as
-// well as the tag plane: a full flush must destroy the translation, and
-// a post-flush refill of the same page to a different frame must serve
-// the new frame, never resurrect the old one.
-func TestFlushAllResetsFrontCache(t *testing.T) {
+// TestFlushAllThenRefillServesNewFrame pins invept against the value
+// plane as well as the tag plane: a full flush must destroy the
+// translation, and a post-flush refill of the same page to a different
+// frame must serve the new frame, never resurrect the old one.
+func TestFlushAllThenRefillServesNewFrame(t *testing.T) {
 	tl := NewDefault()
 	tl.Insert(42, 1000)
 	if v, ok := tl.Lookup(42); !ok || v != 1000 {

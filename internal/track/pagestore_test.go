@@ -117,7 +117,7 @@ func TestPageStoreMatchesMapModel(t *testing.T) {
 		base := 1<<20 + seed*1000
 		t.Run(fmt.Sprintf("abit/seed%d", seed), func(t *testing.T) {
 			rng := simrand.New(seed)
-			tr := &abitTracker{}
+			tr := &scanTracker{visit: abitVisit}
 			tr.store.reset()
 			m := newMapModel()
 			var cov coverage
@@ -129,7 +129,7 @@ func TestPageStoreMatchesMapModel(t *testing.T) {
 					// the rest flicker and decay back to zero.
 					accessed := gvpn-base == hot || rng.Intn(4) == 0
 					before := m.acc[gvpn]
-					tr.visit(gvpn, accessed, now)
+					tr.visit(&tr.store, gvpn, accessed, now)
 					m.abitVisit(gvpn, accessed, now)
 					if before < abitMaxScore && m.acc[gvpn] == abitMaxScore {
 						cov.saturated++
@@ -152,7 +152,7 @@ func TestPageStoreMatchesMapModel(t *testing.T) {
 		})
 		t.Run(fmt.Sprintf("idlepage/seed%d", seed), func(t *testing.T) {
 			rng := simrand.New(seed)
-			tr := &idleTracker{}
+			tr := &scanTracker{visit: idleVisit}
 			tr.store.reset()
 			m := newMapModel()
 			var cov coverage
@@ -160,8 +160,9 @@ func TestPageStoreMatchesMapModel(t *testing.T) {
 				now := sim.Time(step) * sim.Millisecond
 				for _, gvpn := range scanOrder(rng, base, span, 1+rng.Intn(span)) {
 					// Set-and-test: only pages found accessed are marked.
-					if rng.Intn(8) == 0 {
-						tr.markActive(gvpn, now)
+					accessed := rng.Intn(8) == 0
+					tr.visit(&tr.store, gvpn, accessed, now)
+					if accessed {
 						m.idleMarkActive(gvpn, now)
 					}
 				}

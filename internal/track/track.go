@@ -14,7 +14,8 @@
 //     internal/guestos — TPP's tracking side without its policy.
 //   - idlepage: idle-page aging in the style of Linux's page_idle
 //     bitmap — pure recency, no frequency; the feed memtierd's
-//     idle-age histograms are built from.
+//     idle-age histograms are built from. It is the abit scanner with
+//     a different visit rule.
 //
 // Trackers attach to a live VM, charge their tracking CPU to the same
 // ledger component the integrated designs use ("track"), and expose one
@@ -92,9 +93,9 @@ func New(cfg Config) (Tracker, error) {
 	case "damon":
 		return newDAMONTracker(cfg)
 	case "abit":
-		return newABitTracker(cfg)
+		return newScanTracker(cfg, defaultABitScanPeriod, abitVisit), nil
 	case "idlepage":
-		return newIdleTracker(cfg)
+		return newScanTracker(cfg, defaultIdleScanPeriod, idleVisit), nil
 	default:
 		return nil, fmt.Errorf("track: unknown tracker kind %q (want one of %v)", cfg.Kind, Kinds())
 	}
