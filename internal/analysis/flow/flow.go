@@ -117,15 +117,6 @@ func Build(fset *token.FileSet, pkgs []*Pkg) *Module {
 // Funcs returns every module function in source-position order.
 func (m *Module) Funcs() []*Func { return m.sorted }
 
-// FuncOf returns the module Func for a types.Func, or nil when the
-// object is external or has no body.
-func (m *Module) FuncOf(obj *types.Func) *Func {
-	if obj == nil {
-		return nil
-	}
-	return m.funcs[obj]
-}
-
 // CFG returns the function's control-flow graph, built on first use.
 // Module methods are not safe for concurrent use; the driver runs
 // analyzers sequentially.

@@ -55,12 +55,13 @@ const CompBalloon = "balloon"
 // perPageCost is the guest driver's cost to reserve or restore one page.
 const perPageCost = 150 * sim.Nanosecond
 
-// Watchdog defaults: how long the hypervisor waits for a balloon request
-// beyond the transport and work costs, and how many timeout/poll rounds
-// it tolerates before abandoning the wait.
+// Watchdog bounds: requestTimeout is how long the hypervisor waits for a
+// balloon request beyond the transport and work costs, and maxRetries
+// bounds timeout/poll rounds (and ring-full resubmissions) before the
+// wait is abandoned.
 const (
-	DefaultRequestTimeout = 300 * sim.Microsecond
-	DefaultMaxRetries     = 6
+	requestTimeout = 300 * sim.Microsecond
+	maxRetries     = 6
 )
 
 // request kinds on the balloon queue.
@@ -87,12 +88,6 @@ type Balloon struct {
 	queue *virtio.Queue
 	held  []mem.Frame
 
-	// RequestTimeout is the watchdog budget per request beyond transport
-	// and per-page work; MaxRetries bounds timeout/poll rounds (and
-	// ring-full resubmissions) before the wait is abandoned.
-	RequestTimeout sim.Duration
-	MaxRetries     int
-
 	// pending tracks submitted requests so Quiesce can reap completions
 	// whose IRQ was lost or whose wait was abandoned.
 	pending []*virtio.Request
@@ -104,7 +99,7 @@ type Balloon struct {
 	Shortfall uint64
 	// Timeouts counts watchdog expiries; Recovered counts completions
 	// reaped by a timeout-driven poll after a lost IRQ; Aborts counts
-	// waits abandoned after MaxRetries; Resubmits counts ring-full
+	// waits abandoned after maxRetries; Resubmits counts ring-full
 	// retries.
 	Timeouts, Recovered, Aborts, Resubmits uint64
 }
@@ -115,11 +110,9 @@ type Balloon struct {
 // snapshot time and journals completed operations.
 func attach(eng *sim.Engine, vm *hypervisor.VM, node int, name string) *Balloon {
 	b := &Balloon{
-		eng:            eng,
-		vm:             vm,
-		node:           node,
-		RequestTimeout: DefaultRequestTimeout,
-		MaxRetries:     DefaultMaxRetries,
+		eng:  eng,
+		vm:   vm,
+		node: node,
 	}
 	b.queue = virtio.NewQueue(eng, name, 64)
 	b.queue.Fault = vm.Machine.Fault
@@ -224,7 +217,7 @@ func (b *Balloon) guestHandle(req *virtio.Request) {
 // plus a round trip of notifications plus generous headroom on the
 // per-page work.
 func (b *Balloon) deadline(work sim.Duration) sim.Duration {
-	return b.RequestTimeout + 2*(b.queue.KickLatency+b.queue.IRQLatency) + 4*work
+	return requestTimeout + 2*(virtio.KickLatency+virtio.IRQLatency) + 4*work
 }
 
 // post submits req with bounded ring-full resubmission, then starts the
@@ -236,7 +229,7 @@ func (b *Balloon) post(req *virtio.Request, work sim.Duration, attempt int, abor
 		b.watch(req, b.deadline(work), 0, abort)
 		return
 	}
-	if attempt >= b.MaxRetries {
+	if attempt >= maxRetries {
 		b.Aborts++
 		if abort != nil {
 			abort()
@@ -244,13 +237,13 @@ func (b *Balloon) post(req *virtio.Request, work sim.Duration, attempt int, abor
 		return
 	}
 	b.Resubmits++
-	back := sim.Backoff{Base: b.queue.KickLatency, Max: 64 * b.queue.KickLatency}
+	back := sim.Backoff{Base: virtio.KickLatency, Max: 64 * virtio.KickLatency}
 	b.eng.After(back.Delay(attempt), func() { b.post(req, work, attempt+1, abort) })
 }
 
 // watch is the completion watchdog: at each (exponentially backed off)
 // deadline it polls the queue — reaping the request if its IRQ was lost —
-// and after MaxRetries rounds it gives up and aborts the wait. The
+// and after maxRetries rounds it gives up and aborts the wait. The
 // request itself stays reapable by a later poll or Quiesce, so no state
 // is lost even on abort.
 func (b *Balloon) watch(req *virtio.Request, deadline sim.Duration, attempt int, abort func()) {
@@ -264,7 +257,7 @@ func (b *Balloon) watch(req *virtio.Request, deadline sim.Duration, attempt int,
 			return
 		}
 		b.Timeouts++
-		if attempt >= b.MaxRetries {
+		if attempt >= maxRetries {
 			b.Aborts++
 			if abort != nil {
 				abort()

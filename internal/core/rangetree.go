@@ -71,8 +71,8 @@ type RangeTree struct {
 	roots []*rnode // address-ordered, non-overlapping
 	epoch uint64
 
-	splits, merges uint64
-	ignored        uint64 // samples outside tracked regions
+	merges  uint64
+	ignored uint64 // samples outside tracked regions
 }
 
 // NewRangeTree builds a tree over the given regions (zero-length regions
@@ -172,7 +172,6 @@ func (t *RangeTree) EndEpoch(vcpus int) (splits, merges int) {
 		n.count /= 2
 	}
 
-	t.splits += uint64(splits)
 	t.merges += uint64(merges)
 	return splits, merges
 }
@@ -248,9 +247,6 @@ func (t *RangeTree) Leaves() int { return len(t.leavesInOrder()) }
 
 // Ignored returns samples that fell outside tracked regions.
 func (t *RangeTree) Ignored() uint64 { return t.ignored }
-
-// TotalSplits returns lifetime split count.
-func (t *RangeTree) TotalSplits() uint64 { return t.splits }
 
 // TotalMerges returns lifetime merge count.
 func (t *RangeTree) TotalMerges() uint64 { return t.merges }

@@ -36,9 +36,9 @@ type Config struct {
 	// AggregationInterval is the split/merge + readout cadence (Linux
 	// default 100ms).
 	AggregationInterval sim.Duration
-	// MinRegions / MaxRegions bound the adaptive region set (Linux
-	// defaults 10/1000).
-	MinRegions, MaxRegions int
+	// MaxRegions caps the adaptive region set (Linux default 1000); it
+	// may not be below minRegions.
+	MaxRegions int
 	// Seed fixes the sampling RNG.
 	Seed uint64
 }
@@ -48,11 +48,13 @@ func DefaultConfig() Config {
 	return Config{
 		SamplingInterval:    5 * sim.Millisecond,
 		AggregationInterval: 100 * sim.Millisecond,
-		MinRegions:          10,
 		MaxRegions:          1000,
 		Seed:                1,
 	}
 }
+
+// minRegions is the adaptive region set's floor (Linux default 10).
+const minRegions = 10
 
 // mergeThreshold is the nr_accesses difference below which adjacent
 // regions merge.
@@ -103,8 +105,8 @@ type Profiler struct {
 // NewProfiler validates cfg and returns a detached profiler. Bad region
 // bounds are a caller configuration error and return an error.
 func NewProfiler(cfg Config) (*Profiler, error) {
-	if cfg.MinRegions < 1 || cfg.MaxRegions < cfg.MinRegions {
-		return nil, fmt.Errorf("damon: bad region bounds %d/%d", cfg.MinRegions, cfg.MaxRegions)
+	if cfg.MaxRegions < minRegions {
+		return nil, fmt.Errorf("damon: bad region bounds %d/%d", minRegions, cfg.MaxRegions)
 	}
 	return &Profiler{Cfg: cfg}, nil
 }
@@ -120,8 +122,8 @@ func (p *Profiler) Attach(eng *sim.Engine, vm *hypervisor.VM) {
 		p.regions = append(p.regions, Region{StartPage: r.Start >> 12, EndPage: (r.End + 4095) >> 12})
 	}
 	sort.Slice(p.regions, func(i, j int) bool { return p.regions[i].StartPage < p.regions[j].StartPage })
-	// Initial split toward MinRegions, like damon_set_regions.
-	for len(p.regions) < p.Cfg.MinRegions {
+	// Initial split toward minRegions, like damon_set_regions.
+	for len(p.regions) < minRegions {
 		if !p.splitLargest() {
 			break
 		}
@@ -200,7 +202,7 @@ func (p *Profiler) aggregate(now sim.Time) {
 	for _, r := range p.regions[1:] {
 		last := &merged[len(merged)-1]
 		close := diffU32(last.NrAccesses, r.NrAccesses) <= mergeThreshold
-		if close && last.EndPage == r.StartPage && len(p.regions) > p.Cfg.MinRegions {
+		if close && last.EndPage == r.StartPage && len(p.regions) > minRegions {
 			last.EndPage = r.EndPage
 			last.NrAccesses = (last.NrAccesses + r.NrAccesses) / 2
 			if r.Age < last.Age {

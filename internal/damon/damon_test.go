@@ -14,7 +14,6 @@ func testCfg() Config {
 	cfg := DefaultConfig()
 	cfg.SamplingInterval = 100 * sim.Microsecond
 	cfg.AggregationInterval = 10 * sim.Millisecond
-	cfg.MinRegions = 10
 	cfg.MaxRegions = 200
 	return cfg
 }
@@ -159,17 +158,11 @@ func TestDoubleAttachPanics(t *testing.T) {
 
 func TestBadRegionBoundsReturnsError(t *testing.T) {
 	cfg := testCfg()
-	cfg.MinRegions = 10
 	cfg.MaxRegions = 5
 	if _, err := NewProfiler(cfg); err == nil {
 		t.Fatal("bad bounds did not return an error")
 	}
 	if _, err := NewPolicy(cfg, 12, 512); err == nil {
 		t.Fatal("NewPolicy accepted bad bounds")
-	}
-	cfg.MinRegions = 0
-	cfg.MaxRegions = 5
-	if _, err := NewProfiler(cfg); err == nil {
-		t.Fatal("zero MinRegions did not return an error")
 	}
 }

@@ -23,11 +23,14 @@ const (
 	// DefaultBatchSize is the number of accesses simulated per
 	// activation; it must hold the largest workload transaction.
 	DefaultBatchSize = 2048
-	DefaultTimeslice = sim.Millisecond
-	// DefaultPerAccessCompute is the CPU work between memory accesses
-	// (index arithmetic, RNG, the non-load part of an RMW). It calibrates
-	// simulated throughput to the paper's measured GUPS rates.
-	DefaultPerAccessCompute = 200 * sim.Nanosecond
+	// defaultTimeslice is the guest scheduler quantum; context-switch
+	// hooks (Demeter's sample draining) fire at this cadence.
+	defaultTimeslice = sim.Millisecond
+	// defaultPerAccessCompute is the CPU work between memory accesses
+	// (index arithmetic, RNG, the non-load part of an RMW), charged per
+	// access on top of the memory system cost. It calibrates simulated
+	// throughput to the paper's measured GUPS rates.
+	defaultPerAccessCompute = 200 * sim.Nanosecond
 )
 
 // Executor runs one workload inside one VM.
@@ -35,12 +38,6 @@ type Executor struct {
 	VM *hypervisor.VM
 	WL workload.Workload
 
-	// Timeslice is the guest scheduler quantum; context-switch hooks
-	// (Demeter's sample draining) fire at this cadence.
-	Timeslice sim.Duration
-	// PerAccessCompute is CPU work charged per access on top of the
-	// memory system cost.
-	PerAccessCompute sim.Duration
 	// TxnHist, when set and the workload is Transactional, records
 	// per-transaction latencies (Figure 12).
 	TxnHist *stats.Histogram
@@ -65,11 +62,9 @@ type Executor struct {
 // immediately (regions are reserved before simulation starts).
 func NewExecutor(eng *sim.Engine, vm *hypervisor.VM, wl workload.Workload) *Executor {
 	x := &Executor{
-		VM:               vm,
-		WL:               wl,
-		Timeslice:        DefaultTimeslice,
-		PerAccessCompute: DefaultPerAccessCompute,
-		eng:              eng,
+		VM:  vm,
+		WL:  wl,
+		eng: eng,
 	}
 	if tx, ok := wl.(workload.Transactional); ok {
 		x.txnSize = tx.TxnAccesses()
@@ -190,13 +185,13 @@ func (x *Executor) slice() {
 		cpu += vm.AccessBatch(x.buf[:n])
 	}
 	// vCPUs execute the stream in parallel.
-	cpu += sim.Duration(n) * x.PerAccessCompute
+	cpu += sim.Duration(n) * defaultPerAccessCompute
 	elapsed += cpu / sim.Duration(vm.VCPUs)
 
 	// Guest scheduler quanta that elapsed during this slice.
 	x.sinceCtx += elapsed
-	for x.sinceCtx >= x.Timeslice {
-		x.sinceCtx -= x.Timeslice
+	for x.sinceCtx >= defaultTimeslice {
+		x.sinceCtx -= defaultTimeslice
 		vm.Kernel.ContextSwitch()
 		elapsed += vm.Machine.Cost.CtxSwitchCost
 	}

@@ -8,29 +8,6 @@ import (
 	"demeter/internal/stats"
 )
 
-func init() {
-	register(Experiment{
-		ID:    "ablation-draining",
-		Title: "Ablation: context-switch draining vs dedicated polling thread",
-		Run:   AblationDraining,
-	})
-	register(Experiment{
-		ID:    "ablation-translation",
-		Title: "Ablation: direct gVA samples vs per-sample software translation",
-		Run:   AblationTranslation,
-	})
-	register(Experiment{
-		ID:    "ablation-relocation",
-		Title: "Ablation: balanced swapping vs sequential demote-then-promote",
-		Run:   AblationRelocation,
-	})
-	register(Experiment{
-		ID:    "ablation-event",
-		Title: "Ablation: load-latency event vs media-specific cache-miss event",
-		Run:   AblationEvent,
-	})
-}
-
 // ablate runs a 3-VM GUPS cluster under a modified Demeter config and
 // reports (avg runtime s, tracking CPU s, promoted pages).
 func ablate(s Scale, mutate func(*core.Config)) (runtime float64) {

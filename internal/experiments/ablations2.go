@@ -8,19 +8,6 @@ import (
 	"demeter/internal/workload"
 )
 
-func init() {
-	register(Experiment{
-		ID:    "ablation-pml",
-		Title: "Ablation: PML-based hypervisor tracking (vTMM) vs A-bit (H-TPP) vs guest PEBS (Demeter)",
-		Run:   AblationPML,
-	})
-	register(Experiment{
-		ID:    "ablation-damon",
-		Title: "Ablation: DAMON-based guest tiering vs Demeter's range classification",
-		Run:   AblationDAMON,
-	})
-}
-
 // AblationPML reproduces §7.3's argument: Page Modification Logging is
 // unsuitable for TMM access tracking. Three VMs run GUPS under vTMM
 // (PML + EPT A bits, hypervisor), H-TPP (EPT A bits, hypervisor) and
@@ -65,14 +52,6 @@ func AblationDAMON(s Scale) string {
 		"\nExpected: DAMON improves on static placement but cannot match\n" +
 		"Demeter — PTE.A probe sampling is flush-heavy and slow to localize\n" +
 		"hotspots, the §6.3 limitations.\n"
-}
-
-func init() {
-	register(Experiment{
-		ID:    "ablation-granularity",
-		Title: "Ablation: range split granularity (the §3.4.1 TLB-coverage vs precision tradeoff)",
-		Run:   AblationGranularity,
-	})
 }
 
 // AblationGranularity sweeps the minimum split size. The paper fixes 2 MiB

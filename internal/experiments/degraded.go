@@ -9,14 +9,6 @@ import (
 	"demeter/internal/stats"
 )
 
-func init() {
-	register(Experiment{
-		ID:    "degraded",
-		Title: "Degraded-mode failover vs frozen delegation under agent crashes",
-		Run:   Degraded,
-	})
-}
-
 // degradedConfig is the shared scenario: agents crash repeatedly, the
 // monitor detects and (in one arm) fails over to the host-side vTMM.
 // Identical seed and schedule in both arms, so the fault streams match
@@ -66,9 +58,13 @@ func Degraded(s Scale) string {
 		rungs []RungResult
 		err   error
 	}
-	results := runIndexed(len(modes), func(i int) outcome {
+	// Each mode fans its rungs out through runIndexed, so the modes are
+	// coordinators: run as leaves they would hold the worker tokens their
+	// rungs wait for.
+	results := make([]outcome, len(modes))
+	FanOut(len(modes), func(i int) {
 		rungs, err := RunChaosLadder(s, modes[i].cfg)
-		return outcome{rungs, err}
+		results[i] = outcome{rungs, err}
 	})
 
 	out := "Degraded mode: agent crashes under health monitoring, failover vs frozen\n"

@@ -23,6 +23,13 @@ func TestRegistryComplete(t *testing.T) {
 	if len(All()) != len(want) {
 		t.Errorf("registry has %d entries, want %d", len(All()), len(want))
 	}
+	if e, ok := Get("Figure2"); !ok || e.ID != "figure2" {
+		t.Errorf("Get is not case-insensitive: %q %v", e.ID, ok)
+	}
+	All()[0].ID = "clobbered"
+	if All()[0].ID != "table1" {
+		t.Error("All returned the table itself, not a copy")
+	}
 	// Ordering: tables first, figure2 before figure10.
 	ids := []string{}
 	for _, e := range All() {

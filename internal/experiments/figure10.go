@@ -7,19 +7,6 @@ import (
 	"demeter/internal/workload"
 )
 
-func init() {
-	register(Experiment{
-		ID:    "figure10",
-		Title: "Average execution times across real-world workloads (DRAM + PMEM), incl. §5.4 TPP-H",
-		Run:   func(s Scale) string { return realWorkloads(s, "pmem", true) },
-	})
-	register(Experiment{
-		ID:    "figure11",
-		Title: "Average execution times across real-world workloads (DRAM + emulated CXL.mem)",
-		Run:   func(s Scale) string { return realWorkloads(s, "cxl", false) },
-	})
-}
-
 // realWorkloads runs the seven §5.3 applications across designs on the
 // given slow tier, with s.VMs concurrent VMs per run, reporting average
 // runtimes and the geometric-mean summary the paper headlines.

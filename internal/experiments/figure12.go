@@ -7,14 +7,6 @@ import (
 	"demeter/internal/workload"
 )
 
-func init() {
-	register(Experiment{
-		ID:    "figure12",
-		Title: "Silo YCSB latency percentiles across designs (5 concurrent VMs)",
-		Run:   Figure12,
-	})
-}
-
 // Figure12 reproduces the latency-sensitivity study: five VMs run the
 // Silo OLTP engine; per-transaction latency percentiles are aggregated
 // across VMs. Paper shape: Demeter best at p50–p95 and ~23% lower p99

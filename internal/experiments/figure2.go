@@ -6,14 +6,6 @@ import (
 	"demeter/internal/stats"
 )
 
-func init() {
-	register(Experiment{
-		ID:    "figure2",
-		Title: "TMM CPU overhead (cores) vs concurrent VM count: TPP, Memtis, Demeter",
-		Run:   Figure2,
-	})
-}
-
 // Figure2 reproduces the §2.3.2 scalability study: the total GUPS work is
 // split evenly across 1..9 VMs (preserving the access distribution) and
 // each design's management CPU is reported as average cores consumed.

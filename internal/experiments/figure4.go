@@ -8,14 +8,6 @@ import (
 	"demeter/internal/workload"
 )
 
-func init() {
-	register(Experiment{
-		ID:    "figure4",
-		Title: "Guest physical vs virtual address space heat maps (LibLinear)",
-		Run:   Figure4,
-	})
-}
-
 // HeatMap is an access-count grid: rows are time windows, columns are
 // equal-width address bins.
 type HeatMap struct {

@@ -10,14 +10,6 @@ import (
 	"demeter/internal/workload"
 )
 
-func init() {
-	register(Experiment{
-		ID:    "figure6",
-		Title: "GUPS throughput under different tiered memory provisioning techniques",
-		Run:   Figure6,
-	})
-}
-
 // provisionScheme describes how a VM's tier composition is established.
 type provisionScheme struct {
 	name   string

@@ -8,19 +8,6 @@ import (
 	"demeter/internal/workload"
 )
 
-func init() {
-	register(Experiment{
-		ID:    "figure7",
-		Title: "Breakdown of TMM overhead (track/classify/migrate CPU seconds) across guest designs",
-		Run:   Figure7,
-	})
-	register(Experiment{
-		ID:    "figure8",
-		Title: "Instantaneous GUPS throughput over time across guest designs",
-		Run:   Figure8,
-	})
-}
-
 // runGUPSNine runs the §5.2.2 setting: nine VMs, each with its own full
 // GUPS table, under one design.
 func runGUPSNine(s Scale, design string, sampled bool) ClusterResult {

@@ -9,14 +9,6 @@ import (
 	"demeter/internal/workload"
 )
 
-func init() {
-	register(Experiment{
-		ID:    "figure9",
-		Title: "Sensitivity of GUPS runtime to PEBS and range-split parameters",
-		Run:   Figure9,
-	})
-}
-
 // runDemeterWith runs a small GUPS cluster under a custom Demeter config
 // and returns the average runtime in seconds.
 func runDemeterWith(s Scale, nVMs int, cfg core.Config) float64 {

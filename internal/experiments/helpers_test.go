@@ -9,22 +9,6 @@ import (
 	"demeter/internal/workload"
 )
 
-func TestOrderKeyOrdering(t *testing.T) {
-	cases := [][2]string{
-		{"table1", "table2"},
-		{"table2", "figure2"},
-		{"figure2", "figure4"},
-		{"figure4", "figure10"},
-		{"figure9", "figure10"},
-		{"figure10", "figure12"},
-	}
-	for _, c := range cases {
-		if orderKey(c[0]) >= orderKey(c[1]) {
-			t.Errorf("%s should order before %s (%q vs %q)", c[0], c[1], orderKey(c[0]), orderKey(c[1]))
-		}
-	}
-}
-
 func TestSplitScalePreservesTotals(t *testing.T) {
 	s := Quick()
 	for _, n := range []int{1, 3, 9} {

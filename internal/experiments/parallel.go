@@ -1,14 +1,14 @@
 // Parallel execution layer. Every experiment decomposes into independent
 // leaf runs — one cluster per policy row, series point or ladder rung —
 // and each leaf owns its own sim.Engine, fault injector and random
-// sources, sharing no mutable state with its siblings (the fault and
-// experiment registries are written only during package init). That makes
-// fan-out safe exactly the way Virtuoso's and gem5's parallel simulation
-// campaigns are safe: each instance is seed-deterministic, so results are
-// identical no matter where or when the instance executes. Reports are
-// assembled in slice order and all cross-row derivations (baselines,
-// ratios, geomeans) happen after collection, so parallel output is
-// byte-identical to sequential output.
+// sources, sharing no mutable state with its siblings (the fault registry
+// is written only during package init, and the experiment table is a
+// literal). That makes fan-out safe exactly the way Virtuoso's and gem5's
+// parallel simulation campaigns are safe: each instance is
+// seed-deterministic, so results are identical no matter where or when
+// the instance executes. Reports are assembled in slice order and all
+// cross-row derivations (baselines, ratios, geomeans) happen after
+// collection, so parallel output is byte-identical to sequential output.
 package experiments
 
 import (

@@ -4,6 +4,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 )
 
 // seqVsPar runs f sequentially and with worker pools of 4 and 8 and
@@ -160,5 +161,31 @@ func TestRunIndexedConcurrentCallers(t *testing.T) {
 				t.Fatalf("caller %d slot %d holds %d", g, i, v)
 			}
 		}
+	}
+}
+
+// TestDegradedCompletesWithTwoWorkers runs an experiment whose jobs
+// themselves fan out (each degraded mode runs a chaos ladder) on a pool
+// of two workers, the width at which treating the modes as leaf jobs
+// left both tokens held while their rungs waited for one. A hang fails
+// after a bounded wait instead of stalling the suite.
+func TestDegradedCompletesWithTwoWorkers(t *testing.T) {
+	if testing.Short() {
+		t.Skip("multi-cluster runs in -short mode")
+	}
+	s := Tiny()
+	SetParallelism(1)
+	seq := Degraded(s)
+	defer SetParallelism(1)
+	SetParallelism(2)
+	done := make(chan string, 1)
+	go func() { done <- Degraded(s) }()
+	select {
+	case par := <-done:
+		if par != seq {
+			t.Errorf("2-worker degraded report differs from sequential\n--- sequential:\n%s\n--- parallel:\n%s", seq, par)
+		}
+	case <-time.After(time.Minute):
+		t.Fatal("degraded did not finish within a minute on a 2-worker pool")
 	}
 }

@@ -7,14 +7,6 @@ import (
 	"demeter/internal/workload"
 )
 
-func init() {
-	register(Experiment{
-		ID:    "table1",
-		Title: "TLB flush comparison between hypervisor-based and guest-based TMM under GUPS",
-		Run:   Table1,
-	})
-}
-
 // Table1 reproduces §2.3.1: a single large VM runs GUPS under H-TPP,
 // G-TPP and Demeter; the report counts single and full TLB invalidations
 // and the elapsed time. Paper shape: H-TPP issues the only full

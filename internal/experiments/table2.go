@@ -8,14 +8,6 @@ import (
 	"demeter/internal/stats"
 )
 
-func init() {
-	register(Experiment{
-		ID:    "table2",
-		Title: "Memory access latency and bandwidth matrix (Memory Latency Checker analog)",
-		Run:   Table2,
-	})
-}
-
 // measureTierLatency runs an MLC-style dependent-load loop against pages
 // pinned to one host node and returns the average measured access
 // latency. It exercises the full simulated hardware path (TLB, walks,

@@ -242,7 +242,7 @@ func ParseSchedule(spec string) (Schedule, error) {
 			return nil, fmt.Errorf("fault: unknown injection point %q", p)
 		}
 		rate, err := strconv.ParseFloat(strings.TrimSpace(kv[1]), 64)
-		if err != nil || rate < 0 || rate > 1 {
+		if err != nil || !(rate >= 0 && rate <= 1) { // NaN fails both
 			return nil, fmt.Errorf("fault: bad rate %q for point %q (want 0..1)", kv[1], p)
 		}
 		s[p] = rate

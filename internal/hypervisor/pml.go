@@ -19,11 +19,6 @@ import (
 //     space; there is no range filtering, so every dirtied page logs
 //     regardless of relevance.
 type PML struct {
-	// Entries is the architectural buffer size (512).
-	Entries int
-	// ExitCost is the VM-exit + drain handling cost, charged as a guest
-	// stall because the vCPU is halted during the exit.
-	ExitCost sim.Duration
 	// OnFull receives the drained buffer at each exit.
 	OnFull func(gpfns []uint64)
 
@@ -37,11 +32,18 @@ type PMLStats struct {
 	Exits  uint64 // buffer-full VM exits
 }
 
-// NewPML returns a PML unit with the architectural buffer size. The
-// log buffer is preallocated at full capacity so steady-state appends
-// never grow it.
+const (
+	// pmlEntries is the architectural buffer size.
+	pmlEntries = 512
+	// pmlExitCost is the VM-exit + drain handling cost, charged as a
+	// guest stall because the vCPU is halted during the exit.
+	pmlExitCost = 4 * sim.Microsecond
+)
+
+// NewPML returns a PML unit. The log buffer is preallocated at full
+// capacity so steady-state appends never grow it.
 func NewPML() *PML {
-	return &PML{Entries: 512, ExitCost: 4 * sim.Microsecond, buffer: make([]uint64, 0, 512)}
+	return &PML{buffer: make([]uint64, 0, pmlEntries)}
 }
 
 // Stats returns a copy of the counters.
@@ -50,20 +52,20 @@ func (p *PML) Stats() PMLStats { return p.stats }
 // log records one dirty transition, returning the stall incurred (nonzero
 // only on a buffer-full exit).
 func (p *PML) log(gpfn uint64) sim.Duration {
-	//lint:allow hotpath buffer is preallocated at Entries capacity in NewPML and swapped before it can grow
+	//lint:allow hotpath buffer is preallocated at pmlEntries capacity in NewPML and swapped before it can grow
 	p.buffer = append(p.buffer, gpfn)
 	p.stats.Logged++
-	if len(p.buffer) < p.Entries {
+	if len(p.buffer) < pmlEntries {
 		return 0
 	}
 	p.stats.Exits++
 	buf := p.buffer
-	//lint:allow hotpath fresh buffer swap happens on a buffer-full VM exit, amortized over Entries logs
-	p.buffer = make([]uint64, 0, p.Entries)
+	//lint:allow hotpath fresh buffer swap happens on a buffer-full VM exit, amortized over pmlEntries logs
+	p.buffer = make([]uint64, 0, pmlEntries)
 	if p.OnFull != nil {
 		p.OnFull(buf)
 	}
-	return p.ExitCost
+	return pmlExitCost
 }
 
 // EnablePML attaches a PML unit to the VM; every first dirtying of an

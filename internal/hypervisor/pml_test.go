@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"demeter/internal/mem"
+	"demeter/internal/sim"
 )
 
 func TestPMLLogsDirtyTransitionsOnly(t *testing.T) {
@@ -31,29 +32,34 @@ func TestPMLLogsDirtyTransitionsOnly(t *testing.T) {
 }
 
 func TestPMLExitsWhenFull(t *testing.T) {
-	_, vm := newTestVM(t)
+	// Two full 512-entry buffers plus two writes need more frames than
+	// newTestVM gives.
+	m := NewMachine(sim.NewEngine(), mem.PaperDRAMPMEM(2048, 2048))
+	vm, err := m.NewVM(VMConfig{VCPUs: 4, GuestFMEM: 2048, GuestSMEM: 2048, SMEMBacking: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
 	pml := NewPML()
-	pml.Entries = 4
 	var got []uint64
 	pml.OnFull = func(g []uint64) { got = append(got, g...) }
 	vm.EnablePML(pml)
-	start := vm.Proc.Mmap(16 * mem.PageSize)
-	for i := uint64(0); i < 10; i++ {
+	const writes = 2*pmlEntries + 2
+	start := vm.Proc.Mmap((writes + 4) * mem.PageSize)
+	for i := uint64(0); i < writes; i++ {
 		vm.Access(start+i*mem.PageSize, true)
 	}
 	st := pml.Stats()
 	if st.Exits != 2 {
-		t.Fatalf("exits = %d, want 2 (10 writes / 4 entries)", st.Exits)
+		t.Fatalf("exits = %d, want 2 (%d writes / %d entries)", st.Exits, writes, pmlEntries)
 	}
-	if len(got) != 8 {
+	if len(got) != 2*pmlEntries {
 		t.Fatalf("drained %d entries", len(got))
 	}
-	// The exit cost lands on the faulting access.
 	vm.DisablePML()
-	for i := uint64(10); i < 14; i++ {
+	for i := uint64(writes); i < writes+4; i++ {
 		vm.Access(start+i*mem.PageSize, true)
 	}
-	if pml.Stats().Logged != 10 {
+	if pml.Stats().Logged != writes {
 		t.Fatal("disabled PML still logging")
 	}
 }

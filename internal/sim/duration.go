@@ -43,7 +43,12 @@ func ParseDuration(s string) (Duration, error) {
 		if v < 0 {
 			return 0, fmt.Errorf("negative duration %q", s)
 		}
-		return Duration(v * float64(u.scale)), nil
+		// NaN fails every comparison, so this also rejects it; a float
+		// at or past 2^63 would convert to a negative Duration.
+		if ns := v * float64(u.scale); ns < 1<<63 {
+			return Duration(ns), nil
+		}
+		return 0, fmt.Errorf("duration %q is not finite or exceeds 2^63-1ns", s)
 	}
 	return 0, fmt.Errorf("bad duration %q (want e.g. 500ns, 10us, 1.5ms, 2s)", s)
 }

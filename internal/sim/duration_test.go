@@ -6,8 +6,10 @@ import (
 	"testing"
 )
 
-func TestParseDuration(t *testing.T) {
-	good := map[string]Duration{
+// goodDurations and badDurations are TestParseDuration's table and
+// FuzzParseDuration's seed corpus.
+var (
+	goodDurations = map[string]Duration{
 		"0":     0,
 		"250ns": 250 * Nanosecond,
 		"10us":  10 * Microsecond,
@@ -16,7 +18,12 @@ func TestParseDuration(t *testing.T) {
 		"2s":    2 * Second,
 		" 3ms ": 3 * Millisecond,
 	}
-	for s, want := range good {
+	badDurations = []string{"", "5", "-5ms", "fast", "5m", "ms", "1.2.3s",
+		"NaNs", "Infms", "-Infus", "1e300s", "9223372036854775808ns"}
+)
+
+func TestParseDuration(t *testing.T) {
+	for s, want := range goodDurations {
 		got, err := ParseDuration(s)
 		if err != nil {
 			t.Errorf("ParseDuration(%q): %v", s, err)
@@ -24,11 +31,27 @@ func TestParseDuration(t *testing.T) {
 			t.Errorf("ParseDuration(%q) = %v, want %v", s, got, want)
 		}
 	}
-	for _, s := range []string{"", "5", "-5ms", "fast", "5m", "ms", "1.2.3s"} {
+	for _, s := range badDurations {
 		if _, err := ParseDuration(s); err == nil {
 			t.Errorf("ParseDuration(%q) accepted", s)
 		}
 	}
+}
+
+// FuzzParseDuration checks that no input panics the parser and that
+// every accepted duration is non-negative.
+func FuzzParseDuration(f *testing.F) {
+	for s := range goodDurations {
+		f.Add(s)
+	}
+	for _, s := range badDurations {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, s string) {
+		if d, err := ParseDuration(s); err == nil && d < 0 {
+			t.Fatalf("ParseDuration(%q) = %d, want >= 0", s, d)
+		}
+	})
 }
 
 // TestDurationUnmarshalText pins how a Duration field decodes from

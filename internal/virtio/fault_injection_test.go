@@ -19,8 +19,8 @@ func TestQueueStallDelaysDelivery(t *testing.T) {
 	})
 	q.Submit(&Request{})
 	eng.RunUntilIdle()
-	if handledAt <= DefaultKickLatency {
-		t.Fatalf("handled at %v despite stall; want > kick latency %v", handledAt, DefaultKickLatency)
+	if handledAt <= KickLatency {
+		t.Fatalf("handled at %v despite stall; want > kick latency %v", handledAt, KickLatency)
 	}
 	if q.Stats().StalledKicks != 1 {
 		t.Fatalf("stats = %+v, want 1 stalled kick", q.Stats())

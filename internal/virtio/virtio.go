@@ -72,13 +72,6 @@ type Queue struct {
 	name string
 	size int
 
-	// KickLatency is the initiator→responder notification delay (VM exit
-	// or eventfd wakeup + scheduling).
-	KickLatency sim.Duration
-	// IRQLatency is the completion notification delay (interrupt
-	// injection or epoll wakeup).
-	IRQLatency sim.Duration
-
 	// Fault, when non-nil, injects transport failures (stalls, lost
 	// IRQs). Nil-safe: a nil injector never fires.
 	Fault *fault.Injector
@@ -88,10 +81,15 @@ type Queue struct {
 	stats    Stats
 }
 
-// Defaults roughly model an eventfd wakeup and an interrupt injection.
+// Notification latencies roughly model an eventfd wakeup and an
+// interrupt injection.
 const (
-	DefaultKickLatency = 4 * sim.Microsecond
-	DefaultIRQLatency  = 4 * sim.Microsecond
+	// KickLatency is the initiator→responder notification delay (VM exit
+	// or eventfd wakeup + scheduling).
+	KickLatency = 4 * sim.Microsecond
+	// IRQLatency is the completion notification delay (interrupt
+	// injection or epoll wakeup).
+	IRQLatency = 4 * sim.Microsecond
 )
 
 // NewQueue creates a queue with the given descriptor ring size. The
@@ -102,11 +100,9 @@ func NewQueue(eng *sim.Engine, name string, size int) *Queue {
 		panic("virtio: queue size must be positive")
 	}
 	return &Queue{
-		eng:         eng,
-		name:        name,
-		size:        size,
-		KickLatency: DefaultKickLatency,
-		IRQLatency:  DefaultIRQLatency,
+		eng:  eng,
+		name: name,
+		size: size,
 	}
 }
 
@@ -136,10 +132,10 @@ func (q *Queue) Submit(req *Request) bool {
 	q.inflight++
 	q.stats.Submitted++
 	q.stats.Kicks++
-	delay := q.KickLatency
+	delay := KickLatency
 	if fired, magn := q.Fault.FireMagnitude(FaultQueueStall); fired {
 		q.stats.StalledKicks++
-		delay += sim.Duration(magn * float64(q.KickLatency))
+		delay += sim.Duration(magn * float64(KickLatency))
 	}
 	q.eng.After(delay, func() { q.handler(req) })
 	return true
@@ -161,7 +157,7 @@ func (q *Queue) Complete(req *Request) {
 		q.stats.DroppedIRQs++
 		return
 	}
-	q.eng.After(q.IRQLatency, func() { q.reap(req, true) })
+	q.eng.After(IRQLatency, func() { q.reap(req, true) })
 }
 
 // reap consumes one finished request on the initiator side, exactly once:

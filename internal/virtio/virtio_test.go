@@ -27,10 +27,10 @@ func TestSubmitCompleteRoundTrip(t *testing.T) {
 	if gotResponse != "pong" {
 		t.Fatalf("response = %v", gotResponse)
 	}
-	if handledAt != DefaultKickLatency {
-		t.Fatalf("handled at %v, want kick latency %v", handledAt, DefaultKickLatency)
+	if handledAt != KickLatency {
+		t.Fatalf("handled at %v, want kick latency %v", handledAt, KickLatency)
 	}
-	if completedAt != DefaultKickLatency+DefaultIRQLatency {
+	if completedAt != KickLatency+IRQLatency {
 		t.Fatalf("completed at %v", completedAt)
 	}
 	st := q.Stats()

@@ -12,9 +12,8 @@ import (
 // uniform access distribution" class with subtle hotspots.
 type BTree struct {
 	// LeafPages is the leaf level size; internal levels are derived with
-	// the given Fanout.
+	// btreeFanout.
 	LeafPages uint64
-	Fanout    uint64
 	Ops       uint64
 	Seed      uint64
 
@@ -24,6 +23,9 @@ type BTree struct {
 	sweep     initSweep
 	ready     bool
 }
+
+// btreeFanout is the number of children per internal node.
+const btreeFanout = 64
 
 type levelLayout struct {
 	start uint64 // byte address
@@ -35,7 +37,7 @@ func NewBTree(leafPages, ops, seed uint64) (*BTree, error) {
 	if leafPages < 2 {
 		return nil, fmt.Errorf("btree: leaf level of %d pages too small (want >= 2)", leafPages)
 	}
-	return &BTree{LeafPages: leafPages, Fanout: 64, Ops: ops, Seed: seed}, nil
+	return &BTree{LeafPages: leafPages, Ops: ops, Seed: seed}, nil
 }
 
 // Name implements Workload.
@@ -49,7 +51,7 @@ func (b *BTree) TotalOps() uint64 { return b.Ops }
 func (b *BTree) Setup(as AddressSpace) {
 	b.rng = simrand.New(b.Seed ^ 0x6274726565)
 	var sizes []uint64
-	for n := b.LeafPages; ; n = (n + b.Fanout - 1) / b.Fanout {
+	for n := b.LeafPages; ; n = (n + btreeFanout - 1) / btreeFanout {
 		sizes = append(sizes, n)
 		if n == 1 {
 			break
@@ -94,7 +96,7 @@ func (b *BTree) Fill(dst []Access) (int, bool) {
 			page := (leaf / div) % lv.pages
 			dst[n] = Access{GVA: pageGVA(lv.start, page)}
 			n++
-			div *= b.Fanout
+			div *= btreeFanout
 		}
 		b.remaining--
 	}
@@ -256,7 +258,6 @@ func (l *LibLinear) HotRegion() (start uint64, pages uint64) { return l.weightSt
 // only mild per-array bias.
 type Bwaves struct {
 	ArrayPages uint64 // per array
-	Arrays     int
 	Ops        uint64
 	Seed       uint64
 
@@ -268,12 +269,15 @@ type Bwaves struct {
 	ready     bool
 }
 
+// bwavesArrays is the number of solver grids; the last one is written.
+const bwavesArrays = 3
+
 // NewBwaves sizes the solver grids.
 func NewBwaves(arrayPages, ops, seed uint64) (*Bwaves, error) {
 	if arrayPages < 16 {
 		return nil, fmt.Errorf("bwaves: arrays of %d pages too small (want >= 16)", arrayPages)
 	}
-	return &Bwaves{ArrayPages: arrayPages, Arrays: 3, Ops: ops, Seed: seed}, nil
+	return &Bwaves{ArrayPages: arrayPages, Ops: ops, Seed: seed}, nil
 }
 
 // Name implements Workload.
@@ -284,17 +288,17 @@ func (w *Bwaves) TotalOps() uint64 { return w.Ops }
 
 // Setup implements Workload.
 func (w *Bwaves) Setup(as AddressSpace) {
-	for i := 0; i < w.Arrays; i++ {
+	for i := 0; i < bwavesArrays; i++ {
 		s := as.Mmap(w.ArrayPages * 4096)
 		w.starts = append(w.starts, s)
 		w.sweep.add(s, w.ArrayPages)
 	}
 	w.remaining = w.Ops
 	w.gen = func() Access {
-		arr := int(w.cursor) % w.Arrays
-		page := (w.cursor / uint64(w.Arrays)) % w.ArrayPages
+		arr := int(w.cursor) % bwavesArrays
+		page := (w.cursor / bwavesArrays) % w.ArrayPages
 		w.cursor++
-		return Access{GVA: pageGVA(w.starts[arr], page), Write: arr == w.Arrays-1}
+		return Access{GVA: pageGVA(w.starts[arr], page), Write: arr == bwavesArrays-1}
 	}
 	w.ready = true
 }

@@ -200,7 +200,7 @@ func TestGroupSizesMatchDocumentedShape(t *testing.T) {
 		"silo":      8,
 		"ycsb-a":    2,
 		"ycsb-c":    2,
-		"ycsb-e":    1 + defaultScanLength,
+		"ycsb-e":    1 + ycsbScanLength,
 	}
 	for _, tc := range fillBuilders() {
 		w, ok := want[tc.name]
@@ -211,7 +211,7 @@ func TestGroupSizesMatchDocumentedShape(t *testing.T) {
 			t.Errorf("%s: probed group %d, want %d", tc.name, g, w)
 		}
 	}
-	if m := MaxTxnAccesses(); m != 1+defaultScanLength {
-		t.Errorf("MaxTxnAccesses = %d, want %d", m, 1+defaultScanLength)
+	if m := MaxTxnAccesses(); m != 1+ycsbScanLength {
+		t.Errorf("MaxTxnAccesses = %d, want %d", m, 1+ycsbScanLength)
 	}
 }

@@ -7,7 +7,7 @@ import (
 )
 
 // GUPS is the hotset variant of the Giga-Updates-Per-Second benchmark
-// (§5.2): a table divided into a hot section receiving HotWeight× the
+// (§5.2): a table divided into a hot section receiving gupsHotWeight× the
 // access rate of the cold section, with uniform random read-modify-write
 // transactions inside each section. The hot section is placed away from
 // the start of the region so that the sequential init sweep leaves it in
@@ -15,10 +15,6 @@ import (
 type GUPS struct {
 	// FootprintPages is the table size.
 	FootprintPages uint64
-	// HotFraction is the hot section's share of the footprint (0.1).
-	HotFraction float64
-	// HotWeight is the access-rate multiplier of the hot section (10).
-	HotWeight float64
 	// Ops is the number of update transactions.
 	Ops uint64
 	// Seed fixes the access stream.
@@ -35,6 +31,13 @@ type GUPS struct {
 	ready     bool
 }
 
+const (
+	// gupsHotFraction is the hot section's share of the footprint.
+	gupsHotFraction = 0.1
+	// gupsHotWeight is the access-rate multiplier of the hot section.
+	gupsHotWeight = 10
+)
+
 // NewGUPS validates and returns a GUPS workload.
 func NewGUPS(footprintPages, ops, seed uint64) (*GUPS, error) {
 	if footprintPages < 16 {
@@ -42,8 +45,6 @@ func NewGUPS(footprintPages, ops, seed uint64) (*GUPS, error) {
 	}
 	return &GUPS{
 		FootprintPages: footprintPages,
-		HotFraction:    0.1,
-		HotWeight:      10,
 		Ops:            ops,
 		Seed:           seed,
 	}, nil
@@ -59,7 +60,7 @@ func (g *GUPS) TotalOps() uint64 { return g.Ops }
 func (g *GUPS) Setup(as AddressSpace) {
 	g.rng = simrand.New(g.Seed ^ 0x67757073)
 	g.region = as.Mmap(g.FootprintPages * 4096)
-	g.hotPages = uint64(float64(g.FootprintPages) * g.HotFraction)
+	g.hotPages = uint64(float64(g.FootprintPages) * gupsHotFraction)
 	if g.hotPages == 0 {
 		g.hotPages = 1
 	}
@@ -69,8 +70,8 @@ func (g *GUPS) Setup(as AddressSpace) {
 	if g.hotStart+g.hotPages > g.FootprintPages {
 		g.hotStart = g.FootprintPages - g.hotPages
 	}
-	hotMass := g.HotWeight * g.HotFraction
-	g.pHot = hotMass / (hotMass + (1 - g.HotFraction))
+	const hotMass = gupsHotWeight * gupsHotFraction
+	g.pHot = hotMass / (hotMass + (1 - gupsHotFraction))
 	g.remaining = g.Ops
 	g.sweep.add(g.region, g.FootprintPages)
 	g.gen = func() Access {

@@ -67,21 +67,17 @@ type Transactional interface {
 	TxnAccesses() int
 }
 
-// defaultScanLength is the YCSB scan width NewYCSB programs; it bounds
-// the widest canonical transaction, so MaxTxnAccesses depends on it.
-const defaultScanLength = 8
-
 // MaxTxnAccesses returns the largest transaction footprint any canonical
 // workload construction produces: Silo touches 8 records per transaction
-// and a scan-heavy YCSB widens every operation to 1 + ScanLength. The
+// and a scan-heavy YCSB widens every operation to 1 + ycsbScanLength. The
 // engine's slice buffer (engine.DefaultBatchSize) is tested against this
 // so a batch always holds at least one whole transaction.
 func MaxTxnAccesses() int {
-	// TxnAccesses depends only on the mix and scan width, never on table
-	// size, so bare values with the constructor defaults suffice.
+	// TxnAccesses depends only on the mix, never on table size, so bare
+	// values suffice.
 	max := (&Silo{}).TxnAccesses()
 	for _, mix := range []YCSBMix{YCSBA, YCSBB, YCSBC, YCSBE} {
-		y := YCSB{Mix: mix, ScanLength: defaultScanLength}
+		y := YCSB{Mix: mix}
 		if t := y.TxnAccesses(); t > max {
 			max = t
 		}

@@ -381,7 +381,7 @@ func TestYCSBZipfianSkewScattered(t *testing.T) {
 
 func TestYCSBScanMixWidth(t *testing.T) {
 	w := Must(NewYCSB(1024, 1000, 3, YCSBE))
-	if w.TxnAccesses() != 1+w.ScanLength {
+	if w.TxnAccesses() != 1+ycsbScanLength {
 		t.Fatalf("scan mix width = %d", w.TxnAccesses())
 	}
 	w.Setup(newFakeAS())

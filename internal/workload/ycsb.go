@@ -30,13 +30,9 @@ type YCSB struct {
 	// RecordPages is the table size; IndexPages the (hot) index.
 	RecordPages, IndexPages uint64
 	// Mix is the operation mix.
-	Mix YCSBMix
-	// Theta-like skew: Zipf exponent over key ranks (s > 1).
-	Skew float64
-	// ScanLength is the pages touched by one scan operation.
-	ScanLength int
-	Ops        uint64
-	Seed       uint64
+	Mix  YCSBMix
+	Ops  uint64
+	Seed uint64
 
 	rng         *simrand.Source
 	zipf        *simrand.Zipf
@@ -46,6 +42,16 @@ type YCSB struct {
 	sweep       initSweep
 	ready       bool
 }
+
+const (
+	// ycsbSkew is the theta-like skew: the Zipf exponent over key ranks
+	// (s > 1).
+	ycsbSkew = 1.1
+	// ycsbScanLength is the pages touched by one scan operation. It
+	// bounds the widest canonical transaction, so MaxTxnAccesses depends
+	// on it.
+	ycsbScanLength = 8
+)
 
 // NewYCSB builds a YCSB driver with the given mix. Invalid sizings and
 // mixes are configuration errors, reported rather than panicking, so
@@ -69,8 +75,6 @@ func NewYCSB(recordPages, ops, seed uint64, mix YCSBMix) (*YCSB, error) {
 		RecordPages: recordPages,
 		IndexPages:  idx,
 		Mix:         mix,
-		Skew:        1.1,
-		ScanLength:  defaultScanLength,
 		Ops:         ops,
 		Seed:        seed,
 	}, nil
@@ -91,7 +95,7 @@ func (y *YCSB) InitOps() uint64 { return y.sweep.totalPages() }
 // touches walking the index, like a tree traversal).
 func (y *YCSB) TxnAccesses() int {
 	if y.Mix.ScanFrac > 0 {
-		return 1 + y.ScanLength
+		return 1 + ycsbScanLength
 	}
 	return 2
 }
@@ -99,7 +103,7 @@ func (y *YCSB) TxnAccesses() int {
 // Setup implements Workload.
 func (y *YCSB) Setup(as AddressSpace) {
 	y.rng = simrand.New(y.Seed ^ 0x79637362)
-	y.zipf = simrand.NewZipf(y.rng.Derive(1), y.Skew, y.RecordPages)
+	y.zipf = simrand.NewZipf(y.rng.Derive(1), ycsbSkew, y.RecordPages)
 	y.recordStart = as.Mmap(y.RecordPages * 4096)
 	y.indexStart = as.Mmap(y.IndexPages * 4096)
 	y.sweep.add(y.recordStart, y.RecordPages)
