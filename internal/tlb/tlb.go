@@ -57,6 +57,11 @@ type TLB struct {
 	setMask uint64
 	next    []uint8 // per-set round-robin replacement cursor (assoc ≤ 255)
 	stats   Stats
+	// cleared is set by a full clear and reset by a fill into a free
+	// way: while it holds, all three planes are still zero, so FlushAll
+	// has nothing to clear. An eviction needs a full set, which only
+	// free-way fills since the clear can have made.
+	cleared bool
 }
 
 // New returns a TLB with the given total entry count and associativity.
@@ -76,6 +81,7 @@ func New(entries, ways int) (*TLB, error) {
 		assoc:   ways,
 		setMask: uint64(nsets - 1),
 		next:    make([]uint8, nsets),
+		cleared: true,
 	}, nil
 }
 
@@ -158,6 +164,7 @@ func (t *TLB) Insert(gvpn, hpfn uint64) {
 		keys[free] = key
 		t.vals[base+free] = hpfn
 		t.stats.Fills++
+		t.cleared = false
 		return
 	}
 	v := int(t.next[si])
@@ -193,11 +200,21 @@ func (t *TLB) FlushSingle(gvpn uint64) {
 // fabricate a hit, or a replacement cursor making post-flush eviction
 // victims depend on pre-flush history — would break determinism or
 // correctness.
+//
+// The instruction is always counted, but the host-side clear runs only
+// if an entry was filled since the last one: back-to-back invepts (a
+// scan's batch flushes, one per host migration) find the planes already
+// zero. Fills are the only writes that make a plane nonzero: a single
+// flush only zeroes, and a cursor moves only on an eviction.
 func (t *TLB) FlushAll() {
 	t.stats.FullFlushes++
+	if t.cleared {
+		return
+	}
 	clear(t.keys)
 	clear(t.vals)
 	clear(t.next)
+	t.cleared = true
 }
 
 // Scan visits every valid entry (audit/diagnostic use); returning false

@@ -1,6 +1,7 @@
 package tlb
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -273,4 +274,109 @@ func TestFlushAllResetsReplacementState(t *testing.T) {
 	if f, g := fresh.Stats(), flushed.Stats(); f != g {
 		t.Errorf("stats diverge: fresh %+v, flushed %+v", f, g)
 	}
+}
+
+// refFlushAll is FlushAll without the skip: it clears every plane on
+// every call.
+func refFlushAll(t *TLB) {
+	t.stats.FullFlushes++
+	clear(t.keys)
+	clear(t.vals)
+	clear(t.next)
+}
+
+// entries lists the valid entries in Scan order.
+func entries(tl *TLB) [][2]uint64 {
+	var out [][2]uint64
+	tl.Scan(func(gvpn, hpfn uint64) bool {
+		out = append(out, [2]uint64{gvpn, hpfn})
+		return true
+	})
+	return out
+}
+
+// TestFlushAllSkipMatchesAlwaysClearing replays seeded sequences of every
+// mutating call against a reference TLB whose full flush always clears,
+// and requires the two to stay indistinguishable after every call. The
+// sequences favour FlushAll and ResetStats right after one another, so
+// back-to-back flushes, flushes after a stats reset and flushes after a
+// lone fill or eviction all occur.
+func TestFlushAllSkipMatchesAlwaysClearing(t *testing.T) {
+	const keySpace = 48 // 4 sets × 2 ways: fills, hits and evictions
+	for seed := uint64(1); seed <= 20; seed++ {
+		rng := simrand.New(seed)
+		got, ref := mustNew(t, 8, 2), mustNew(t, 8, 2)
+		skipped := 0
+		for step := 0; step < 3000; step++ {
+			gvpn := rng.Uint64n(keySpace)
+			var op string
+			switch r := rng.Intn(16); {
+			case r < 6:
+				op = "Insert"
+				hpfn := rng.Uint64n(1 << 20)
+				got.Insert(gvpn, hpfn)
+				ref.Insert(gvpn, hpfn)
+			case r < 10:
+				op = "Lookup"
+				gh, gok := got.Lookup(gvpn)
+				rh, rok := ref.Lookup(gvpn)
+				if gh != rh || gok != rok {
+					t.Fatalf("seed %d step %d: Lookup(%d) = %d,%v, reference %d,%v", seed, step, gvpn, gh, gok, rh, rok)
+				}
+			case r < 12:
+				op = "FlushSingle"
+				got.FlushSingle(gvpn)
+				ref.FlushSingle(gvpn)
+			case r < 14:
+				op = "FlushAll"
+				if got.cleared {
+					skipped++
+				}
+				got.FlushAll()
+				refFlushAll(ref)
+			default:
+				op = "ResetStats"
+				got.ResetStats()
+				ref.ResetStats()
+			}
+			if g, r := got.Stats(), ref.Stats(); g != r {
+				t.Fatalf("seed %d step %d (%s): stats %+v, reference %+v", seed, step, op, g, r)
+			}
+			if g, r := got.Occupied(), ref.Occupied(); g != r {
+				t.Fatalf("seed %d step %d (%s): %d entries, reference %d", seed, step, op, g, r)
+			}
+			if ge, re := entries(got), entries(ref); !slices.Equal(ge, re) {
+				t.Fatalf("seed %d step %d (%s): Scan = %v, reference %v", seed, step, op, ge, re)
+			}
+			if !slices.Equal(got.next, ref.next) {
+				t.Fatalf("seed %d step %d (%s): cursors %v, reference %v", seed, step, op, got.next, ref.next)
+			}
+		}
+		if skipped == 0 {
+			t.Fatalf("seed %d: no flush took the skip", seed)
+		}
+	}
+}
+
+func BenchmarkFlushAll(b *testing.B) {
+	// empty: nothing filled since the last clear, so the flush skips it.
+	b.Run("empty", func(b *testing.B) {
+		tl := NewDefault()
+		for i := 0; i < b.N; i++ {
+			tl.FlushAll()
+		}
+	})
+	// full: every entry filled before each flush, which must clear.
+	b.Run("full", func(b *testing.B) {
+		tl := NewDefault()
+		n := uint64(len(tl.keys))
+		for i := 0; i < b.N; i++ {
+			b.StopTimer()
+			for g := uint64(0); g < n; g++ {
+				tl.Insert(g, g)
+			}
+			b.StartTimer()
+			tl.FlushAll()
+		}
+	})
 }

@@ -108,7 +108,8 @@ func (g *guestScan) round() {
 	visited, next := gpt.ScanFrom(g.cursor, g.cfg.scanBudget(gpt.Mapped()), func(gvpn uint64, e *pagetable.Entry) bool {
 		accessed := e.Accessed()
 		onFast := kernel.NodeOfGPFN(mem.Frame(e.Value())) == 0
-		if !accessed && onFast && g.board.get(gvpn) > 0 {
+		prev := g.board.get(gvpn)
+		if !accessed && onFast && prev > 0 {
 			// Second-chance verification: a scored fast-tier page that
 			// looks idle may just have a stale TLB entry from an earlier
 			// no-flush clear. Invalidate it so the next access re-walks
@@ -118,7 +119,7 @@ func (g *guestScan) round() {
 		}
 		if accessed {
 			e.ClearAccessed()
-			if !onFast || g.board.get(gvpn) < g.board.max {
+			if !onFast || prev < g.board.max {
 				// Flush only where precise recency matters: promotion
 				// candidates in SMEM and not-yet-established fast-tier
 				// pages. Saturated hot pages are cleared WITHOUT a flush

@@ -88,32 +88,114 @@ func (*Static) Detach() {}
 // scoreboard tracks per-page A-bit history for the scanning designs: a
 // small saturating counter per page, incremented when the scan finds the
 // A bit set and decremented otherwise (an LRU-generation approximation).
+//
+// Scores are dense: 512-key pages, each allocated on a key's first
+// increment, so a gpfn board holds one page per 512 frames and a gvpn
+// board one per leaf block of the guest page table. A score of 0 means the key
+// has none. Scans visit keys in ascending order, so the last page used
+// is cached and the page map is consulted once per 512 keys.
 type scoreboard struct {
-	score map[uint64]uint8
-	max   uint8
+	pages   map[uint64]*scorePage // key>>scorePageShift → page
+	lastKey uint64                // page key of last
+	last    *scorePage            // nil until the first page exists
+	max     uint8
 }
 
+const (
+	scorePageShift = 9
+	scorePageMask  = 1<<scorePageShift - 1
+)
+
+type scorePage [1 << scorePageShift]uint8
+
 func newScoreboard(max uint8) *scoreboard {
-	return &scoreboard{score: make(map[uint64]uint8), max: max}
+	return &scoreboard{pages: make(map[uint64]*scorePage), max: max}
+}
+
+// cell returns key's score cell. Only alloc creates a missing page;
+// without it a key on a missing page has no cell (nil) and no score.
+func (s *scoreboard) cell(key uint64, alloc bool) *uint8 {
+	pk := key >> scorePageShift
+	if s.last == nil || s.lastKey != pk {
+		pg := s.pages[pk]
+		if pg == nil {
+			if !alloc {
+				return nil
+			}
+			pg = new(scorePage)
+			s.pages[pk] = pg
+		}
+		s.last, s.lastKey = pg, pk
+	}
+	return &s.last[key&scorePageMask]
 }
 
 // observe folds one scan observation and returns the new score.
 func (s *scoreboard) observe(key uint64, accessed bool) uint8 {
-	v := s.score[key]
-	if accessed {
-		if v < s.max {
-			v++
-		}
-	} else if v > 0 {
-		v--
-	}
-	if v == 0 {
-		delete(s.score, key)
+	c := s.cell(key, accessed)
+	if c == nil {
 		return 0
 	}
-	s.score[key] = v
-	return v
+	if accessed {
+		if *c < s.max {
+			*c++
+		}
+	} else if *c > 0 {
+		*c--
+	}
+	return *c
 }
 
 // get returns the current score.
-func (s *scoreboard) get(key uint64) uint8 { return s.score[key] }
+func (s *scoreboard) get(key uint64) uint8 {
+	if c := s.cell(key, false); c != nil {
+		return *c
+	}
+	return 0
+}
+
+// decayCounts is a per-gpfn access count that decays by halving (Memtis's
+// histogram, vTMM's frequency table), dense over the guest's frames. A
+// count starts at 1 on a gpfn's first bump and is dropped once a halving
+// takes it below 0.25, so 0 marks a gpfn without one.
+type decayCounts struct {
+	v []float64
+	n int // gpfns with a count
+}
+
+func newDecayCounts(frames uint64) decayCounts {
+	return decayCounts{v: make([]float64, frames)}
+}
+
+// bump counts one access to gpfn.
+func (c *decayCounts) bump(gpfn uint64) {
+	if c.v[gpfn] == 0 {
+		c.n++
+	}
+	c.v[gpfn]++
+}
+
+// len returns the number of gpfns with a count.
+func (c *decayCounts) len() int { return c.n }
+
+// walk visits every counted gpfn in ascending order with its count, then
+// halves that count when halve is set. It stops after the last count.
+func (c *decayCounts) walk(halve bool, fn func(gpfn uint64, count float64)) {
+	left := c.n
+	for i := 0; left > 0; i++ {
+		v := c.v[i]
+		if v == 0 {
+			continue
+		}
+		left--
+		fn(uint64(i), v)
+		if halve {
+			v /= 2
+			if v < 0.25 {
+				v = 0
+				c.n--
+			}
+			c.v[i] = v
+		}
+	}
+}

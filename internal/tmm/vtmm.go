@@ -1,7 +1,7 @@
 package tmm
 
 import (
-	"sort"
+	"slices"
 
 	"demeter/internal/hypervisor"
 	"demeter/internal/pagetable"
@@ -40,7 +40,8 @@ type VTMM struct {
 
 	vm          *hypervisor.VM
 	pml         *hypervisor.PML
-	counts      map[uint64]float64 // gpfn → access score
+	counts      decayCounts // gpfn → access score
+	pages       []pageScore // classification buffer, reused across rounds
 	ticker      *sim.Ticker
 	cursor      uint64
 	dirtyCursor uint64
@@ -66,13 +67,13 @@ func (p *VTMM) Attach(eng *sim.Engine, vm *hypervisor.VM) {
 		panic("tmm: vTMM attached twice")
 	}
 	p.vm, p.active = vm, true
-	p.counts = make(map[uint64]float64)
+	p.counts = newDecayCounts(vm.Kernel.Topo.TotalFrames())
 	p.pml = hypervisor.NewPML()
 	p.pml.OnFull = func(gpfns []uint64) {
 		// Drain on the exit path: each logged write bumps its page.
 		vm.ChargeHost(hypervisor.CompTrack, sim.Duration(len(gpfns))*vm.Machine.Cost.SampleHandleCost)
 		for _, g := range gpfns {
-			p.counts[g]++
+			p.counts.bump(g)
 		}
 	}
 	vm.EnablePML(p.pml)
@@ -105,7 +106,7 @@ func (p *VTMM) round() {
 	visited, next := vm.EPT.ScanFrom(p.cursor, p.Cfg.scanBudget(vm.EPT.Mapped()), func(gpfn uint64, e *pagetable.Entry) bool {
 		if e.Accessed() {
 			e.ClearAccessed()
-			p.counts[gpfn]++
+			p.counts.bump(gpfn)
 			cleared++
 		}
 		return true
@@ -136,24 +137,25 @@ func (p *VTMM) round() {
 	vm.ChargeHost(hypervisor.CompTrack, scanCost+flushCost)
 
 	// Classification: sort all tracked pages by score (vTMM's frequency
-	// sort), charging n log n comparisons.
-	type pageScore struct {
-		gpfn  uint64
-		score float64
-	}
-	pages := make([]pageScore, 0, len(p.counts))
-	for g, c := range p.counts {
-		pages = append(pages, pageScore{g, c})
-		p.counts[g] = c / 2 // decay
-		if p.counts[g] < 0.25 {
-			delete(p.counts, g)
+	// sort), charging n log n comparisons. The order is total, so the
+	// result does not depend on the sort algorithm.
+	pages := p.pages[:0]
+	p.counts.walk(true, func(gpfn uint64, score float64) {
+		pages = append(pages, pageScore{gpfn, score})
+	})
+	p.pages = pages
+	slices.SortFunc(pages, func(a, b pageScore) int {
+		switch {
+		case a.score > b.score:
+			return -1
+		case a.score < b.score:
+			return 1
+		case a.gpfn < b.gpfn:
+			return -1
+		case a.gpfn > b.gpfn:
+			return 1
 		}
-	}
-	sort.Slice(pages, func(i, j int) bool {
-		if pages[i].score != pages[j].score {
-			return pages[i].score > pages[j].score
-		}
-		return pages[i].gpfn < pages[j].gpfn
+		return 0
 	})
 	n := len(pages)
 	sortCost := sim.Duration(0)
@@ -208,4 +210,10 @@ func (p *VTMM) round() {
 		}
 	}
 	vm.ChargeHost(hypervisor.CompMigrate, migrateCost)
+}
+
+// pageScore is one tracked page in classification order.
+type pageScore struct {
+	gpfn  uint64
+	score float64
 }
