@@ -36,7 +36,7 @@ var (
 
 // Config assembles all of Demeter's tunables.
 type Config struct {
-	// Params drives the range tree (α, τ_split, τ_merge, granularity).
+	// Params drives the range tree (τ_split, granularity).
 	Params Params
 	// EpochPeriod is t_split, the classification epoch (paper: 500 ms;
 	// scaled runs compress it together with every other period).
@@ -269,7 +269,7 @@ func (d *Demeter) Attach(eng *sim.Engine, vm *hypervisor.VM) {
 		if d.agentDown() {
 			return
 		}
-		vm.ChargeGuest(hypervisor.CompTrack, vm.Machine.Cost.PMICost)
+		vm.ChargeGuest(hypervisor.CompTrack, hypervisor.PMICost)
 		d.drain()
 	}
 
@@ -380,7 +380,6 @@ func (d *Demeter) Reconcile() {
 	d.unit.Drain()
 	d.ch.Unwedge()
 	d.ch.Drain(func(pebs.Sample) {})
-	cm := &d.vm.Machine.Cost
 	gpt := d.vm.Proc.GPT
 	kernel := d.vm.Kernel
 	visited := 0
@@ -392,7 +391,7 @@ func (d *Demeter) Reconcile() {
 			return true
 		})
 	}
-	d.vm.ChargeGuest(hypervisor.CompClassify, sim.Duration(visited)*cm.PTEOpCost)
+	d.vm.ChargeGuest(hypervisor.CompClassify, sim.Duration(visited)*hypervisor.PTEOpCost)
 }
 
 // trackedRegions converts the process VMAs to page ranges, excluding
@@ -414,9 +413,9 @@ func (d *Demeter) drain() {
 	if len(samples) == 0 {
 		return
 	}
-	cost := sim.Duration(len(samples)) * d.vm.Machine.Cost.SampleHandleCost
+	cost := sim.Duration(len(samples)) * hypervisor.SampleHandleCost
 	if d.Cfg.TranslateSamples {
-		cost += sim.Duration(len(samples)) * d.vm.Machine.Cost.TranslateCost
+		cost += sim.Duration(len(samples)) * hypervisor.TranslateCost
 	}
 	d.vm.ChargeGuest(hypervisor.CompTrack, cost)
 	for _, s := range samples {
@@ -450,11 +449,10 @@ func (d *Demeter) epoch() {
 		d.ch.Wedge()
 	}
 	n := d.ch.Drain(func(s pebs.Sample) { d.tree.Record(s.GVPN) })
-	cm := &d.vm.Machine.Cost
-	d.vm.ChargeGuest(hypervisor.CompClassify, sim.Duration(n)*cm.PTEOpCost)
+	d.vm.ChargeGuest(hypervisor.CompClassify, sim.Duration(n)*hypervisor.PTEOpCost)
 	d.tree.EndEpoch(d.vm.VCPUs)
 	// Tree maintenance is proportional to the (small) leaf count.
-	d.vm.ChargeGuest(hypervisor.CompClassify, sim.Duration(d.tree.Leaves())*cm.PTEOpCost)
+	d.vm.ChargeGuest(hypervisor.CompClassify, sim.Duration(d.tree.Leaves())*hypervisor.PTEOpCost)
 	d.stats.Epochs++
 	// Range retry budgets decay so a once-troubled range earns back
 	// headroom instead of being barred forever.
@@ -496,6 +494,23 @@ func (d *Demeter) requeue(gvpn, rangeStart uint64, attempts int) {
 	})
 }
 
+// retryRefused handles the two transient relocation refusals: a busy page
+// or a rolled-back copy is counted and its candidate requeued with the
+// given attempt count. It reports whether err was one of them; every
+// other outcome is the caller's to handle.
+func (d *Demeter) retryRefused(err error, gvpn, rangeStart uint64, attempts int) bool {
+	switch err {
+	case hypervisor.ErrPageBusy:
+		d.stats.Busy++
+	case hypervisor.ErrCopyFault:
+		d.stats.Rollbacks++
+	default:
+		return false
+	}
+	d.requeue(gvpn, rangeStart, attempts)
+	return true
+}
+
 // processRetries re-attempts due entries from the retry queue as plain
 // promotions into FMEM. Entries not yet due stay queued; permanent
 // failures are dropped; transient ones go back with increased backoff.
@@ -513,18 +528,15 @@ func (d *Demeter) processRetries() {
 		d.stats.Retries++
 		c, err := d.vm.MigrateGuestPage(e.gvpn, 0)
 		cost += c
+		if d.retryRefused(err, e.gvpn, e.rangeStart, e.attempts) {
+			continue
+		}
 		switch err {
 		case nil:
 			d.stats.Promoted++
 			d.stats.RetriedOK++
 		case hypervisor.ErrAlreadyPlaced, hypervisor.ErrNotMapped:
 			// Already fixed or gone; nothing left to do.
-		case hypervisor.ErrPageBusy:
-			d.stats.Busy++
-			d.requeue(e.gvpn, e.rangeStart, e.attempts)
-		case hypervisor.ErrCopyFault:
-			d.stats.Rollbacks++
-			d.requeue(e.gvpn, e.rangeStart, e.attempts)
 		default: // ErrNoFrame and anything equally transient
 			d.requeue(e.gvpn, e.rangeStart, e.attempts)
 		}
@@ -565,7 +577,6 @@ func (d *Demeter) relocate() {
 		return
 	}
 
-	cm := &d.vm.Machine.Cost
 	gpt := d.vm.Proc.GPT
 	kernel := d.vm.Kernel
 	var scanCost sim.Duration
@@ -590,7 +601,7 @@ func (d *Demeter) relocate() {
 			}
 			return len(proms) < d.Cfg.MigrationBatch
 		})
-		scanCost += sim.Duration(visited) * cm.PTEOpCost
+		scanCost += sim.Duration(visited) * hypervisor.PTEOpCost
 	}
 	if len(proms) == 0 {
 		d.vm.ChargeGuest(hypervisor.CompMigrate, scanCost)
@@ -598,8 +609,9 @@ func (d *Demeter) relocate() {
 	}
 
 	// Promotions into free FMEM need no demotion partner. Transient
-	// failures requeue the page for a later epoch; an exhausted pool ends
-	// the loop (the rest pair with demotions below).
+	// failures requeue the page for a later epoch. The loop ends when
+	// free reaches 0 (the rest pair with demotions below), so the
+	// allocation on node 0 never runs out of frames.
 	var migrateCost sim.Duration
 	free := kernel.Topo.Nodes[0].FreeFrames()
 	idx := 0
@@ -607,24 +619,18 @@ func (d *Demeter) relocate() {
 		c := proms[idx]
 		cost, err := d.vm.MigrateGuestPage(c.gvpn, 0)
 		migrateCost += cost
+		if d.retryRefused(err, c.gvpn, c.rangeStart, 0) {
+			continue
+		}
 		switch err {
 		case nil:
 			free--
 			d.stats.Promoted++
 			d.stats.FreePromotes++
-		case hypervisor.ErrPageBusy:
-			d.stats.Busy++
-			d.requeue(c.gvpn, c.rangeStart, 0)
-		case hypervisor.ErrCopyFault:
-			d.stats.Rollbacks++
-			d.requeue(c.gvpn, c.rangeStart, 0)
 		case hypervisor.ErrAlreadyPlaced, hypervisor.ErrNotMapped:
 			// Stale candidate; skip silently.
 		default:
 			panic(fmt.Sprintf("core: free promotion failed: %v", err))
-		}
-		if err == hypervisor.ErrNoFrame {
-			break
 		}
 	}
 	proms = proms[idx:]
@@ -640,7 +646,7 @@ func (d *Demeter) relocate() {
 			}
 			return len(demos) < len(proms)
 		})
-		scanCost += sim.Duration(visited) * cm.PTEOpCost
+		scanCost += sim.Duration(visited) * hypervisor.PTEOpCost
 	}
 
 	// ❸ Batched balanced swapping, one-to-one.
@@ -662,7 +668,7 @@ func (d *Demeter) relocate() {
 			if dErr != nil {
 				continue
 			}
-			migrateCost += cm.GuestFaultCost // reclaim penalty
+			migrateCost += hypervisor.GuestFaultCost // reclaim penalty
 			pCost, pErr := d.vm.MigrateGuestPage(proms[k].gvpn, 0)
 			migrateCost += pCost
 			if pErr == nil {
@@ -673,21 +679,18 @@ func (d *Demeter) relocate() {
 		}
 		cost, err := d.vm.SwapGuestPages(proms[k].gvpn, demos[k].gvpn)
 		migrateCost += cost
+		// A busy refusal or a rolled-back copy leaves both pages on their
+		// original frames and translations (verified by the chaos
+		// invariants). Requeue the promotion side; the demotion partner
+		// stays cold and will be rediscovered.
+		if d.retryRefused(err, proms[k].gvpn, proms[k].rangeStart, 0) {
+			continue
+		}
 		switch err {
 		case nil:
 			d.stats.Promoted++
 			d.stats.Demoted++
 			d.stats.SwapPairs++
-		case hypervisor.ErrPageBusy:
-			// Transient: the swap refused up front. Requeue the promotion
-			// side; the demotion partner stays cold and will be rediscovered.
-			d.stats.Busy++
-			d.requeue(proms[k].gvpn, proms[k].rangeStart, 0)
-		case hypervisor.ErrCopyFault:
-			// Rolled back: both pages still hold their original frames and
-			// translations (verified by the chaos invariants). Retry later.
-			d.stats.Rollbacks++
-			d.requeue(proms[k].gvpn, proms[k].rangeStart, 0)
 		default:
 			if errors.Is(err, hypervisor.ErrNotMapped) {
 				continue // candidate unmapped since the scan; stale, skip

@@ -10,27 +10,31 @@ import (
 	"strings"
 )
 
-// Params are Demeter's tunables with the paper's defaults (§3.2.1,
-// §5.2.3). All sizes are in 4 KiB pages; periods are owned by the policy
-// (the tree is driven by epoch calls, not wall time).
+// The range tree's fixed tunables, at the paper's values (§3.2.1).
+const (
+	// alpha is the significance factor α: a leaf splits when its access
+	// count exceeds both neighbors' by at least alpha·SplitThreshold·vcpus.
+	alpha = 2
+	// mergeEpochs is τ_merge: epochs a decayed range pair must stay cold
+	// before merging.
+	mergeEpochs = 8
+)
+
+// Params are Demeter's varied tunables with the paper's defaults
+// (§3.2.1, §5.2.3). All sizes are in 4 KiB pages; periods are owned by
+// the policy (the tree is driven by epoch calls, not wall time).
 type Params struct {
-	// Alpha is the significance factor: a leaf splits when its access
-	// count exceeds both neighbors' by at least Alpha·SplitThreshold·vcpus.
-	Alpha float64
 	// SplitThreshold is τ_split.
 	SplitThreshold float64
-	// MergeEpochs is τ_merge: epochs a decayed range pair must stay cold
-	// before merging.
-	MergeEpochs uint64
 	// GranularityPages is the minimum range size (2 MiB = 512 pages,
 	// §3.4.1: intra-hugepage skew is deliberately not chased).
 	GranularityPages uint64
 }
 
-// DefaultParams mirrors the paper: α=2, τ_split=15, τ_merge=8, 2 MiB
-// granularity.
+// DefaultParams mirrors the paper: τ_split=15, 2 MiB granularity (α and
+// τ_merge are the constants alpha and mergeEpochs).
 func DefaultParams() Params {
-	return Params{Alpha: 2, SplitThreshold: 15, MergeEpochs: 8, GranularityPages: 512}
+	return Params{SplitThreshold: 15, GranularityPages: 512}
 }
 
 // Region is one tracked virtual address range in pages.
@@ -137,7 +141,7 @@ func (t *RangeTree) leavesInOrder() []*rnode {
 }
 
 // EndEpoch runs one classification epoch: split checks against both
-// neighbors (using the significance bar Alpha·SplitThreshold·vcpus),
+// neighbors (using the significance bar alpha·SplitThreshold·vcpus),
 // merging of long-decayed siblings, and count decay. It returns the number
 // of splits and merges performed this epoch.
 func (t *RangeTree) EndEpoch(vcpus int) (splits, merges int) {
@@ -145,7 +149,7 @@ func (t *RangeTree) EndEpoch(vcpus int) (splits, merges int) {
 		panic("core: EndEpoch needs a positive vcpu count")
 	}
 	t.epoch++
-	bar := t.cfg.Alpha * t.cfg.SplitThreshold * float64(vcpus)
+	bar := alpha * t.cfg.SplitThreshold * float64(vcpus)
 
 	leaves := t.leavesInOrder()
 	for i, n := range leaves {
@@ -191,7 +195,7 @@ func (t *RangeTree) split(n *rnode) {
 }
 
 // mergePass collapses sibling leaf pairs whose counts have decayed to
-// (effectively) zero and that have been stable for MergeEpochs.
+// (effectively) zero and that have been stable for mergeEpochs.
 func (t *RangeTree) mergePass() int {
 	merged := 0
 	var walk func(*rnode)
@@ -203,8 +207,8 @@ func (t *RangeTree) mergePass() int {
 		walk(n.right)
 		if n.left.leaf() && n.right.leaf() &&
 			n.left.count < 1 && n.right.count < 1 &&
-			t.epoch-n.left.created >= t.cfg.MergeEpochs &&
-			t.epoch-n.right.created >= t.cfg.MergeEpochs {
+			t.epoch-n.left.created >= mergeEpochs &&
+			t.epoch-n.right.created >= mergeEpochs {
 			n.count = n.left.count + n.right.count
 			n.created = t.epoch
 			n.left, n.right = nil, nil

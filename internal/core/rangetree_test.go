@@ -9,7 +9,7 @@ import (
 
 // smallParams makes splits attainable with few samples in unit tests.
 func smallParams() Params {
-	return Params{Alpha: 2, SplitThreshold: 2, MergeEpochs: 2, GranularityPages: 4}
+	return Params{SplitThreshold: 2, GranularityPages: 4}
 }
 
 func TestNewRangeTreeSkipsEmptyAndSorts(t *testing.T) {
@@ -157,8 +157,17 @@ func TestMergeCollapsesColdSiblings(t *testing.T) {
 	if grown < 2 {
 		t.Fatal("no split happened; test premise broken")
 	}
-	// Go cold: counts decay to ~0 and after MergeEpochs the tree folds.
-	for e := 0; e < 20; e++ {
+	// Go cold: counts decay to ~0, but no range merges before it has
+	// stayed cold for mergeEpochs epochs.
+	for e := 1; e < mergeEpochs; e++ {
+		tr.EndEpoch(1)
+		if tr.TotalMerges() != 0 {
+			t.Fatalf("merged %d epochs after the first split, before τ_merge = %d", e, mergeEpochs)
+		}
+	}
+	// Each tree level waits mergeEpochs more before folding into its
+	// parent; a 64-page region at 4-page granularity has 4 levels.
+	for e := 0; e < 4*(mergeEpochs+1); e++ {
 		tr.EndEpoch(1)
 	}
 	if tr.Leaves() != 1 {

@@ -236,7 +236,7 @@ func (p *Profiler) aggregate(now sim.Time) {
 		next = append(next, r)
 	}
 	p.regions = next
-	p.vm.ChargeGuest(hypervisor.CompClassify, sim.Duration(len(p.regions))*p.vm.Machine.Cost.PTEOpCost)
+	p.vm.ChargeGuest(hypervisor.CompClassify, sim.Duration(len(p.regions))*hypervisor.PTEOpCost)
 }
 
 // splitLargest halves the biggest region; reports false when nothing can

@@ -193,7 +193,7 @@ func (x *Executor) slice() {
 	for x.sinceCtx >= defaultTimeslice {
 		x.sinceCtx -= defaultTimeslice
 		vm.Kernel.ContextSwitch()
-		elapsed += vm.Machine.Cost.CtxSwitchCost
+		elapsed += hypervisor.CtxSwitchCost
 	}
 
 	x.opsDone += uint64(n)

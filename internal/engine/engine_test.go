@@ -18,12 +18,16 @@ func testRig(t *testing.T, fmemFrames, smemFrames uint64) (*sim.Engine, *hypervi
 	vm, err := m.NewVM(hypervisor.VMConfig{
 		VCPUs: 4, GuestFMEM: fmemFrames, GuestSMEM: smemFrames,
 		FMEMBacking: 0, SMEMBacking: 1,
-		PEBS: pebs.DefaultConfig(),
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := vm.PEBS.Arm(); err != nil {
+	u, err := pebs.NewUnit(pebs.DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	vm.WirePEBS(u)
+	if err := u.Arm(); err != nil {
 		t.Fatal(err)
 	}
 	return eng, vm

@@ -35,7 +35,7 @@ func ablatePair(s Scale, mutate func(*core.Config)) (base, variant float64) {
 func AblationDraining(s Scale) string {
 	base, poll := ablatePair(s, func(cfg *core.Config) {
 		cfg.DrainAtContextSwitch = false
-		cfg.PollPeriod = s.PollPeriod
+		cfg.PollPeriod = pollPeriod
 	})
 	tb := stats.NewTable("Ablation: sample draining strategy", "Strategy", "Avg runtime (s)")
 	tb.AddRow("context-switch draining (Demeter)", fmt.Sprintf("%.3f", base))

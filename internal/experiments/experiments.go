@@ -38,6 +38,10 @@ import (
 // every tmm design.
 type Policy = tmm.Policy
 
+// pollPeriod is the sample-collection thread cadence of Memtis and of
+// the polling-drain ablation. Both scales run it at 100 µs.
+const pollPeriod = 100 * sim.Microsecond
+
 // Scale compresses the paper's configuration.
 type Scale struct {
 	Name string
@@ -58,8 +62,6 @@ type Scale struct {
 	EpochPeriod sim.Duration
 	// ScanPeriod is the A-bit designs' cadence after compression.
 	ScanPeriod sim.Duration
-	// PollPeriod is Memtis' collection-thread cadence.
-	PollPeriod sim.Duration
 	// SamplePeriod is Demeter's PEBS period at this scale.
 	SamplePeriod uint64
 	// MemtisSamplePeriod is Memtis' (denser) period.
@@ -109,8 +111,7 @@ func Quick() Scale {
 		VMs:           9,
 		EpochPeriod:   3900 * sim.Microsecond, // 500ms / 128
 		ScanPeriod:    7800 * sim.Microsecond, // 1s / 128
-		PollPeriod:    100 * sim.Microsecond,
-		SamplePeriod:  31, // ~4093/128, kept prime: composite periods alias with
+		SamplePeriod:  31,                     // ~4093/128, kept prime: composite periods alias with
 		// regular access interleavings and starve whole regions of samples
 		MemtisSamplePeriod: 17, // ~2039/128, prime
 		Granularity:        128,
@@ -170,7 +171,7 @@ func (s Scale) NewPolicy(design string) Policy {
 	case "memtis":
 		cfg := tmm.DefaultMemtisConfig()
 		cfg.SamplePeriod = s.MemtisSamplePeriod
-		cfg.PollPeriod = s.PollPeriod
+		cfg.PollPeriod = pollPeriod
 		cfg.ClassifyPeriod = s.ScanPeriod
 		cfg.HotThreshold = 2
 		cfg.MigrationBatch = s.MigrationBatch

@@ -43,14 +43,6 @@ func SetParallelism(n int) int {
 	return n
 }
 
-// Parallelism reports the configured worker count (1 = sequential).
-func Parallelism() int {
-	if p := workerTokens.Load(); p != nil {
-		return cap(*p)
-	}
-	return 1
-}
-
 // runIndexed executes n independent leaf jobs and returns their results
 // in index order. With parallelism enabled every job runs on its own
 // goroutine gated by the worker semaphore; otherwise jobs run inline in

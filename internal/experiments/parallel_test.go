@@ -43,8 +43,8 @@ func TestSetParallelism(t *testing.T) {
 	if got := SetParallelism(4); got != 4 {
 		t.Errorf("SetParallelism(4) = %d", got)
 	}
-	if Parallelism() != 4 {
-		t.Errorf("Parallelism() = %d after SetParallelism(4)", Parallelism())
+	if p := workerTokens.Load(); p == nil || cap(*p) != 4 {
+		t.Errorf("worker pool after SetParallelism(4) is %v, want 4 tokens", p)
 	}
 	if got := SetParallelism(0); got < 1 {
 		t.Errorf("SetParallelism(0) = %d, want >= 1", got)
@@ -52,8 +52,8 @@ func TestSetParallelism(t *testing.T) {
 	if got := SetParallelism(1); got != 1 {
 		t.Errorf("SetParallelism(1) = %d", got)
 	}
-	if Parallelism() != 1 {
-		t.Errorf("Parallelism() = %d after SetParallelism(1)", Parallelism())
+	if p := workerTokens.Load(); p != nil {
+		t.Errorf("worker pool after SetParallelism(1) has %d tokens, want sequential (nil)", cap(*p))
 	}
 }
 

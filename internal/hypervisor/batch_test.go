@@ -26,13 +26,17 @@ func diffVM(t *testing.T, pcfg pebs.Config, faultSeed uint64) *VM {
 		GuestSMEM:   320,
 		FMEMBacking: 0,
 		SMEMBacking: 1,
-		PEBS:        pcfg,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if vm.PEBS != nil {
-		if err := vm.PEBS.Arm(); err != nil {
+	if pcfg.SamplePeriod != 0 {
+		u, err := pebs.NewUnit(pcfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		vm.WirePEBS(u)
+		if err := u.Arm(); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -62,17 +66,50 @@ func diffWorkloads() map[string]func() workload.Workload {
 // for any partition of the stream.
 var chunkSizes = []int{1, 3, 8, 61, 127, 256, 509, 2048}
 
+// diffReach is what one differential run reached on its scalar reference
+// VM, so a variant can prove it exercised the transitions it names.
+type diffReach struct {
+	vm      VMStats
+	pebs    pebs.Stats
+	drained int // samples drained before the final drain
+}
+
+// add accumulates r into the running total d.
+func (d *diffReach) add(r diffReach) {
+	d.vm.LatencySpikes += r.vm.LatencySpikes
+	d.pebs.PMIs += r.pebs.PMIs
+	d.pebs.Dropped += r.pebs.Dropped
+	d.pebs.Widenings += r.pebs.Widenings
+	d.pebs.Narrowings += r.pebs.Narrowings
+	d.drained += r.drained
+}
+
+// drainMode is how a differential run empties the twin PEBS buffers.
+type drainMode int
+
+const (
+	// drainNever installs no PMI handler: a full buffer drops samples.
+	drainNever drainMode = iota
+	// drainOnPMI drains from the PMI handler on every buffer overshoot.
+	drainOnPMI
+	// drainEachRound drains both twins between access rounds, the way
+	// Demeter drains at context switches, with no PMI handler: a buffer
+	// that fills within a round drops until the round ends.
+	drainEachRound
+)
+
 // runDifferential drives the same access stream through a scalar VM
 // (per-access Access calls) and a batched VM (AccessBatch over varying
 // chunk sizes) and asserts every observable is byte-identical: VM stats,
-// TLB stats, PEBS stats + drained sample stream, and the summed cost.
-func runDifferential(t *testing.T, mkWL func() workload.Workload, pcfg pebs.Config, faultSeed uint64, drainOnPMI bool) {
+// TLB stats, PEBS stats + drained sample stream, and the summed cost. It
+// returns what the scalar VM reached.
+func runDifferential(t *testing.T, mkWL func() workload.Workload, pcfg pebs.Config, faultSeed uint64, drain drainMode) diffReach {
 	t.Helper()
 	scalarVM := diffVM(t, pcfg, faultSeed)
 	batchVM := diffVM(t, pcfg, faultSeed)
 
 	var scalarSamples, batchSamples []pebs.Sample
-	if drainOnPMI {
+	if drain == drainOnPMI {
 		scalarVM.PEBS.OnPMI = func() { scalarSamples = append(scalarSamples, scalarVM.PEBS.Drain()...) }
 		batchVM.PEBS.OnPMI = func() { batchSamples = append(batchSamples, batchVM.PEBS.Drain()...) }
 	}
@@ -121,11 +158,17 @@ func runDifferential(t *testing.T, mkWL func() workload.Workload, pcfg pebs.Conf
 				t.Fatalf("round %d: PEBS stats diverged:\nscalar %+v\nbatch  %+v", round, s, b)
 			}
 		}
+		if drain == drainEachRound && scalarVM.PEBS != nil {
+			scalarSamples = append(scalarSamples, scalarVM.PEBS.Drain()...)
+			batchSamples = append(batchSamples, batchVM.PEBS.Drain()...)
+		}
 		if doneS {
 			break
 		}
 	}
+	reach := diffReach{vm: scalarVM.Stats(), drained: len(scalarSamples)}
 	if scalarVM.PEBS != nil {
+		reach.pebs = scalarVM.PEBS.Stats()
 		scalarSamples = append(scalarSamples, scalarVM.PEBS.Drain()...)
 		batchSamples = append(batchSamples, batchVM.PEBS.Drain()...)
 		if len(scalarSamples) != len(batchSamples) {
@@ -137,6 +180,7 @@ func runDifferential(t *testing.T, mkWL func() workload.Workload, pcfg pebs.Conf
 			}
 		}
 	}
+	return reach
 }
 
 // aggressivePEBS samples densely enough that every equivalence-relevant
@@ -146,41 +190,62 @@ func aggressivePEBS() pebs.Config {
 	return pebs.Config{SamplePeriod: 7, LatencyThreshold: 64, BufferEntries: 33, Version: 5}
 }
 
-// TestAccessBatchEquivalence is the tentpole's contract: for every
+// TestAccessBatchEquivalence is the batched path's contract: for every
 // workload generator, the batched path must be observably identical to
 // the scalar path — same vm.stats, TLB stats, PEBS stats and sample
-// stream, same total cost — under each harness variant.
+// stream, same total cost — under each harness variant. Summed over the
+// workloads, each variant must also reach the transitions it names, or
+// its equivalence would hold vacuously.
 func TestAccessBatchEquivalence(t *testing.T) {
 	variants := []struct {
-		name       string
-		pcfg       pebs.Config
-		faultSeed  uint64
-		drainOnPMI bool
+		name      string
+		pcfg      pebs.Config
+		faultSeed uint64
+		drain     drainMode
 	}{
 		// Dense sampling, buffer drops (no PMI handler), fault-free.
-		{"pebs-drops", aggressivePEBS(), 0, false},
+		{"pebs-drops", aggressivePEBS(), 0, drainNever},
 		// PMI handler drains: full sample streams compared end to end.
-		{"pebs-drain", aggressivePEBS(), 0, true},
+		{"pebs-drain", aggressivePEBS(), 0, drainOnPMI},
 		// Slow-tier spike injector armed: the batch path must consume the
 		// per-point fault stream in exactly the scalar order.
-		{"fault-spikes", aggressivePEBS(), 99, true},
+		{"fault-spikes", aggressivePEBS(), 99, drainOnPMI},
 		// Adaptive period: RecordBatch must fall back to the scalar loop.
+		// Round drains leave PMI-free windows after each drain and storms
+		// once the buffer refills, so the period both widens and narrows.
 		{"pebs-adaptive", func() pebs.Config {
 			c := aggressivePEBS()
 			c.AdaptivePeriod = true
-			c.StormPMIs = 1
-			c.AdaptWindow = 64
 			return c
-		}(), 0, false},
+		}(), 0, drainEachRound},
 		// PEBS disabled entirely (the pure stats/TLB/cost contract).
-		{"no-pebs", pebs.Config{}, 0, false},
+		{"no-pebs", pebs.Config{}, 0, drainNever},
+	}
+	reached := map[string]*diffReach{}
+	for _, v := range variants {
+		reached[v.name] = &diffReach{}
 	}
 	for name, mkWL := range diffWorkloads() {
 		for _, v := range variants {
 			t.Run(fmt.Sprintf("%s/%s", name, v.name), func(t *testing.T) {
-				runDifferential(t, mkWL, v.pcfg, v.faultSeed, v.drainOnPMI)
+				reached[v.name].add(runDifferential(t, mkWL, v.pcfg, v.faultSeed, v.drain))
 			})
 		}
+	}
+	if t.Failed() {
+		return
+	}
+	if r := reached["pebs-drops"]; r.pebs.Dropped == 0 {
+		t.Errorf("pebs-drops: no sample was dropped: %+v", *r)
+	}
+	if r := reached["pebs-drain"]; r.pebs.PMIs == 0 || r.drained == 0 {
+		t.Errorf("pebs-drain: PMIs %d, samples drained by the handler %d; want both > 0", r.pebs.PMIs, r.drained)
+	}
+	if r := reached["fault-spikes"]; r.vm.LatencySpikes == 0 {
+		t.Errorf("fault-spikes: no latency spike fired: %+v", *r)
+	}
+	if r := reached["pebs-adaptive"]; r.pebs.Widenings == 0 || r.pebs.Narrowings == 0 {
+		t.Errorf("pebs-adaptive: widenings %d, narrowings %d; want both > 0", r.pebs.Widenings, r.pebs.Narrowings)
 	}
 }
 

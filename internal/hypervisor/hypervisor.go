@@ -42,85 +42,62 @@ var (
 		"page transiently pinned/busy; migration refused", 0.02, 0)
 )
 
-// CostModel holds the software and hardware cost constants the simulation
-// charges. Defaults are round numbers in the ballpark of measured Linux
-// and VMX costs; every experiment uses the same model for every design, so
-// only relative magnitudes matter.
-type CostModel struct {
+// Platform cost model: round numbers in the ballpark of measured Linux
+// and VMX costs. Every design in every experiment is charged from these
+// same constants, so only relative magnitudes matter.
+const (
 	// PTERefLatency is the cost of one page-table memory reference
-	// during a walk (page tables live in DRAM).
-	PTERefLatency sim.Duration
+	// during a walk (page tables live in DRAM under load).
+	PTERefLatency sim.Duration = 100
 	// PWCFactor is the fraction of walk references that miss the
 	// page-walk caches and pay PTERefLatency.
-	PWCFactor float64
+	PWCFactor = 0.25
 	// GuestFaultCost is the guest kernel's minor-fault software path.
-	GuestFaultCost sim.Duration
+	GuestFaultCost sim.Duration = 1500
 	// EPTFaultCost is a VM exit plus hypervisor backing allocation.
-	EPTFaultCost sim.Duration
+	EPTFaultCost sim.Duration = 4000
 	// CtxSwitchCost is one guest scheduler switch.
-	CtxSwitchCost sim.Duration
+	CtxSwitchCost sim.Duration = 1800
 	// PMICost is one performance-monitoring interrupt delivery.
-	PMICost sim.Duration
+	PMICost sim.Duration = 2500
 	// HintFaultCost is a NUMA-hint minor fault (TPP's promotion path).
-	HintFaultCost sim.Duration
+	HintFaultCost sim.Duration = 2500
 	// PTEOpCost is one software PTE manipulation (map/unmap/remap).
-	PTEOpCost sim.Duration
-	// ScanPTECost is one A/D-bit scan step including LRU bookkeeping —
-	// the page-table-walking TMM designs pay it per resident page per
-	// round.
-	ScanPTECost sim.Duration
+	PTEOpCost sim.Duration = 15
 	// TLBFlushCost is one single-address invalidation instruction.
-	TLBFlushCost sim.Duration
+	TLBFlushCost sim.Duration = 150
 	// TLBFullFlushCost is one full (invept) invalidation.
-	TLBFullFlushCost sim.Duration
+	TLBFullFlushCost sim.Duration = 600
 	// SampleHandleCost is consuming one PEBS record (copy + parse).
-	SampleHandleCost sim.Duration
+	SampleHandleCost sim.Duration = 25
 	// TranslateCost is one software gVA→PA translation of a sample
-	// (the per-sample page walk HeMem/Memtis pay and Demeter avoids).
-	TranslateCost sim.Duration
+	// (~a 1D walk in software: the per-sample page walk HeMem/Memtis
+	// pay and Demeter avoids).
+	TranslateCost sim.Duration = 320
 	// PWCWarmupWalks models the page-walk caches and paging-structure
 	// TLB entries that a full (invept) invalidation destroys alongside
 	// the leaf TLB: after a full flush this many walks pay the cold
 	// (undiscounted) nested-walk price before PWCFactor applies again.
 	// This is the mechanism behind §2.3.1's "destructive full
 	// invalidation" penalty.
-	PWCWarmupWalks int
-}
+	PWCWarmupWalks = 4096
 
-// DefaultCostModel returns the model used by all experiments.
-func DefaultCostModel() CostModel {
-	return CostModel{
-		PTERefLatency:    100, // DRAM under load
-		PWCFactor:        0.25,
-		GuestFaultCost:   1500,
-		EPTFaultCost:     4000,
-		CtxSwitchCost:    1800,
-		PMICost:          2500,
-		HintFaultCost:    2500,
-		PTEOpCost:        15,
-		ScanPTECost:      15,
-		TLBFlushCost:     150,
-		TLBFullFlushCost: 600,
-		SampleHandleCost: 25,
-		TranslateCost:    320, // ~a 1D walk in software
-		PWCWarmupWalks:   4096,
-	}
-}
+	// Walk2DCost is the charged cost of a nested page-table walk with
+	// warm page-walk caches: 24 refs × 100 × 0.25 = 600. The conversion
+	// only compiles while the product is a whole number of nanoseconds.
+	Walk2DCost = sim.Duration(float64(pagetable.Walk2DRefs) * float64(PTERefLatency) * PWCFactor)
+	// Walk2DCostCold is the nested walk price with cold page-walk caches
+	// (right after an invept).
+	Walk2DCostCold = sim.Duration(pagetable.Walk2DRefs) * PTERefLatency
+)
 
-// Walk2DCost is the charged cost of a nested page-table walk with warm
-// page-walk caches.
-//
-//demeter:hotpath
-func (cm CostModel) Walk2DCost() sim.Duration {
-	return sim.Duration(float64(pagetable.Walk2DRefs) * float64(cm.PTERefLatency) * cm.PWCFactor)
-}
-
-// Walk2DCostCold is the nested walk price with cold page-walk caches
-// (right after an invept).
-//
-//demeter:hotpath
-func (cm CostModel) Walk2DCostCold() sim.Duration {
-	return sim.Duration(pagetable.Walk2DRefs) * cm.PTERefLatency
+// CostModel holds the one platform cost a caller varies.
+type CostModel struct {
+	// ScanPTECost is one A/D-bit scan step including LRU bookkeeping —
+	// the page-table-walking TMM designs pay it per resident page per
+	// round. NewMachine installs 15 ns; the experiment scales charge the
+	// paper testbed's 135 ns.
+	ScanPTECost sim.Duration
 }
 
 // Machine is the host.
@@ -150,7 +127,7 @@ func NewMachine(eng *sim.Engine, topo *mem.Topology) *Machine {
 	return &Machine{
 		Eng:        eng,
 		Topo:       topo,
-		Cost:       DefaultCostModel(),
+		Cost:       CostModel{ScanPTECost: 15},
 		HostLedger: sim.NewLedger(),
 	}
 }
@@ -247,8 +224,8 @@ func (vm *VM) JournalEvent(t obs.EventType, note string, a1, a2 uint64) {
 
 // WirePEBS installs a sampling unit on the VM, inheriting the machine's
 // fault injector and, when obs is attached, the journal (so PMIs leave
-// records). Policies that build their own units call this instead of
-// assigning vm.PEBS directly.
+// records). It is the one way a VM gets a unit: policies and tests build
+// theirs with pebs.NewUnit and call this.
 func (vm *VM) WirePEBS(u *pebs.Unit) {
 	u.Fault = vm.Machine.Fault
 	vm.wirePEBSObs(u)
@@ -275,8 +252,6 @@ type VMConfig struct {
 	GuestFMEM, GuestSMEM uint64
 	// FMEMBacking/SMEMBacking are host node ids backing each guest node.
 	FMEMBacking, SMEMBacking int
-	// PEBS configures the guest's sampling unit; zero value disables it.
-	PEBS pebs.Config
 }
 
 // VMStats counts per-VM events.
@@ -356,13 +331,6 @@ func (m *Machine) NewVM(cfg VMConfig) (*VM, error) {
 		backing: [2]int{cfg.FMEMBacking, cfg.SMEMBacking},
 	}
 	vm.Proc = vm.Kernel.NewProcess(fmt.Sprintf("vm%d-workload", vm.ID))
-	if cfg.PEBS.SamplePeriod != 0 {
-		u, err := pebs.NewUnit(cfg.PEBS)
-		if err != nil {
-			return nil, err
-		}
-		vm.WirePEBS(u)
-	}
 	m.VMs = append(m.VMs, vm)
 	return vm, nil
 }
@@ -474,7 +442,6 @@ func (vm *VM) Access(gva uint64, write bool) sim.Duration {
 //
 //demeter:hotpath
 func (vm *VM) accessMiss(gva, gvpn uint64, write bool) sim.Duration {
-	cm := &vm.Machine.Cost
 	var cost sim.Duration
 	ge := vm.Proc.GPT.Lookup(gvpn)
 	if ge == nil {
@@ -482,7 +449,7 @@ func (vm *VM) accessMiss(gva, gvpn uint64, write bool) sim.Duration {
 			panic(fmt.Sprintf("hypervisor: vm%d guest OOM at gva %#x", vm.ID, gva))
 		}
 		vm.stats.GuestFaults++
-		cost += cm.GuestFaultCost
+		cost += GuestFaultCost
 		ge = vm.Proc.GPT.Lookup(gvpn)
 	}
 	if ge.Hinted() && vm.OnHintFault != nil {
@@ -490,13 +457,13 @@ func (vm *VM) accessMiss(gva, gvpn uint64, write bool) sim.Duration {
 	}
 	he, eptFault := vm.ensureBacked(ge.Value())
 	if eptFault {
-		cost += cm.EPTFaultCost
+		cost += EPTFaultCost
 	}
-	if vm.warmWalks < cm.PWCWarmupWalks {
+	if vm.warmWalks < PWCWarmupWalks {
 		vm.warmWalks++
-		cost += cm.Walk2DCostCold()
+		cost += Walk2DCostCold
 	} else {
-		cost += cm.Walk2DCost()
+		cost += Walk2DCost
 	}
 	ge.MarkAccessed()
 	he.MarkAccessed()
@@ -562,7 +529,7 @@ func (vm *VM) ResidentTier(gvpn uint64) (fast, mapped bool) {
 // requires the gVA.
 func (vm *VM) FlushSingle(gvpn uint64) sim.Duration {
 	vm.TLB.FlushSingle(gvpn)
-	return vm.Machine.Cost.TLBFlushCost
+	return TLBFlushCost
 }
 
 // FlushFull issues a full invalidation (invept) and returns its
@@ -573,7 +540,7 @@ func (vm *VM) FlushFull() sim.Duration {
 	vm.TLB.FlushAll()
 	vm.warmWalks = 0
 	vm.journal(obs.EvTLBFullFlush, "", 0, 0)
-	return vm.Machine.Cost.TLBFullFlushCost
+	return TLBFullFlushCost
 }
 
 // hostSpecOfGPFN returns the tier spec backing a guest frame, for copy
@@ -603,10 +570,9 @@ func (vm *VM) SwapGuestPages(hotGVPN, coldGVPN uint64) (sim.Duration, error) {
 		return 0, fmt.Errorf("%w: swap pair (%#x,%#x)", ErrNotMapped, hotGVPN, coldGVPN)
 	}
 	hotGPFN, coldGPFN := hotE.Value(), coldE.Value()
-	cm := &vm.Machine.Cost
 	if vm.Machine.Fault.Fire(FaultMigrateBusy) {
 		vm.stats.MigrateBusy++
-		return cm.PTEOpCost, ErrPageBusy
+		return PTEOpCost, ErrPageBusy
 	}
 	hotSpec := vm.hostSpecOfGPFN(hotGPFN)
 	coldSpec := vm.hostSpecOfGPFN(coldGPFN)
@@ -614,18 +580,18 @@ func (vm *VM) SwapGuestPages(hotGVPN, coldGVPN uint64) (sim.Duration, error) {
 	vm.journal(obs.EvMigrateBegin, "swap", hotGVPN, coldGVPN)
 	var cost sim.Duration
 	// Unmap both, flush, swap contents directly, remap crossed.
-	cost += 2 * cm.PTEOpCost // two unmaps
+	cost += 2 * PTEOpCost // two unmaps
 	cost += vm.FlushSingle(hotGVPN)
 	cost += vm.FlushSingle(coldGVPN)
 	cost += mem.CopyCost(hotSpec, coldSpec, mem.PageSize)
 	if vm.Machine.Fault.Fire(FaultMigrateCopy) {
-		cost += 2 * cm.PTEOpCost // remap both originals
+		cost += 2 * PTEOpCost // remap both originals
 		vm.stats.SwapRollbacks++
 		vm.journal(obs.EvMigrateRollback, "swap", hotGVPN, coldGVPN)
 		return cost, ErrCopyFault
 	}
 	cost += mem.CopyCost(coldSpec, hotSpec, mem.PageSize)
-	cost += 2 * cm.PTEOpCost // two maps
+	cost += 2 * PTEOpCost // two maps
 	gpt.Remap(hotGVPN, coldGPFN)
 	gpt.Remap(coldGVPN, hotGPFN)
 	vm.journal(obs.EvMigrateCommit, "swap", hotGVPN, coldGVPN)
@@ -652,10 +618,9 @@ func (vm *VM) MigrateGuestPage(gvpn uint64, targetGuestNode int) (sim.Duration, 
 	if vm.Kernel.NodeOfGPFN(mem.Frame(oldGPFN)) == targetGuestNode {
 		return 0, ErrAlreadyPlaced
 	}
-	cm := &vm.Machine.Cost
 	if vm.Machine.Fault.Fire(FaultMigrateBusy) {
 		vm.stats.MigrateBusy++
-		return cm.PTEOpCost, ErrPageBusy
+		return PTEOpCost, ErrPageBusy
 	}
 	newGPFN, ok := vm.Kernel.AllocPageOn(targetGuestNode)
 	if !ok {
@@ -664,24 +629,24 @@ func (vm *VM) MigrateGuestPage(gvpn uint64, targetGuestNode int) (sim.Duration, 
 	vm.journal(obs.EvMigrateBegin, "move", gvpn, uint64(targetGuestNode))
 	var cost sim.Duration
 	if _, faulted := vm.ensureBacked(uint64(newGPFN)); faulted {
-		cost += cm.EPTFaultCost
+		cost += EPTFaultCost
 	}
 	srcSpec := vm.hostSpecOfGPFN(oldGPFN)
 	dstSpec := vm.hostSpecOfGPFN(uint64(newGPFN))
-	cost += cm.PTEOpCost // unmap source
+	cost += PTEOpCost // unmap source
 	cost += vm.FlushSingle(gvpn)
 	if vm.Machine.Fault.Fire(FaultMigrateCopy) {
 		// Copy faulted partway: return the fresh frame, keep the original
 		// mapping. Charge roughly half the copy for the partial transfer.
 		cost += mem.CopyCost(srcSpec, dstSpec, mem.PageSize) / 2
-		cost += cm.PTEOpCost // restore source PTE
+		cost += PTEOpCost // restore source PTE
 		vm.Kernel.FreePage(newGPFN)
 		vm.stats.MigrateRollbacks++
 		vm.journal(obs.EvMigrateRollback, "move", gvpn, uint64(targetGuestNode))
 		return cost, ErrCopyFault
 	}
 	cost += mem.CopyCost(srcSpec, dstSpec, mem.PageSize)
-	cost += cm.PTEOpCost // map destination
+	cost += PTEOpCost // map destination
 	vm.Proc.GPT.Remap(gvpn, uint64(newGPFN))
 	vm.Kernel.FreePage(mem.Frame(oldGPFN))
 	vm.journal(obs.EvMigrateCommit, "move", gvpn, uint64(targetGuestNode))
@@ -706,10 +671,9 @@ func (vm *VM) HostMigrate(gpfn uint64, targetHostNode int) (sim.Duration, bool) 
 	if !ok {
 		return 0, false
 	}
-	cm := &vm.Machine.Cost
 	vm.journal(obs.EvMigrateBegin, "host", gpfn, uint64(targetHostNode))
 	var cost sim.Duration
-	cost += 2 * cm.PTEOpCost
+	cost += 2 * PTEOpCost
 	cost += mem.CopyCost(oldNode.Spec, target.Spec, mem.PageSize)
 	cost += vm.FlushFull()
 	vm.EPT.Remap(gpfn, uint64(newFrame))

@@ -21,12 +21,16 @@ func newTestVM(t *testing.T) (*Machine, *VM) {
 		GuestSMEM:   320,
 		FMEMBacking: 0,
 		SMEMBacking: 1,
-		PEBS:        pebs.DefaultConfig(),
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := vm.PEBS.Arm(); err != nil {
+	u, err := pebs.NewUnit(pebs.DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	vm.WirePEBS(u)
+	if err := u.Arm(); err != nil {
 		t.Fatal(err)
 	}
 	return m, vm
@@ -50,8 +54,7 @@ func TestFirstAccessTakesBothFaults(t *testing.T) {
 	_, vm := newTestVM(t)
 	start := vm.Proc.Mmap(16 * mem.PageSize)
 	cost := vm.Access(start, false)
-	cm := vm.Machine.Cost
-	wantMin := cm.GuestFaultCost + cm.EPTFaultCost + cm.Walk2DCost()
+	wantMin := GuestFaultCost + EPTFaultCost + Walk2DCost
 	if cost < wantMin {
 		t.Fatalf("first access cost %v < faults+walk %v", cost, wantMin)
 	}
@@ -324,9 +327,8 @@ func TestGuestFreeFrames(t *testing.T) {
 }
 
 func TestWalkCostModel(t *testing.T) {
-	cm := DefaultCostModel()
 	// 24 refs * 100ns * 0.25 = 600ns
-	if got := cm.Walk2DCost(); got < 550 || got > 650 {
+	if got := Walk2DCost; got < 550 || got > 650 {
 		t.Fatalf("2D walk cost = %v", got)
 	}
 }

@@ -104,19 +104,25 @@ type Config struct {
 	// (fewer samples, fewer interrupts) and calm windows halve it back
 	// toward the programmed base.
 	AdaptivePeriod bool
-	// StormPMIs is the PMI count within one adaptation window that
-	// qualifies as a storm (default 4).
-	StormPMIs int
-	// CalmWindows is how many consecutive PMI-free windows must pass
-	// before the period narrows one step (default 2).
-	CalmWindows int
-	// AdaptWindow is the adaptation window length in qualifying events
-	// (default 16× SamplePeriod).
-	AdaptWindow uint64
-	// MaxPeriodShift caps widening at SamplePeriod << MaxPeriodShift
-	// (default 6, i.e. 64× the base period).
-	MaxPeriodShift int
 }
+
+// Adaptive-period model. Every caller runs the same adaptation rule, so
+// its thresholds are constants.
+const (
+	// stormPMIs is the PMI count within one adaptation window that
+	// qualifies as a storm.
+	stormPMIs = 4
+	// calmWindows is how many consecutive PMI-free windows must pass
+	// before the period narrows one step.
+	calmWindows = 2
+	// adaptWindowPeriods is the adaptation window length in base sample
+	// periods: a window is adaptWindowPeriods × SamplePeriod qualifying
+	// events.
+	adaptWindowPeriods = 16
+	// maxPeriodShift caps widening at SamplePeriod << maxPeriodShift
+	// (64× the base period).
+	maxPeriodShift = 6
+)
 
 // DefaultConfig is the paper's production configuration (§3.2.2, §5.2.3).
 func DefaultConfig() Config {
@@ -183,18 +189,6 @@ func NewUnit(cfg Config) (*Unit, error) {
 	}
 	if cfg.LatencyThreshold < 0 {
 		return nil, fmt.Errorf("pebs: negative latency threshold")
-	}
-	if cfg.StormPMIs <= 0 {
-		cfg.StormPMIs = 4
-	}
-	if cfg.CalmWindows <= 0 {
-		cfg.CalmWindows = 2
-	}
-	if cfg.AdaptWindow == 0 {
-		cfg.AdaptWindow = 16 * cfg.SamplePeriod
-	}
-	if cfg.MaxPeriodShift <= 0 {
-		cfg.MaxPeriodShift = 6
 	}
 	// The sample buffer is preallocated at full capacity so the record
 	// path's append never grows a backing array (the hotpath analyzer's
@@ -380,13 +374,13 @@ func (u *Unit) tickWindow() {
 		return
 	}
 	u.winEvents++
-	if u.winEvents < u.cfg.AdaptWindow {
+	if u.winEvents < adaptWindowPeriods*u.cfg.SamplePeriod {
 		return
 	}
 	u.winEvents = 0
 	switch {
-	case u.winPMIs >= u.cfg.StormPMIs:
-		max := u.cfg.SamplePeriod << u.cfg.MaxPeriodShift
+	case u.winPMIs >= stormPMIs:
+		max := u.cfg.SamplePeriod << maxPeriodShift
 		if u.period < max {
 			u.period *= 2
 			if u.period > max {
@@ -397,7 +391,7 @@ func (u *Unit) tickWindow() {
 		u.calm = 0
 	case u.winPMIs == 0 && u.period > u.cfg.SamplePeriod:
 		u.calm++
-		if u.calm >= u.cfg.CalmWindows {
+		if u.calm >= calmWindows {
 			u.calm = 0
 			u.period /= 2
 			if u.period < u.cfg.SamplePeriod {

@@ -220,7 +220,7 @@ func (p *tickPolicy) residentNode(gvpn uint64) (node int, ok bool) {
 // chargeClassify books the per-round classification cost: one PTE-op
 // per counter examined, like the integrated designs.
 func (p *tickPolicy) chargeClassify(counters int) {
-	p.vm.ChargeGuest(hypervisor.CompClassify, sim.Duration(counters)*p.vm.Machine.Cost.PTEOpCost)
+	p.vm.ChargeGuest(hypervisor.CompClassify, sim.Duration(counters)*hypervisor.PTEOpCost)
 }
 
 // migrate moves the listed pages to node, bounded by the batch cap,

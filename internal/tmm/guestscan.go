@@ -78,7 +78,7 @@ func (g *guestScan) Detach() {
 // TPP's characteristic promotion overhead.
 func (g *guestScan) hintFault(gvpn uint64) sim.Duration {
 	vm := g.vm
-	cost := vm.Machine.Cost.HintFaultCost
+	cost := hypervisor.HintFaultCost
 	e := vm.Proc.GPT.Lookup(gvpn)
 	if e == nil {
 		return cost
@@ -150,7 +150,7 @@ func (g *guestScan) round() {
 	g.stats.Rounds++
 
 	vm.ChargeGuest(hypervisor.CompTrack, sim.Duration(visited)*cm.ScanPTECost+flushCost)
-	vm.ChargeGuest(hypervisor.CompClassify, sim.Duration(visited)*cm.PTEOpCost/2)
+	vm.ChargeGuest(hypervisor.CompClassify, sim.Duration(visited)*hypervisor.PTEOpCost/2)
 
 	g.markPass()
 	g.demoteCold(coldFast)
@@ -162,7 +162,6 @@ func (g *guestScan) round() {
 // few rounds and the page's own access decides the promotion race.
 func (g *guestScan) markPass() {
 	vm := g.vm
-	cm := &vm.Machine.Cost
 	kernel := vm.Kernel
 	// Adaptive budget, like NUMA balancing's scan-rate backoff: marking
 	// far beyond migration capacity only manufactures failed promotion
@@ -195,7 +194,7 @@ func (g *guestScan) markPass() {
 	g.markCursor = next
 	// The pass rides along the balancing scan; charge a light touch per
 	// visited PTE plus the flushes.
-	vm.ChargeGuest(hypervisor.CompTrack, sim.Duration(visited)*cm.PTEOpCost+cost)
+	vm.ChargeGuest(hypervisor.CompTrack, sim.Duration(visited)*hypervisor.PTEOpCost+cost)
 }
 
 // demoteCold is the kswapd side: restore the free watermark so hint

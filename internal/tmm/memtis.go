@@ -103,7 +103,7 @@ func (p *Memtis) Attach(eng *sim.Engine, vm *hypervisor.VM) {
 		panic(fmt.Sprintf("tmm: Memtis PEBS arm failed: %v", err))
 	}
 	unit.OnPMI = func() {
-		vm.ChargeGuest(hypervisor.CompTrack, vm.Machine.Cost.PMICost)
+		vm.ChargeGuest(hypervisor.CompTrack, hypervisor.PMICost)
 		p.drain()
 	}
 
@@ -141,8 +141,7 @@ func (p *Memtis) drain() {
 		return
 	}
 	vm := p.vm
-	cm := &vm.Machine.Cost
-	cost := sim.Duration(len(samples)) * (cm.SampleHandleCost + cm.TranslateCost)
+	cost := sim.Duration(len(samples)) * (hypervisor.SampleHandleCost + hypervisor.TranslateCost)
 	vm.ChargeGuest(hypervisor.CompTrack, cost)
 	for _, s := range samples {
 		p.stats.Samples++
@@ -156,7 +155,6 @@ func (p *Memtis) drain() {
 // round decays the histogram and migrates by static threshold.
 func (p *Memtis) round() {
 	vm := p.vm
-	cm := &vm.Machine.Cost
 	kernel := vm.Kernel
 
 	var hot []uint64      // slow-tier gpfns above the threshold
@@ -171,7 +169,7 @@ func (p *Memtis) round() {
 			coldFast = append(coldFast, gpfn)
 		}
 	})
-	vm.ChargeGuest(hypervisor.CompClassify, sim.Duration(p.hist.len())*cm.PTEOpCost)
+	vm.ChargeGuest(hypervisor.CompClassify, sim.Duration(p.hist.len())*hypervisor.PTEOpCost)
 	p.stats.Rounds++
 
 	// Memtis migrates physical pages; the guest variant moves the gVA
@@ -181,7 +179,7 @@ func (p *Memtis) round() {
 		return
 	}
 	gvaOf := p.reverseMap(hot, coldFast)
-	vm.ChargeGuest(hypervisor.CompClassify, sim.Duration(vm.Proc.GPT.Mapped())*cm.PTEOpCost/4)
+	vm.ChargeGuest(hypervisor.CompClassify, sim.Duration(vm.Proc.GPT.Mapped())*hypervisor.PTEOpCost/4)
 
 	var migrateCost sim.Duration
 	fastNode := kernel.Topo.Nodes[0]

@@ -61,7 +61,7 @@ func (p *Nomad) Attach(eng *sim.Engine, vm *hypervisor.VM) {
 // setup write-protect faults and the dirty-retry tax — and retains the
 // slow-tier original as a shadow.
 func (p *Nomad) shadowPromoted(gvpn uint64) sim.Duration {
-	cost := nomadShadowFaultCount * p.vm.Machine.Cost.HintFaultCost
+	cost := nomadShadowFaultCount * hypervisor.HintFaultCost
 	cost += sim.Duration(nomadDirtyRetryFrac * float64(mem.CopyCost(mem.SpecPMEM, mem.SpecLocalDRAM, mem.PageSize)))
 	p.shadow[gvpn] = true
 	return cost

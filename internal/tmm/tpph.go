@@ -116,7 +116,7 @@ func (p *TPPH) round() {
 
 	scanCost := sim.Duration(visited) * cm.ScanPTECost
 	vm.ChargeHost(hypervisor.CompTrack, scanCost+flushCost)
-	vm.ChargeHost(hypervisor.CompClassify, sim.Duration(visited)*cm.PTEOpCost/2)
+	vm.ChargeHost(hypervisor.CompClassify, sim.Duration(visited)*hypervisor.PTEOpCost/2)
 	// Notifier scanning holds mmu_lock against the guest's fault paths,
 	// and every invept shootdown interrupts all vCPUs.
 	vm.Stall(sim.Duration(float64(scanCost) * tpphNotifierStallFrac))

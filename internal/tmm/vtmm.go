@@ -71,7 +71,7 @@ func (p *VTMM) Attach(eng *sim.Engine, vm *hypervisor.VM) {
 	p.pml = hypervisor.NewPML()
 	p.pml.OnFull = func(gpfns []uint64) {
 		// Drain on the exit path: each logged write bumps its page.
-		vm.ChargeHost(hypervisor.CompTrack, sim.Duration(len(gpfns))*vm.Machine.Cost.SampleHandleCost)
+		vm.ChargeHost(hypervisor.CompTrack, sim.Duration(len(gpfns))*hypervisor.SampleHandleCost)
 		for _, g := range gpfns {
 			p.counts.bump(g)
 		}
@@ -164,7 +164,7 @@ func (p *VTMM) round() {
 		for v := n; v > 1; v >>= 1 {
 			logN++
 		}
-		sortCost = sim.Duration(n*logN) * cm.PTEOpCost
+		sortCost = sim.Duration(n*logN) * hypervisor.PTEOpCost
 	}
 	vm.ChargeHost(hypervisor.CompClassify, sortCost)
 

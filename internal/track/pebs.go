@@ -70,7 +70,7 @@ func (t *pebsTracker) Attach(eng *sim.Engine, vm *hypervisor.VM) error {
 		if !t.active {
 			return
 		}
-		chargeTrack(vm, vm.Machine.Cost.PMICost)
+		chargeTrack(vm, hypervisor.PMICost)
 		t.drain()
 	}
 	t.ticker = eng.StartTicker(t.cfg.Period, func(sim.Time) {
@@ -97,7 +97,7 @@ func (t *pebsTracker) drain() {
 	if len(samples) == 0 {
 		return
 	}
-	chargeTrack(t.vm, sim.Duration(len(samples))*t.vm.Machine.Cost.SampleHandleCost)
+	chargeTrack(t.vm, sim.Duration(len(samples))*hypervisor.SampleHandleCost)
 	now := t.eng.Now()
 	for _, s := range samples {
 		t.sample(s.GVPN, now)
