@@ -59,11 +59,14 @@ type Kernel struct {
 	ctxHooks  []func()
 	stats     Stats
 	ballooned map[mem.Frame]bool // pages currently held by a balloon
+	// heldOn counts ballooned per node, kept by ReserveFree and Restore
+	// so BalloonedOn is O(1); Audit cross-checks it against the map.
+	heldOn []uint64
 }
 
 // NewKernel builds a guest kernel over the given guest-physical topology.
 func NewKernel(topo *mem.Topology) *Kernel {
-	k := &Kernel{Topo: topo, ballooned: make(map[mem.Frame]bool)}
+	k := &Kernel{Topo: topo, ballooned: make(map[mem.Frame]bool), heldOn: make([]uint64, len(topo.Nodes))}
 	// Fast nodes first, then the rest, preserving node order.
 	for _, n := range topo.Nodes {
 		if n.Spec.Kind == mem.TierDRAM {
@@ -153,6 +156,7 @@ func (k *Kernel) ReserveFree(node int, n uint64) []mem.Frame {
 		k.ballooned[f] = true
 		out = append(out, f)
 	}
+	k.heldOn[node] += uint64(len(out))
 	return out
 }
 
@@ -163,7 +167,9 @@ func (k *Kernel) Restore(frames []mem.Frame) {
 			panic(fmt.Sprintf("guestos: restoring frame %d that was not balloon-held", f))
 		}
 		delete(k.ballooned, f)
-		k.Topo.NodeOf(f).Free(f)
+		nd := k.Topo.NodeOf(f)
+		k.heldOn[nd.ID]--
+		nd.Free(f)
 	}
 }
 
@@ -172,20 +178,27 @@ func (k *Kernel) BalloonedPages() int { return len(k.ballooned) }
 
 // BalloonedOn returns the number of balloon-held frames on one node.
 func (k *Kernel) BalloonedOn(node int) uint64 {
-	var n uint64
-	//lint:allow simdet NodeOf is a pure range lookup and counting is commutative
-	for f := range k.ballooned {
-		if k.Topo.NodeOf(f).ID == node {
-			n++
-		}
+	if node < 0 || node >= len(k.heldOn) {
+		return 0
 	}
-	return n
+	return k.heldOn[node]
 }
 
 // Audit verifies the guest allocator balances: for each guest node,
 // GPT-mapped + balloon-held + free == total, with no guest frame mapped by
-// two processes (or twice in one page table).
+// two processes (or twice in one page table), and the kept per-node
+// balloon counts match the balloon-held frames.
 func (k *Kernel) Audit() error {
+	heldPerNode := make([]uint64, len(k.heldOn))
+	//lint:allow simdet NodeOf is a pure range lookup and counting is commutative
+	for f := range k.ballooned {
+		heldPerNode[k.Topo.NodeOf(f).ID]++
+	}
+	for node, n := range heldPerNode {
+		if n != k.heldOn[node] {
+			return fmt.Errorf("guestos: node %d holds %d balloon frames but counts %d", node, n, k.heldOn[node])
+		}
+	}
 	mappedPerNode := make(map[int]uint64)
 	owner := make(map[mem.Frame]string)
 	for _, p := range k.procs {

@@ -1,9 +1,11 @@
 package guestos
 
 import (
+	"strings"
 	"testing"
 
 	"demeter/internal/mem"
+	"demeter/internal/simrand"
 )
 
 // guestTopo builds a small guest-physical layout: 64 FMEM + 256 SMEM frames.
@@ -82,6 +84,57 @@ func TestReserveRestore(t *testing.T) {
 	k.Restore(more)
 	if k.BalloonedPages() != 0 || k.Topo.Nodes[0].FreeFrames() != 64 {
 		t.Fatal("restore did not return all pages")
+	}
+}
+
+// heldByWalk counts the balloon-held frames on node from the map.
+func heldByWalk(k *Kernel, node int) uint64 {
+	var n uint64
+	for f := range k.ballooned {
+		if k.Topo.NodeOf(f).ID == node {
+			n++
+		}
+	}
+	return n
+}
+
+// The kept per-node counts follow a seeded mix of inflations and
+// deflations on both nodes, step by step.
+func TestBalloonedOnMatchesMapWalk(t *testing.T) {
+	k := NewKernel(guestTopo())
+	rng := simrand.New(11)
+	var held [2][]mem.Frame
+	for step := 0; step < 2000; step++ {
+		node := rng.Intn(2)
+		if rng.Bool(0.5) {
+			held[node] = append(held[node], k.ReserveFree(node, uint64(rng.Intn(40)))...)
+		} else if len(held[node]) > 0 {
+			rng.Shuffle(len(held[node]), func(i, j int) { held[node][i], held[node][j] = held[node][j], held[node][i] })
+			n := rng.Intn(len(held[node]) + 1)
+			k.Restore(held[node][:n])
+			held[node] = held[node][n:]
+		}
+		for nd := 0; nd < 2; nd++ {
+			if got, want := k.BalloonedOn(nd), heldByWalk(k, nd); got != want {
+				t.Fatalf("step %d: BalloonedOn(%d) = %d, map walk %d", step, nd, got, want)
+			}
+		}
+		if err := k.Audit(); err != nil {
+			t.Fatalf("step %d: %v", step, err)
+		}
+	}
+	if k.BalloonedOn(2) != 0 || k.BalloonedOn(-1) != 0 {
+		t.Fatal("a node outside the topology reports balloon-held frames")
+	}
+}
+
+func TestAuditCatchesDriftedBalloonCount(t *testing.T) {
+	k := NewKernel(guestTopo())
+	k.ReserveFree(1, 10)
+	k.heldOn[1]++
+	err := k.Audit()
+	if err == nil || !strings.Contains(err.Error(), "node 1") {
+		t.Fatalf("Audit = %v, want an error naming node 1", err)
 	}
 }
 

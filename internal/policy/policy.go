@@ -23,6 +23,7 @@ package policy
 import (
 	"cmp"
 	"fmt"
+	"math/bits"
 	"slices"
 
 	"demeter/internal/hypervisor"
@@ -286,16 +287,67 @@ func expandPages(out []pageScore, counters []track.Counter, limit int) []pageSco
 	return out
 }
 
-// sortByScoreDesc orders pages hottest-first with full determinism:
-// score, then recency, then address.
-func sortByScoreDesc(ps []pageScore) {
-	slices.SortFunc(ps, func(a, b pageScore) int {
-		if c := cmp.Compare(b.score, a.score); c != 0 {
-			return c
+// hotterFirst orders pages hottest-first with full determinism: score,
+// then recency, then address. Pages have distinct addresses, so it is a
+// strict total order.
+func hotterFirst(a, b pageScore) int {
+	if c := cmp.Compare(b.score, a.score); c != 0 {
+		return c
+	}
+	if c := cmp.Compare(b.seen, a.seen); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.gvpn, b.gvpn)
+}
+
+// sortByScoreDesc orders pages hottest-first under hotterFirst.
+func sortByScoreDesc(ps []pageScore) { slices.SortFunc(ps, hotterFirst) }
+
+// selectHottest reorders ps so that ps[:k] holds its k hottest pages
+// under hotterFirst, in no particular order. The order is strict and
+// total, so the head is the set a full sortByScoreDesc puts there. It is
+// a quickselect with a median-of-three pivot that falls back to sorting
+// the open range once the partitions stop shrinking fast.
+func selectHottest(ps []pageScore, k int) {
+	lo, hi := 0, len(ps)
+	for depth := 2 * bits.Len(uint(len(ps))); lo < k && k < hi; depth-- {
+		if depth == 0 {
+			sortByScoreDesc(ps[lo:hi])
+			return
 		}
-		if c := cmp.Compare(b.seen, a.seen); c != 0 {
-			return c
+		p := lo + partitionHottest(ps[lo:hi])
+		switch {
+		case k < p:
+			hi = p
+		case k > p+1:
+			lo = p + 1
+		default:
+			return
 		}
-		return cmp.Compare(a.gvpn, b.gvpn)
-	})
+	}
+}
+
+// partitionHottest moves the median of ps's first, middle and last pages
+// to index i, every hotter page before it and every colder page after
+// it, and returns i. ps has at least two pages.
+func partitionHottest(ps []pageScore) int {
+	last, mid := len(ps)-1, len(ps)/2
+	if hotterFirst(ps[mid], ps[0]) < 0 {
+		ps[0], ps[mid] = ps[mid], ps[0]
+	}
+	if hotterFirst(ps[last], ps[0]) < 0 {
+		ps[0], ps[last] = ps[last], ps[0]
+	}
+	if hotterFirst(ps[mid], ps[last]) < 0 {
+		ps[mid], ps[last] = ps[last], ps[mid]
+	}
+	pivot, i := ps[last], 0
+	for j := 0; j < last; j++ {
+		if hotterFirst(ps[j], pivot) < 0 {
+			ps[i], ps[j] = ps[j], ps[i]
+			i++
+		}
+	}
+	ps[i], ps[last] = ps[last], ps[i]
+	return i
 }

@@ -6,6 +6,7 @@ import (
 	"encoding/hex"
 	"fmt"
 	"os"
+	"slices"
 	"strings"
 	"testing"
 
@@ -15,6 +16,7 @@ import (
 	"demeter/internal/hypervisor"
 	"demeter/internal/mem"
 	"demeter/internal/sim"
+	"demeter/internal/simrand"
 	"demeter/internal/tmm"
 	"demeter/internal/track"
 	"demeter/internal/workload"
@@ -384,6 +386,84 @@ func TestSteadyStateRoundAllocatesOnlyCounters(t *testing.T) {
 					t.Fatalf("steady-state round allocates %v times, want at most 1 (the Counters copy)", n)
 				}
 			})
+		}
+	}
+}
+
+// fullSortSplit is splitRanked as a walk of the fully sorted pages.
+func fullSortSplit(pages []pageScore, capacity int, node func(uint64) (int, bool)) (promote, victims []uint64) {
+	sorted := slices.Clone(pages)
+	sortByScoreDesc(sorted)
+	for i := len(sorted) - 1; i >= capacity; i-- {
+		if n, ok := node(sorted[i].gvpn); ok && n == 0 {
+			victims = append(victims, sorted[i].gvpn)
+		}
+	}
+	for _, pg := range sorted[:capacity] {
+		if n, ok := node(pg.gvpn); ok && n != 0 {
+			promote = append(promote, pg.gvpn)
+		}
+	}
+	return promote, victims
+}
+
+// The selection gives ranked the promote and victim sequences of a full
+// sort, on pages whose scores and recencies tie often.
+func TestSplitRankedMatchesFullSort(t *testing.T) {
+	rng := simrand.New(5)
+	for trial := 0; trial < 200; trial++ {
+		n := 1 + rng.Intn(300)
+		pages := make([]pageScore, n)
+		resident := make(map[uint64]int, n) // gvpn -> node, 2 = unmapped
+		gvpns := make([]uint64, n)
+		for i := range gvpns {
+			gvpns[i] = uint64(i) + 100
+		}
+		rng.Shuffle(n, func(i, j int) { gvpns[i], gvpns[j] = gvpns[j], gvpns[i] })
+		for i, gvpn := range gvpns {
+			pages[i] = pageScore{
+				gvpn:  gvpn,
+				score: float64(rng.Intn(4)) / 2,
+				seen:  sim.Time(rng.Intn(3)),
+			}
+			resident[pages[i].gvpn] = rng.Intn(3)
+		}
+		if trial%10 == 0 {
+			sortByScoreDesc(pages) // already ranked: the pivot's worst case
+		}
+		node := func(gvpn uint64) (int, bool) {
+			nd := resident[gvpn]
+			return nd, nd != 2
+		}
+		for _, capacity := range []int{0, 1, n / 2, n} {
+			wantP, wantV := fullSortSplit(pages, capacity, node)
+			gotP, gotV := splitRanked(slices.Clone(pages), capacity, node, nil, nil)
+			if !slices.Equal(gotP, wantP) || !slices.Equal(gotV, wantV) {
+				t.Fatalf("trial %d, %d pages, capacity %d:\npromote %v\nwant    %v\nvictims %v\nwant    %v",
+					trial, n, capacity, gotP, wantP, gotV, wantV)
+			}
+		}
+	}
+}
+
+// selectHottest leaves the k hottest pages in front on inputs of every
+// size up to a few pages, including k at both ends.
+func TestSelectHottestHead(t *testing.T) {
+	rng := simrand.New(9)
+	for n := 0; n < 40; n++ {
+		for k := 0; k <= n; k++ {
+			pages := make([]pageScore, n)
+			for i := range pages {
+				pages[i] = pageScore{gvpn: uint64(i), score: float64(rng.Intn(2)), seen: sim.Time(rng.Intn(2))}
+			}
+			want := slices.Clone(pages)
+			sortByScoreDesc(want)
+			selectHottest(pages, k)
+			head := slices.Clone(pages[:k])
+			sortByScoreDesc(head)
+			if !slices.Equal(head, want[:k]) {
+				t.Fatalf("n=%d k=%d: head %v, want %v", n, k, head, want[:k])
+			}
 		}
 	}
 }

@@ -33,29 +33,13 @@ func (p *rankedPolicy) round() {
 	if len(pages) == 0 {
 		return
 	}
-	sortByScoreDesc(pages)
 
 	fastNode := p.vm.Kernel.Topo.Nodes[0]
 	capacity := int(fastNode.Frames())
 	if capacity > len(pages) {
 		capacity = len(pages)
 	}
-
-	// Mismatches relative to the ranked split: wantFast pages resident
-	// on the slow tier, and beyond-capacity pages occupying fast frames
-	// (coldest last, so walk the tail backwards for swap victims).
-	promote := p.promote[:0]
-	victims := p.demote[:0] // coldest-first fast-tier residents past the split
-	for i := len(pages) - 1; i >= capacity; i-- {
-		if node, ok := p.residentNode(pages[i].gvpn); ok && node == 0 {
-			victims = append(victims, pages[i].gvpn)
-		}
-	}
-	for _, pg := range pages[:capacity] {
-		if node, ok := p.residentNode(pg.gvpn); ok && node != 0 {
-			promote = append(promote, pg.gvpn)
-		}
-	}
+	promote, victims := splitRanked(pages, capacity, p.residentNode, p.promote[:0], p.demote[:0])
 	p.promote, p.demote = promote, victims
 
 	var cost sim.Duration
@@ -83,4 +67,39 @@ func (p *rankedPolicy) round() {
 		}
 	}
 	p.vm.ChargeGuest(hypervisor.CompMigrate, cost)
+}
+
+// splitRanked returns the mismatches relative to the ranked split of
+// pages at capacity, appended to promote and victims: the slow-tier
+// residents among the capacity hottest pages, hottest first, and the
+// fast-tier residents among the rest, coldest first (the swap victims).
+// Only those pages are sorted, after a selection of the head, and the
+// sequences are the ones a walk of the fully sorted pages yields. It
+// reorders pages; node reports a page's resident node, ok=false for an
+// unmapped page.
+func splitRanked(pages []pageScore, capacity int, node func(gvpn uint64) (int, bool), promote, victims []uint64) ([]uint64, []uint64) {
+	selectHottest(pages, capacity)
+	head := keepResident(pages[:capacity], node, false)
+	tail := keepResident(pages[capacity:], node, true)
+	sortByScoreDesc(head)
+	sortByScoreDesc(tail)
+	for _, pg := range head {
+		promote = append(promote, pg.gvpn)
+	}
+	for i := len(tail) - 1; i >= 0; i-- {
+		victims = append(victims, tail[i].gvpn)
+	}
+	return promote, victims
+}
+
+// keepResident compacts ps, in place, to its mapped pages resident on
+// the fast tier (fast) or off it (!fast).
+func keepResident(ps []pageScore, node func(gvpn uint64) (int, bool), fast bool) []pageScore {
+	out := ps[:0]
+	for _, pg := range ps {
+		if n, ok := node(pg.gvpn); ok && (n == 0) == fast {
+			out = append(out, pg)
+		}
+	}
+	return out
 }

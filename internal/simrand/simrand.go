@@ -137,7 +137,15 @@ func (src *Source) Exp(mean float64) float64 {
 
 // Zipf draws values in [0, n) following a Zipfian distribution with
 // exponent s > 1 approximated by rejection-inversion (Hörmann/Derflinger).
-// Workloads with power-law access skew (graph500, PageRank) use it.
+// Workloads with power-law access skew (YCSB, graph500, PageRank) use it.
+//
+// The acceptance floor of a candidate k, hIntegral(k+0.5) − k^−s, is a
+// pure function of k, so Next memoizes it for the first zipfMemo values
+// of k in floors, NaN marking an entry not yet filled. A filled entry is
+// the result of the same floor call the direct path makes, so it holds
+// the same bits and every draw is unchanged. The table is allocated on
+// the first Next, not in NewZipf, so a sampler that never draws costs
+// nothing; k beyond the table uses the formula directly.
 type Zipf struct {
 	src              *Source
 	n                uint64
@@ -147,7 +155,12 @@ type Zipf struct {
 	hIntegralX1      float64
 	hIntegralN       float64
 	scale            float64
+	floors           []float64 // floors[k-1] = floor(k), NaN = not yet filled
 }
+
+// zipfMemo bounds the memoized acceptance floors: the skewed draws land
+// on small k, and 4096 entries are 32 KiB per sampler.
+const zipfMemo = 4096
 
 // NewZipf returns a Zipf sampler over [0, n) with exponent s (s > 1 gives
 // heavier skew toward small values; s must be > 0 and != 1).
@@ -198,8 +211,24 @@ func helper1(x float64) float64 {
 	return 1 - x*0.5*(1-x/3*(1-x*0.25))
 }
 
+// floor is the acceptance floor of candidate k: the bottom of k's
+// histogram bar, whose height is h(k) = k^-s and whose top is
+// hIntegral(k+0.5). It is kept out of line so the memoized and direct
+// paths compile to one evaluation order and give the same bits.
+//
+//go:noinline
+func (z *Zipf) floor(k float64) float64 {
+	return z.hIntegral(k+0.5) - math.Exp(-z.s*math.Log(k))
+}
+
 // Next returns the next Zipf-distributed value in [0, n).
 func (z *Zipf) Next() uint64 {
+	if z.floors == nil {
+		z.floors = make([]float64, min(z.n, zipfMemo))
+		for i := range z.floors {
+			z.floors[i] = math.NaN()
+		}
+	}
 	for {
 		u := z.hIntegralX1 + z.src.Float64()*z.scale
 		x := z.hIntegralInverse(u)
@@ -209,9 +238,18 @@ func (z *Zipf) Next() uint64 {
 		} else if k > float64(z.n) {
 			k = float64(z.n)
 		}
-		// Accept k when u falls within the histogram bar of k:
-		// h(k) = k^-s, and the bar spans [hIntegral(k+0.5)-h(k), hIntegral(k+0.5)].
-		if u >= z.hIntegral(k+0.5)-math.Exp(-z.s*math.Log(k)) {
+		// Accept k when u falls within the histogram bar of k.
+		var floor float64
+		if i := int(k) - 1; i < len(z.floors) {
+			floor = z.floors[i]
+			if math.IsNaN(floor) {
+				floor = z.floor(k)
+				z.floors[i] = floor
+			}
+		} else {
+			floor = z.floor(k)
+		}
+		if u >= floor {
 			return uint64(k) - 1
 		}
 	}

@@ -203,6 +203,54 @@ func TestZipfRejectsBadArgs(t *testing.T) {
 	}
 }
 
+// referenceZipfNext is Zipf.Next without the memoized floors: every
+// candidate's acceptance floor is computed from the formula.
+func referenceZipfNext(z *Zipf) uint64 {
+	for {
+		u := z.hIntegralX1 + z.src.Float64()*z.scale
+		x := z.hIntegralInverse(u)
+		k := math.Floor(x + 0.5)
+		if k < 1 {
+			k = 1
+		} else if k > float64(z.n) {
+			k = float64(z.n)
+		}
+		if u >= z.hIntegral(k+0.5)-math.Exp(-z.s*math.Log(k)) {
+			return uint64(k) - 1
+		}
+	}
+}
+
+// The memoized floors give the same draws as the formula: a table
+// smaller than zipfMemo, exactly zipfMemo, and draws past the table.
+func TestZipfMemoGivesSameDraws(t *testing.T) {
+	const draws = 100000
+	if NewZipf(New(7), 1.1, 100).floors != nil {
+		t.Fatal("NewZipf allocated the floor table before the first draw")
+	}
+	for _, s := range []float64{1.1, 1.3} {
+		for _, n := range []uint64{100, zipfMemo, zipfMemo + 1, 1 << 20} {
+			memo, ref := NewZipf(New(7), s, n), NewZipf(New(7), s, n)
+			spilled := 0
+			for i := 0; i < draws; i++ {
+				got, want := memo.Next(), referenceZipfNext(ref)
+				if got != want {
+					t.Fatalf("s=%v n=%d draw %d: memoized %d, formula %d", s, n, i, got, want)
+				}
+				if got >= zipfMemo {
+					spilled++
+				}
+			}
+			if len(memo.floors) != int(min(n, zipfMemo)) {
+				t.Errorf("s=%v n=%d: table has %d entries, want %d", s, n, len(memo.floors), min(n, zipfMemo))
+			}
+			if n == 1<<20 && spilled == 0 {
+				t.Errorf("s=%v n=%d: no draw reached past the table", s, n)
+			}
+		}
+	}
+}
+
 func TestBoolProbability(t *testing.T) {
 	src := New(55)
 	hits := 0
