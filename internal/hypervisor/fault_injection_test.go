@@ -1,6 +1,7 @@
 package hypervisor
 
 import (
+	"fmt"
 	"testing"
 
 	"demeter/internal/fault"
@@ -157,5 +158,25 @@ func TestAuditCatchesDoubleMappedHostFrame(t *testing.T) {
 	vm.EPT.Remap(uint64(hotGPFN), he.Value())
 	if err := m.AuditFrames(); err == nil {
 		t.Fatal("audit missed a double-mapped host frame")
+	}
+}
+
+func TestAuditNamesHostFrameMappedByTwoVMs(t *testing.T) {
+	m, vm0, _, cold := warmVM(t)
+	vm1, err := m.NewVM(VMConfig{VCPUs: 1, GuestFMEM: 16, GuestSMEM: 16, FMEMBacking: 0, SMEMBacking: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	start := vm1.Proc.Mmap(4 * mem.PageSize)
+	for i := uint64(0); i < 4; i++ {
+		vm1.Access(start+i*mem.PageSize, false)
+	}
+	gpfn0, _ := vm0.Proc.Translate(cold)
+	shared := vm0.EPT.Lookup(uint64(gpfn0)).Value()
+	gpfn1, _ := vm1.Proc.Translate(start>>guestos.PageShift + 2)
+	vm1.EPT.Remap(uint64(gpfn1), shared)
+	want := fmt.Sprintf("hypervisor: host frame %d EPT-mapped by vm%d and vm%d", shared, vm0.ID, vm1.ID)
+	if err := m.AuditFrames(); err == nil || err.Error() != want {
+		t.Fatalf("AuditFrames = %v, want %q", err, want)
 	}
 }
