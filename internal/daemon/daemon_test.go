@@ -2,6 +2,9 @@ package daemon
 
 import (
 	"fmt"
+	"os"
+	"reflect"
+	"sort"
 	"strings"
 	"sync"
 	"testing"
@@ -243,27 +246,63 @@ func TestIntegratedVMsRunWithoutTracker(t *testing.T) {
 
 // TestConfigErrors pins the panic-free config contract: every malformed
 // config is an error, never a panic.
+// configErrorCases are configs ParseConfig must reject, by what is
+// wrong with them.
+var configErrorCases = map[string]string{
+	"empty":            ``,
+	"bad json":         `{`,
+	"unknown key":      `{"host_fmem_frames":1,"host_smem_frames":1,"vms":[{"name":"a","workload":"gups","footprint_pages":1,"fmem_frames":8,"smem_frames":8,"policy":{"kind":"static"}}],"typo_key":1}`,
+	"no vms":           `{"host_fmem_frames":64,"host_smem_frames":64,"vms":[]}`,
+	"zero host":        `{"host_fmem_frames":0,"host_smem_frames":64,"vms":[{"name":"a"}]}`,
+	"bad tier":         `{"tier":"tape","host_fmem_frames":64,"host_smem_frames":64,"vms":[{"name":"a"}]}`,
+	"dup vm":           `{"host_fmem_frames":64,"host_smem_frames":64,"vms":[{"name":"a"},{"name":"a"}]}`,
+	"unnamed vm":       `{"host_fmem_frames":64,"host_smem_frames":64,"vms":[{"name":""}]}`,
+	"bad quantum":      `{"host_fmem_frames":64,"host_smem_frames":64,"quantum":"fast","vms":[{"name":"a"}]}`,
+	"negative quantum": `{"host_fmem_frames":64,"host_smem_frames":64,"quantum":"-5ms","vms":[{"name":"a"}]}`,
+	"zero quantum":     `{"host_fmem_frames":64,"host_smem_frames":64,"quantum":"0","vms":[{"name":"a"}]}`,
+}
+
 func TestConfigErrors(t *testing.T) {
-	cases := map[string]string{
-		"empty":            ``,
-		"bad json":         `{`,
-		"unknown key":      `{"host_fmem_frames":1,"host_smem_frames":1,"vms":[{"name":"a","workload":"gups","footprint_pages":1,"fmem_frames":8,"smem_frames":8,"policy":{"kind":"static"}}],"typo_key":1}`,
-		"no vms":           `{"host_fmem_frames":64,"host_smem_frames":64,"vms":[]}`,
-		"zero host":        `{"host_fmem_frames":0,"host_smem_frames":64,"vms":[{"name":"a"}]}`,
-		"bad tier":         `{"tier":"tape","host_fmem_frames":64,"host_smem_frames":64,"vms":[{"name":"a"}]}`,
-		"dup vm":           `{"host_fmem_frames":64,"host_smem_frames":64,"vms":[{"name":"a"},{"name":"a"}]}`,
-		"unnamed vm":       `{"host_fmem_frames":64,"host_smem_frames":64,"vms":[{"name":""}]}`,
-		"bad quantum":      `{"host_fmem_frames":64,"host_smem_frames":64,"quantum":"fast","vms":[{"name":"a"}]}`,
-		"negative quantum": `{"host_fmem_frames":64,"host_smem_frames":64,"quantum":"-5ms","vms":[{"name":"a"}]}`,
-		"zero quantum":     `{"host_fmem_frames":64,"host_smem_frames":64,"quantum":"0","vms":[{"name":"a"}]}`,
-	}
-	for name, cfg := range cases {
+	for name, cfg := range configErrorCases {
 		t.Run(name, func(t *testing.T) {
 			if _, err := ParseConfig(strings.NewReader(cfg)); err == nil {
 				t.Errorf("config accepted: %s", cfg)
 			}
 		})
 	}
+}
+
+// FuzzParseConfig checks that no input panics ParseConfig and that
+// parsing is a function of the bytes alone: the same input parses twice
+// to an equal Config and the same error text. (There is no printer to
+// round-trip through: sim.Duration has no MarshalText.) It never calls
+// New, since a fuzzed VM size would allocate without bound. The seeds are
+// the sample config and TestConfigErrors' cases.
+func FuzzParseConfig(f *testing.F) {
+	sample, err := os.ReadFile("../../configs/serve.sample.json")
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(string(sample))
+	f.Add(sampleConfig)
+	names := make([]string, 0, len(configErrorCases))
+	for name := range configErrorCases {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	for _, name := range names {
+		f.Add(configErrorCases[name])
+	}
+	f.Fuzz(func(t *testing.T, in string) {
+		c1, err1 := ParseConfig(strings.NewReader(in))
+		c2, err2 := ParseConfig(strings.NewReader(in))
+		if fmt.Sprint(err1) != fmt.Sprint(err2) {
+			t.Fatalf("two parses of %q disagree: %v vs %v", in, err1, err2)
+		}
+		if !reflect.DeepEqual(c1, c2) {
+			t.Fatalf("two parses of %q disagree: %+v vs %+v", in, c1, c2)
+		}
+	})
 }
 
 // TestConfigSchema pins the serve schema, whose tracker and policy

@@ -69,6 +69,15 @@ func Figure6(s Scale) string {
 // runProvisioned builds the cluster, settles provisioning, then runs GUPS
 // and returns aggregate throughput.
 func runProvisioned(s Scale, scheme provisionScheme) float64 {
+	c := provisioned(s, scheme)
+	ops, wall := c.totals()
+	s.finish(c, "figure6-"+scheme.name)
+	return float64(ops) / wall.Seconds()
+}
+
+// provisioned builds the cluster, settles provisioning and runs GUPS to
+// the end under scheme's design, leaving the cluster ready to audit.
+func provisioned(s Scale, scheme provisionScheme) *cluster {
 	n := s.VMs
 	c := s.newCluster("pmem", s.VMFMEM*uint64(n), s.VMSMEM*uint64(n))
 	pending := n
@@ -96,7 +105,5 @@ func runProvisioned(s Scale, scheme provisionScheme) float64 {
 		panic(fmt.Sprintf("experiments: figure6 %s did not finish", scheme.name))
 	}
 	c.detach()
-	ops, wall := c.totals()
-	s.finish(c, "figure6-"+scheme.name)
-	return float64(ops) / wall.Seconds()
+	return c
 }

@@ -58,15 +58,15 @@ type Kernel struct {
 	procs     []*Process
 	ctxHooks  []func()
 	stats     Stats
-	ballooned map[mem.Frame]bool // pages currently held by a balloon
+	ballooned mem.FrameSet // pages currently held by a balloon
 	// heldOn counts ballooned per node, kept by ReserveFree and Restore
-	// so BalloonedOn is O(1); Audit cross-checks it against the map.
+	// so BalloonedOn is O(1); Audit cross-checks it against the set.
 	heldOn []uint64
 }
 
 // NewKernel builds a guest kernel over the given guest-physical topology.
 func NewKernel(topo *mem.Topology) *Kernel {
-	k := &Kernel{Topo: topo, ballooned: make(map[mem.Frame]bool), heldOn: make([]uint64, len(topo.Nodes))}
+	k := &Kernel{Topo: topo, ballooned: mem.NewFrameSet(topo.TotalFrames()), heldOn: make([]uint64, len(topo.Nodes))}
 	// Fast nodes first, then the rest, preserving node order.
 	for _, n := range topo.Nodes {
 		if n.Spec.Kind == mem.TierDRAM {
@@ -147,14 +147,11 @@ func (k *Kernel) FreePage(f mem.Frame) {
 // The returned frames are out of the allocator until Restore.
 func (k *Kernel) ReserveFree(node int, n uint64) []mem.Frame {
 	nd := k.Topo.Nodes[node]
-	var out []mem.Frame
-	for uint64(len(out)) < n {
-		f, ok := nd.Alloc()
-		if !ok {
-			break
-		}
-		k.ballooned[f] = true
-		out = append(out, f)
+	out := make([]mem.Frame, min(n, nd.FreeFrames()))
+	for i := range out {
+		f, _ := nd.Alloc()
+		k.ballooned.Add(f)
+		out[i] = f
 	}
 	k.heldOn[node] += uint64(len(out))
 	return out
@@ -163,10 +160,10 @@ func (k *Kernel) ReserveFree(node int, n uint64) []mem.Frame {
 // Restore returns balloon-held frames to their nodes (deflation).
 func (k *Kernel) Restore(frames []mem.Frame) {
 	for _, f := range frames {
-		if !k.ballooned[f] {
+		if !k.ballooned.Has(f) {
 			panic(fmt.Sprintf("guestos: restoring frame %d that was not balloon-held", f))
 		}
-		delete(k.ballooned, f)
+		k.ballooned.Remove(f)
 		nd := k.Topo.NodeOf(f)
 		k.heldOn[nd.ID]--
 		nd.Free(f)
@@ -174,7 +171,13 @@ func (k *Kernel) Restore(frames []mem.Frame) {
 }
 
 // BalloonedPages returns the number of frames currently held by balloons.
-func (k *Kernel) BalloonedPages() int { return len(k.ballooned) }
+func (k *Kernel) BalloonedPages() int {
+	var n uint64
+	for _, h := range k.heldOn {
+		n += h
+	}
+	return int(n)
+}
 
 // BalloonedOn returns the number of balloon-held frames on one node.
 func (k *Kernel) BalloonedOn(node int) uint64 {
@@ -189,32 +192,28 @@ func (k *Kernel) BalloonedOn(node int) uint64 {
 // two processes (or twice in one page table), and the kept per-node
 // balloon counts match the balloon-held frames.
 func (k *Kernel) Audit() error {
-	heldPerNode := make([]uint64, len(k.heldOn))
-	//lint:allow simdet NodeOf is a pure range lookup and counting is commutative
-	for f := range k.ballooned {
-		heldPerNode[k.Topo.NodeOf(f).ID]++
-	}
-	for node, n := range heldPerNode {
-		if n != k.heldOn[node] {
-			return fmt.Errorf("guestos: node %d holds %d balloon frames but counts %d", node, n, k.heldOn[node])
+	for _, nd := range k.Topo.Nodes {
+		if n := k.ballooned.CountOn(nd); n != k.heldOn[nd.ID] {
+			return fmt.Errorf("guestos: node %d holds %d balloon frames but counts %d", nd.ID, n, k.heldOn[nd.ID])
 		}
 	}
-	mappedPerNode := make(map[int]uint64)
-	owner := make(map[mem.Frame]string)
+	mappedPerNode := make([]uint64, len(k.Topo.Nodes))
+	mapped := mem.NewFrameSet(k.Topo.TotalFrames())
 	for _, p := range k.procs {
 		var dup error
 		p.GPT.Scan(func(gvpn uint64, e *pagetable.Entry) bool {
 			f := mem.Frame(e.Value())
-			if prev, taken := owner[f]; taken {
-				dup = fmt.Errorf("guestos: gpfn %d mapped twice (%s and %s gvpn %#x)", f, prev, p.Name, gvpn)
+			node := k.Topo.NodeOf(f).ID
+			if mapped.Has(f) {
+				dup = fmt.Errorf("guestos: gpfn %d mapped twice (%s and %s gvpn %#x)", f, k.firstMapper(f), p.Name, gvpn)
 				return false
 			}
-			owner[f] = p.Name
-			if k.ballooned[f] {
+			mapped.Add(f)
+			if k.ballooned.Has(f) {
 				dup = fmt.Errorf("guestos: gpfn %d both mapped (%s) and balloon-held", f, p.Name)
 				return false
 			}
-			mappedPerNode[k.Topo.NodeOf(f).ID]++
+			mappedPerNode[node]++
 			return true
 		})
 		if dup != nil {
@@ -224,6 +223,22 @@ func (k *Kernel) Audit() error {
 	return k.Topo.Audit(func(nodeID int) (mapped, held uint64) {
 		return mappedPerNode[nodeID], k.BalloonedOn(nodeID)
 	})
+}
+
+// firstMapper names the first process, in creation order, whose page
+// table maps f: the owner a duplicate mapping is reported against.
+func (k *Kernel) firstMapper(f mem.Frame) string {
+	for _, p := range k.procs {
+		found := false
+		p.GPT.Scan(func(_ uint64, e *pagetable.Entry) bool {
+			found = mem.Frame(e.Value()) == f
+			return !found
+		})
+		if found {
+			return p.Name
+		}
+	}
+	return ""
 }
 
 // RegisterContextSwitchHook adds fn to the scheduler's switch-out path.

@@ -734,18 +734,19 @@ func (vm *VM) GuestFreeFrames() (fmem, smem uint64) {
 // violation — a leaked frame, a double mapping — returns a descriptive
 // error. Chaos runs call this after every experiment.
 func (m *Machine) AuditFrames() error {
-	owner := make(map[uint64]int)
-	mapped := make(map[int]uint64)
+	mappedPerNode := make([]uint64, len(m.Topo.Nodes))
+	mapped := mem.NewFrameSet(m.Topo.TotalFrames())
 	for _, vm := range m.VMs {
 		var dup error
 		vm.EPT.Scan(func(_ uint64, e *pagetable.Entry) bool {
-			hpfn := e.Value()
-			if prev, seen := owner[hpfn]; seen {
-				dup = fmt.Errorf("hypervisor: host frame %d EPT-mapped by vm%d and vm%d", hpfn, prev, vm.ID)
+			hpfn := mem.Frame(e.Value())
+			node := m.Topo.NodeOf(hpfn).ID
+			if mapped.Has(hpfn) {
+				dup = fmt.Errorf("hypervisor: host frame %d EPT-mapped by vm%d and vm%d", hpfn, m.firstMapper(hpfn), vm.ID)
 				return false
 			}
-			owner[hpfn] = vm.ID
-			mapped[m.Topo.NodeOf(mem.Frame(hpfn)).ID]++
+			mapped.Add(hpfn)
+			mappedPerNode[node]++
 			return true
 		})
 		if dup != nil {
@@ -753,8 +754,24 @@ func (m *Machine) AuditFrames() error {
 		}
 	}
 	return m.Topo.Audit(func(nodeID int) (uint64, uint64) {
-		return mapped[nodeID], 0
+		return mappedPerNode[nodeID], 0
 	})
+}
+
+// firstMapper returns the ID of the first VM, in boot order, whose EPT
+// maps hpfn: the owner a duplicate mapping is reported against.
+func (m *Machine) firstMapper(hpfn mem.Frame) int {
+	for _, vm := range m.VMs {
+		found := false
+		vm.EPT.Scan(func(_ uint64, e *pagetable.Entry) bool {
+			found = mem.Frame(e.Value()) == hpfn
+			return !found
+		})
+		if found {
+			return vm.ID
+		}
+	}
+	return -1
 }
 
 // AuditGuestFrames verifies the guest kernel's frame conservation (see

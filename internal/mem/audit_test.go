@@ -38,42 +38,51 @@ func TestAuditDetectsLeakedFrame(t *testing.T) {
 
 func TestAuditDetectsDuplicateFreeListEntry(t *testing.T) {
 	// Free already panics on an over-full list, so corrupt the free list
-	// directly: one frame allocated, its slot replaced by a duplicate of
-	// a still-free frame.
+	// directly: of two freed frames, one is replaced by a duplicate of
+	// the other, keeping the totals conserved.
 	topo := PaperDRAMPMEM(8, 8)
 	n0 := topo.Nodes[0]
+	f0, _ := n0.Alloc()
+	f1, _ := n0.Alloc()
 	n0.Alloc()
-	n0.free[0] = n0.free[1]
-	err := topo.Audit(func(nodeID int) (uint64, uint64) {
-		if nodeID == 0 {
-			return 1, 0
-		}
-		return 0, 0
-	})
-	if err == nil {
-		t.Fatal("audit missed a duplicated free-list entry")
-	}
-	if !strings.Contains(err.Error(), "twice") {
-		t.Fatalf("unexpected error: %v", err)
-	}
+	n0.Free(f0)
+	n0.Free(f1)
+	n0.free[1] = f0
+	requireAuditError(t, topo, "twice")
+}
+
+func TestAuditDetectsFreedFrameAboveMark(t *testing.T) {
+	// A never-allocated frame is free by the mark; listing it too counts
+	// it twice.
+	topo := PaperDRAMPMEM(8, 8)
+	n0 := topo.Nodes[0]
+	f0, _ := n0.Alloc()
+	n0.Alloc()
+	n0.Free(f0)
+	n0.free[0] = n0.base + 5
+	requireAuditError(t, topo, "twice")
 }
 
 func TestAuditDetectsForeignFrame(t *testing.T) {
 	topo := PaperDRAMPMEM(8, 8)
 	n0, n1 := topo.Nodes[0], topo.Nodes[1]
 	f, _ := n1.Alloc()
+	f0, _ := n0.Alloc()
 	n0.Alloc()
+	n0.Free(f0)
 	n0.free[0] = f // node 0's list now holds node 1's frame
-	err := topo.Audit(func(nodeID int) (uint64, uint64) {
-		if nodeID == 0 {
-			return 1, 0
-		}
-		return 1, 0
-	})
+	requireAuditError(t, topo, "foreign")
+}
+
+// requireAuditError audits topo with one frame mapped on each node and
+// requires an error containing want.
+func requireAuditError(t *testing.T, topo *Topology, want string) {
+	t.Helper()
+	err := topo.Audit(func(int) (uint64, uint64) { return 1, 0 })
 	if err == nil {
-		t.Fatal("audit missed a foreign frame")
+		t.Fatalf("audit missed a corrupted free list (want %q)", want)
 	}
-	if !strings.Contains(err.Error(), "foreign") {
+	if !strings.Contains(err.Error(), want) {
 		t.Fatalf("unexpected error: %v", err)
 	}
 }

@@ -13,6 +13,7 @@ package mem
 
 import (
 	"fmt"
+	"math/bits"
 
 	"demeter/internal/fault"
 	"demeter/internal/sim"
@@ -119,35 +120,36 @@ func CopyCost(src, dst TierSpec, size int64) sim.Duration {
 // Node is one host NUMA node: a contiguous frame range on a single medium
 // with a LIFO free list. LIFO matches Linux's per-CPU page caches and is
 // what scatters physical placement relative to virtual layout (Figure 4).
+//
+// The free list is filled lazily: it holds only frames freed since
+// construction, and frames at or above the never-allocated mark next have
+// never been handed out. Alloc pops the list first and takes base+next
+// only when it is empty, which is exactly the order a list pushed full in
+// reverse at construction would give: the first allocations come from the
+// low end, which makes traces easier to read.
 type Node struct {
 	ID   int
 	Spec TierSpec
 
 	base    Frame
 	nframes uint64
+	next    uint64 // frames [base+next, base+nframes) were never allocated
 	free    []Frame
 }
 
 // NewNode creates a node owning frames [base, base+nframes).
 func NewNode(id int, spec TierSpec, base Frame, nframes uint64) *Node {
-	n := &Node{ID: id, Spec: spec, base: base, nframes: nframes}
-	n.free = make([]Frame, 0, nframes)
-	// Push in reverse so the first allocations come from the low end,
-	// which makes traces easier to read.
-	for i := nframes; i > 0; i-- {
-		n.free = append(n.free, base+Frame(i-1))
-	}
-	return n
+	return &Node{ID: id, Spec: spec, base: base, nframes: nframes}
 }
 
 // Frames returns the node's total frame count.
 func (n *Node) Frames() uint64 { return n.nframes }
 
 // FreeFrames returns the number of currently free frames.
-func (n *Node) FreeFrames() uint64 { return uint64(len(n.free)) }
+func (n *Node) FreeFrames() uint64 { return uint64(len(n.free)) + n.nframes - n.next }
 
 // UsedFrames returns allocated frame count.
-func (n *Node) UsedFrames() uint64 { return n.nframes - uint64(len(n.free)) }
+func (n *Node) UsedFrames() uint64 { return n.nframes - n.FreeFrames() }
 
 // Contains reports whether f belongs to this node.
 func (n *Node) Contains(f Frame) bool {
@@ -157,11 +159,16 @@ func (n *Node) Contains(f Frame) bool {
 // Alloc takes one frame from the node, or returns (InvalidFrame, false)
 // when the node is exhausted.
 func (n *Node) Alloc() (Frame, bool) {
-	if len(n.free) == 0 {
+	if last := len(n.free) - 1; last >= 0 {
+		f := n.free[last]
+		n.free = n.free[:last]
+		return f, true
+	}
+	if n.next == n.nframes {
 		return InvalidFrame, false
 	}
-	f := n.free[len(n.free)-1]
-	n.free = n.free[:len(n.free)-1]
+	f := n.base + Frame(n.next)
+	n.next++
 	return f, true
 }
 
@@ -172,7 +179,7 @@ func (n *Node) Free(f Frame) {
 		panic(fmt.Sprintf("mem: freeing frame %d to wrong node %d", f, n.ID))
 	}
 	n.free = append(n.free, f)
-	if uint64(len(n.free)) > n.nframes {
+	if n.FreeFrames() > n.nframes {
 		panic(fmt.Sprintf("mem: node %d free list overflow (double free?)", n.ID))
 	}
 }
@@ -309,15 +316,18 @@ func (t *Topology) SlowNode() *Node {
 // accounting and returns a descriptive error.
 func (t *Topology) Audit(usage func(nodeID int) (mapped, held uint64)) error {
 	for _, n := range t.Nodes {
-		seen := make(map[Frame]bool, len(n.free))
+		seen := NewFrameSet(n.next) // indexed by f - base
 		for _, f := range n.free {
 			if !n.Contains(f) {
 				return fmt.Errorf("mem: node %d free list holds foreign frame %d", n.ID, f)
 			}
-			if seen[f] {
+			// A listed frame at or above the mark is free twice: once
+			// on the list and once as never allocated.
+			i := f - n.base
+			if uint64(i) >= n.next || seen.Has(i) {
 				return fmt.Errorf("mem: node %d free list holds frame %d twice", n.ID, f)
 			}
-			seen[f] = true
+			seen.Add(i)
 		}
 		mapped, held := usage(n.ID)
 		if got := mapped + held + n.FreeFrames(); got != n.nframes {
@@ -326,6 +336,44 @@ func (t *Topology) Audit(usage func(nodeID int) (mapped, held uint64)) error {
 		}
 	}
 	return nil
+}
+
+// FrameSet is a set of frames below a fixed limit, one bit per frame:
+// the dense form of a frame-keyed map for the balloon's held set and the
+// audits' ownership checks.
+type FrameSet []uint64
+
+// NewFrameSet returns an empty set over frames [0, limit).
+func NewFrameSet(limit uint64) FrameSet { return make(FrameSet, (limit+63)/64) }
+
+// Has reports whether f is in the set; a frame at or past the limit never is.
+func (s FrameSet) Has(f Frame) bool {
+	w := uint64(f) / 64
+	return w < uint64(len(s)) && s[w]&(1<<(f%64)) != 0
+}
+
+// Add puts f, which must be below the limit, in the set.
+func (s FrameSet) Add(f Frame) { s[f/64] |= 1 << (f % 64) }
+
+// Remove takes f out of the set.
+func (s FrameSet) Remove(f Frame) { s[f/64] &^= 1 << (f % 64) }
+
+// CountOn returns how many of n's frames are in the set, which must
+// cover n's range.
+func (s FrameSet) CountOn(n *Node) uint64 {
+	lo, hi := uint64(n.base), uint64(n.base)+n.nframes
+	var c int
+	for lo < hi {
+		w := s[lo/64] >> (lo % 64)
+		if span := 64 - lo%64; hi-lo < span {
+			w &= 1<<(hi-lo) - 1
+			lo = hi
+		} else {
+			lo += span
+		}
+		c += bits.OnesCount64(w)
+	}
+	return uint64(c)
 }
 
 // GiB expresses a byte count in frames.

@@ -5,6 +5,7 @@ import (
 	"testing/quick"
 
 	"demeter/internal/sim"
+	"demeter/internal/simrand"
 )
 
 func testTopo() *Topology {
@@ -236,5 +237,91 @@ func TestCXLTopology(t *testing.T) {
 	}
 	if topo.SlowNode().Spec.LoadLatency != sim.Duration(122) {
 		t.Fatal("CXL latency should follow remote DRAM per Pond emulation")
+	}
+}
+
+// eagerNode is the reference allocator: the whole free list pushed in
+// reverse at construction, then popped and pushed LIFO.
+type eagerNode struct{ free []Frame }
+
+func newEagerNode(base Frame, nframes uint64) *eagerNode {
+	e := &eagerNode{}
+	for i := nframes; i > 0; i-- {
+		e.free = append(e.free, base+Frame(i-1))
+	}
+	return e
+}
+
+func (e *eagerNode) alloc() (Frame, bool) {
+	if len(e.free) == 0 {
+		return InvalidFrame, false
+	}
+	f := e.free[len(e.free)-1]
+	e.free = e.free[:len(e.free)-1]
+	return f, true
+}
+
+// The lazily filled free list hands out frames in exactly the eager
+// list's order under a seeded mix of allocations and frees, exhaustion
+// included.
+func TestLazyFreeListMatchesEagerOrder(t *testing.T) {
+	const base, nframes = 100, 64
+	n, ref := NewNode(0, SpecLocalDRAM, base, nframes), newEagerNode(base, nframes)
+	var held []Frame
+	rng := simrand.New(7)
+	for step := 0; step < 5000; step++ {
+		if rng.Intn(3) > 0 {
+			f, ok := n.Alloc()
+			g, rok := ref.alloc()
+			if f != g || ok != rok {
+				t.Fatalf("step %d: Alloc = %d,%v, eager list gives %d,%v", step, f, ok, g, rok)
+			}
+			if ok {
+				held = append(held, f)
+			}
+		} else if len(held) > 0 {
+			i := rng.Intn(len(held))
+			f := held[i]
+			held = append(held[:i], held[i+1:]...)
+			n.Free(f)
+			ref.free = append(ref.free, f)
+		}
+		if got := n.FreeFrames(); got != uint64(len(ref.free)) {
+			t.Fatalf("step %d: FreeFrames = %d, eager list holds %d", step, got, len(ref.free))
+		}
+	}
+}
+
+func TestFrameSetCountOn(t *testing.T) {
+	// Node ranges that start and end inside 64-frame words.
+	topo := NewTopology(
+		NodeConfig{Spec: SpecLocalDRAM, Frames: 37},
+		NodeConfig{Spec: SpecPMEM, Frames: 150},
+		NodeConfig{Spec: SpecCXL, Frames: 5},
+	)
+	s := NewFrameSet(topo.TotalFrames())
+	for f := Frame(0); uint64(f) < topo.TotalFrames(); f++ {
+		if f%3 == 0 || f%7 == 1 {
+			s.Add(f)
+		}
+	}
+	s.Remove(36)
+	// Set each later node's first frame, so a count that runs past the
+	// end of the node before it is caught.
+	s.Add(37)
+	s.Add(187)
+	for _, n := range topo.Nodes {
+		var want uint64
+		for f := n.base; f < n.base+Frame(n.nframes); f++ {
+			if s.Has(f) {
+				want++
+			}
+		}
+		if got := s.CountOn(n); got != want {
+			t.Errorf("node %d: CountOn = %d, frame-by-frame count %d", n.ID, got, want)
+		}
+	}
+	if s.Has(Frame(topo.TotalFrames() + 64)) {
+		t.Error("a frame past the limit is in the set")
 	}
 }

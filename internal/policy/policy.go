@@ -133,8 +133,8 @@ func New(cfg Config) (Policy, error) {
 
 // tickPolicy is the shared skeleton of the tracker-driven policies: a
 // ticker at Period calling the concrete round function. The round
-// buffers are reused across rounds, so a steady-state round allocates
-// only the tracker's Counters copy.
+// buffers are reused across rounds and Counters lends the tracker's own
+// slice, so a steady-state round allocates nothing.
 type tickPolicy struct {
 	cfg    Config
 	eng    *sim.Engine

@@ -61,6 +61,9 @@ type Memtis struct {
 	vm       *hypervisor.VM
 	unit     *pebs.Unit
 	hist     decayCounts // gpfn → decayed access count
+	rmap     reverseMap  // gpfn → mapping gVA, for one round's lists
+	hot      []uint64    // slow-tier gpfns above the threshold, reused
+	coldFast []uint64    // fast-tier gpfns below it, reused
 	poll     *sim.Ticker
 	classify *sim.Ticker
 	active   bool
@@ -92,6 +95,7 @@ func (p *Memtis) Attach(eng *sim.Engine, vm *hypervisor.VM) {
 	}
 	p.vm, p.active = vm, true
 	p.hist = newDecayCounts(vm.Kernel.Topo.TotalFrames())
+	p.rmap = make(reverseMap, vm.Kernel.Topo.TotalFrames())
 
 	unit, err := pebs.NewUnit(pebs.ConfigWithPeriod(p.Cfg.SamplePeriod))
 	if err != nil {
@@ -157,8 +161,7 @@ func (p *Memtis) round() {
 	vm := p.vm
 	kernel := vm.Kernel
 
-	var hot []uint64      // slow-tier gpfns above the threshold
-	var coldFast []uint64 // fast-tier gpfns below it
+	hot, coldFast := p.hot[:0], p.coldFast[:0]
 	cool := (p.stats.Rounds+1)%memtisCoolEveryRounds == 0
 	p.hist.walk(cool, func(gpfn uint64, count float64) {
 		if count >= p.Cfg.HotThreshold {
@@ -169,6 +172,7 @@ func (p *Memtis) round() {
 			coldFast = append(coldFast, gpfn)
 		}
 	})
+	p.hot, p.coldFast = hot, coldFast
 	vm.ChargeGuest(hypervisor.CompClassify, sim.Duration(p.hist.len())*hypervisor.PTEOpCost)
 	p.stats.Rounds++
 
@@ -178,14 +182,15 @@ func (p *Memtis) round() {
 	if len(hot) == 0 {
 		return
 	}
-	gvaOf := p.reverseMap(hot, coldFast)
+	p.rmap.fill(vm.Proc.GPT, hot, coldFast)
+	defer p.rmap.clear(hot, coldFast)
 	vm.ChargeGuest(hypervisor.CompClassify, sim.Duration(vm.Proc.GPT.Mapped())*hypervisor.PTEOpCost/4)
 
 	var migrateCost sim.Duration
 	fastNode := kernel.Topo.Nodes[0]
 	ci := 0
 	for fastNode.FreeFrames() < uint64(len(hot)) && ci < len(coldFast) {
-		if gvpn, ok := gvaOf[coldFast[ci]]; ok {
+		if gvpn, ok := p.rmap.gva(coldFast[ci]); ok {
 			if cost, err := vm.MigrateGuestPage(gvpn, 1); err == nil {
 				migrateCost += cost
 				p.stats.Demoted++
@@ -194,7 +199,7 @@ func (p *Memtis) round() {
 		ci++
 	}
 	for _, gpfn := range hot {
-		gvpn, ok := gvaOf[gpfn]
+		gvpn, ok := p.rmap.gva(gpfn)
 		if !ok {
 			continue
 		}
@@ -206,20 +211,49 @@ func (p *Memtis) round() {
 	vm.ChargeGuest(hypervisor.CompMigrate, migrateCost)
 }
 
-// reverseMap finds the gVA currently mapping each wanted gpfn.
-func (p *Memtis) reverseMap(lists ...[]uint64) map[uint64]uint64 {
-	wanted := make(map[uint64]uint64)
+// reverseMap finds the gVA currently mapping each wanted gpfn: a
+// gpfn-indexed slice reused across rounds, holding 0 for a gpfn not
+// wanted, rmapWanted for one wanted but not yet found, and gvpn+1 once
+// found. A round clears only the entries it set.
+type reverseMap []uint64
+
+const rmapWanted = ^uint64(0)
+
+// fill marks every gpfn of the lists wanted, then scans gpt in gvpn
+// order until each has been found. The lists hold distinct gpfns.
+func (r reverseMap) fill(gpt *pagetable.Table, lists ...[]uint64) {
+	wanted := 0
 	for _, l := range lists {
 		for _, gpfn := range l {
-			wanted[gpfn] = 0
+			r[gpfn] = rmapWanted
+		}
+		wanted += len(l)
+	}
+	found := 0
+	gpt.Scan(func(gvpn uint64, e *pagetable.Entry) bool {
+		if v := &r[e.Value()]; *v != 0 {
+			if *v == rmapWanted {
+				found++
+			}
+			*v = gvpn + 1
+		}
+		return found < wanted
+	})
+}
+
+// gva returns the gVA found mapping gpfn.
+func (r reverseMap) gva(gpfn uint64) (gvpn uint64, ok bool) {
+	if v := r[gpfn]; v != 0 && v != rmapWanted {
+		return v - 1, true
+	}
+	return 0, false
+}
+
+// clear resets the entries fill set from the same lists.
+func (r reverseMap) clear(lists ...[]uint64) {
+	for _, l := range lists {
+		for _, gpfn := range l {
+			r[gpfn] = 0
 		}
 	}
-	out := make(map[uint64]uint64, len(wanted))
-	p.vm.Proc.GPT.Scan(func(gvpn uint64, e *pagetable.Entry) bool {
-		if _, ok := wanted[e.Value()]; ok {
-			out[e.Value()] = gvpn
-		}
-		return len(out) < len(wanted)
-	})
-	return out
 }

@@ -38,7 +38,9 @@ const (
 type Nomad struct {
 	Cfg ScanConfig
 	guestScan
-	shadow map[uint64]bool // gvpn → has a retained slow-tier shadow
+	// shadow holds 1 for a gvpn with a retained slow-tier shadow: a
+	// scoreboard saturating at 1 is a paged set.
+	shadow *scoreboard
 
 	// ShadowDemotions counts demotions satisfied by a retained shadow.
 	ShadowDemotions uint64
@@ -53,7 +55,7 @@ func (p *Nomad) Name() string { return "nomad" }
 // Attach implements Policy.
 func (p *Nomad) Attach(eng *sim.Engine, vm *hypervisor.VM) {
 	p.attach(eng, vm, "Nomad", p.Cfg, nomadMaxScore, nomadFreeTargetFrac)
-	p.shadow = make(map[uint64]bool)
+	p.shadow = newScoreboard(1)
 	p.promoted, p.scanned, p.demote = p.shadowPromoted, p.dropDirtyShadow, p.shadowDemote
 }
 
@@ -63,14 +65,14 @@ func (p *Nomad) Attach(eng *sim.Engine, vm *hypervisor.VM) {
 func (p *Nomad) shadowPromoted(gvpn uint64) sim.Duration {
 	cost := nomadShadowFaultCount * hypervisor.HintFaultCost
 	cost += sim.Duration(nomadDirtyRetryFrac * float64(mem.CopyCost(mem.SpecPMEM, mem.SpecLocalDRAM, mem.PageSize)))
-	p.shadow[gvpn] = true
+	p.shadow.observe(gvpn, true)
 	return cost
 }
 
 // dropDirtyShadow invalidates a dirtied page's retained shadow.
 func (p *Nomad) dropDirtyShadow(gvpn uint64, e *pagetable.Entry) {
-	if e.Dirty() && p.shadow[gvpn] {
-		delete(p.shadow, gvpn)
+	if e.Dirty() {
+		p.shadow.observe(gvpn, false)
 	}
 }
 
@@ -81,14 +83,14 @@ func (p *Nomad) dropDirtyShadow(gvpn uint64, e *pagetable.Entry) {
 // whose remap fails, pay the normal copy; a failed copy charges nothing.
 func (p *Nomad) shadowDemote(gvpn uint64) (sim.Duration, bool) {
 	vm := p.vm
-	if p.shadow[gvpn] {
+	if p.shadow.get(gvpn) != 0 {
 		if cost, err := vm.MigrateGuestPage(gvpn, 1); err == nil {
 			// Refund the copy: the shadow already held the bytes.
 			copyCost := mem.CopyCost(mem.SpecLocalDRAM, vm.Kernel.Topo.Nodes[1].Spec, mem.PageSize)
 			if cost > copyCost {
 				cost -= copyCost
 			}
-			delete(p.shadow, gvpn)
+			p.shadow.observe(gvpn, false)
 			p.ShadowDemotions++
 			return cost, true
 		}

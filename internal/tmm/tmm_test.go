@@ -697,3 +697,73 @@ func TestVTMMZeroScanBatchScansEverything(t *testing.T) {
 		t.Fatalf("an unbounded round left %d of %d EPT A bits set", after, before)
 	}
 }
+
+// mapReverseMap is the map-based reverse lookup Memtis used before
+// reverseMap, kept as the reference: the gVA mapping each wanted gpfn,
+// scanning in gvpn order until every one is found.
+func mapReverseMap(gpt *pagetable.Table, lists ...[]uint64) map[uint64]uint64 {
+	wanted := make(map[uint64]uint64)
+	for _, l := range lists {
+		for _, gpfn := range l {
+			wanted[gpfn] = 0
+		}
+	}
+	out := make(map[uint64]uint64, len(wanted))
+	gpt.Scan(func(gvpn uint64, e *pagetable.Entry) bool {
+		if _, ok := wanted[e.Value()]; ok {
+			out[e.Value()] = gvpn
+		}
+		return len(out) < len(wanted)
+	})
+	return out
+}
+
+// Seeded rounds of disjoint gpfn lists resolve as the map-based lookup
+// does, and each round leaves the slice all zero. Odd rounds mix mapped
+// and unmapped gpfns, so the scan runs to the end; even rounds want only
+// mapped ones, so it stops once all are found.
+func TestReverseMapMatchesMapScan(t *testing.T) {
+	eng, vm, x, _ := rig(t, 256, 1024, 1000, 1_000_000)
+	x.Start()
+	eng.Run(eng.Now() + 20*sim.Millisecond)
+	gpt := vm.Proc.GPT
+	frames := vm.Kernel.Topo.TotalFrames()
+	var mapped []uint64
+	gpt.Scan(func(_ uint64, e *pagetable.Entry) bool {
+		mapped = append(mapped, e.Value())
+		return true
+	})
+	r := make(reverseMap, frames)
+	rng := simrand.New(5)
+	for round := 0; round < 20; round++ {
+		perm := mapped
+		if round%2 == 1 {
+			perm = make([]uint64, frames)
+			for i := range perm {
+				perm[i] = uint64(i)
+			}
+		}
+		rng.Shuffle(len(perm), func(i, j int) { perm[i], perm[j] = perm[j], perm[i] })
+		hot, cold := perm[:1+rng.Intn(40)], perm[50:50+rng.Intn(200)]
+		want := mapReverseMap(gpt, hot, cold)
+		r.fill(gpt, hot, cold)
+		found := 0
+		for _, gpfn := range append(slices.Clone(hot), cold...) {
+			gvpn, ok := r.gva(gpfn)
+			wgvpn, wok := want[gpfn]
+			if ok != wok || gvpn != wgvpn {
+				t.Fatalf("round %d: gpfn %d -> %d,%v, map scan gives %d,%v", round, gpfn, gvpn, ok, wgvpn, wok)
+			}
+			if ok {
+				found++
+			}
+		}
+		if mix := found < len(hot)+len(cold); found == 0 || mix != (round%2 == 1) {
+			t.Fatalf("round %d: %d of %d gpfns mapped", round, found, len(hot)+len(cold))
+		}
+		r.clear(hot, cold)
+		if i := slices.IndexFunc(r, func(v uint64) bool { return v != 0 }); i >= 0 {
+			t.Fatalf("round %d: entry %d left set after clear", round, i)
+		}
+	}
+}

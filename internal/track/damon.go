@@ -116,6 +116,4 @@ func newestOverlap(prev []Counter, start, end uint64) sim.Time {
 	return newest
 }
 
-func (t *damonTracker) Counters() []Counter {
-	return append([]Counter(nil), t.counters...)
-}
+func (t *damonTracker) Counters() []Counter { return t.counters }

@@ -5,6 +5,7 @@ import (
 	"sort"
 	"testing"
 
+	"demeter/internal/guestos"
 	"demeter/internal/sim"
 	"demeter/internal/simrand"
 )
@@ -100,118 +101,166 @@ func read(t *testing.T, step int, s *pageStore, tr Tracker, m *mapModel, cov *co
 	requireSameCounters(t, step, tr.Counters(), m.counters())
 }
 
-// scanOrder visits n pages of [base, base+span) from a random cursor,
-// wrapping like an incremental page-table scan.
-func scanOrder(rng *simrand.Source, base, span uint64, n int) []uint64 {
+// scanOrder visits n of span pages from a random cursor, wrapping like
+// an incremental page-table scan, and returns them as layout gvpns.
+func scanOrder(rng *simrand.Source, gvpnOf layout, span uint64, n int) []uint64 {
 	cursor := rng.Uint64n(span)
 	out := make([]uint64, n)
 	for i := range out {
-		out[i] = base + (cursor+uint64(i))%span
+		out[i] = gvpnOf((cursor + uint64(i)) % span)
 	}
 	return out
+}
+
+// layout places a replay's i-th page, in gvpn order, at a gvpn.
+type layout func(i uint64) uint64
+
+// contiguous lays the pages out from base up.
+func contiguous(base uint64) layout { return func(i uint64) uint64 { return base + i } }
+
+// heapAndMmap splits the pages between the top of a heap and the bottom
+// of an mmap area, far apart in the address space like the two VMAs of
+// a guest process, so lookups alternate between distant index pages.
+func heapAndMmap(span uint64) layout {
+	heap := guestos.HeapBase>>guestos.PageShift + 1000
+	mmap := guestos.MmapBase>>guestos.PageShift - span
+	return func(i uint64) uint64 {
+		if i < span/2 {
+			return heap + i
+		}
+		return mmap + i
+	}
 }
 
 func TestPageStoreMatchesMapModel(t *testing.T) {
 	const span = 96
 	for seed := uint64(1); seed <= 20; seed++ {
-		base := 1<<20 + seed*1000
-		t.Run(fmt.Sprintf("abit/seed%d", seed), func(t *testing.T) {
-			rng := simrand.New(seed)
-			tr := &scanTracker{visit: abitVisit}
-			tr.store.reset()
-			m := newMapModel()
-			var cov coverage
-			hot := rng.Uint64n(span)
-			for step := 0; step < 400; step++ {
-				now := sim.Time(step) * sim.Millisecond
-				for _, gvpn := range scanOrder(rng, base, span, 1+rng.Intn(span)) {
-					// A hot page stays accessed long enough to saturate;
-					// the rest flicker and decay back to zero.
-					accessed := gvpn-base == hot || rng.Intn(4) == 0
-					before := m.acc[gvpn]
-					tr.visit(&tr.store, gvpn, accessed, now)
-					m.abitVisit(gvpn, accessed, now)
-					if before < abitMaxScore && m.acc[gvpn] == abitMaxScore {
-						cov.saturated++
-					}
-					if before == 1 && !accessed {
-						cov.decremented++
-					}
-				}
-				if rng.Intn(3) == 0 {
-					read(t, step, &tr.store, tr, m, &cov)
-				}
-				if step%100 == 99 {
-					hot = rng.Uint64n(span)
+		gvpnOf := contiguous(1<<20 + seed*1000)
+		t.Run(fmt.Sprintf("abit/seed%d", seed), func(t *testing.T) { replayABit(t, seed, gvpnOf, span) })
+		t.Run(fmt.Sprintf("idlepage/seed%d", seed), func(t *testing.T) { replayIdle(t, seed, gvpnOf, span) })
+		t.Run(fmt.Sprintf("pebs/seed%d", seed), func(t *testing.T) { replayPEBS(t, seed, gvpnOf, span) })
+	}
+}
+
+// TestPageStoreMatchesMapModelAcrossIndexPages replays the same
+// sequences over layouts that cross the slot index's page boundaries:
+// a span straddling gvpn 511/512, and pages split between a heap and an
+// mmap area.
+func TestPageStoreMatchesMapModelAcrossIndexPages(t *testing.T) {
+	const span = 96
+	layouts := []struct {
+		name   string
+		gvpnOf layout
+	}{
+		{"boundary", contiguous(512 - span/2)},
+		{"heap+mmap", heapAndMmap(span)},
+	}
+	for _, l := range layouts {
+		for seed := uint64(1); seed <= 5; seed++ {
+			t.Run(fmt.Sprintf("%s/abit/seed%d", l.name, seed), func(t *testing.T) { replayABit(t, seed, l.gvpnOf, span) })
+			t.Run(fmt.Sprintf("%s/idlepage/seed%d", l.name, seed), func(t *testing.T) { replayIdle(t, seed, l.gvpnOf, span) })
+			t.Run(fmt.Sprintf("%s/pebs/seed%d", l.name, seed), func(t *testing.T) { replayPEBS(t, seed, l.gvpnOf, span) })
+		}
+	}
+}
+
+func replayABit(t *testing.T, seed uint64, gvpnOf layout, span uint64) {
+	rng := simrand.New(seed)
+	tr := &scanTracker{visit: abitVisit}
+	tr.store.reset()
+	m := newMapModel()
+	var cov coverage
+	hot := gvpnOf(rng.Uint64n(span))
+	for step := 0; step < 400; step++ {
+		now := sim.Time(step) * sim.Millisecond
+		for _, gvpn := range scanOrder(rng, gvpnOf, span, 1+rng.Intn(int(span))) {
+			// A hot page stays accessed long enough to saturate; the
+			// rest flicker and decay back to zero.
+			accessed := gvpn == hot || rng.Intn(4) == 0
+			before := m.acc[gvpn]
+			tr.visit(&tr.store, gvpn, accessed, now)
+			m.abitVisit(gvpn, accessed, now)
+			if before < abitMaxScore && m.acc[gvpn] == abitMaxScore {
+				cov.saturated++
+			}
+			if before == 1 && !accessed {
+				cov.decremented++
+			}
+		}
+		if rng.Intn(3) == 0 {
+			read(t, step, &tr.store, tr, m, &cov)
+		}
+		if step%100 == 99 {
+			hot = gvpnOf(rng.Uint64n(span))
+		}
+	}
+	read(t, -1, &tr.store, tr, m, &cov)
+	if cov.resorts == 0 || cov.saturated == 0 || cov.decremented == 0 {
+		t.Fatalf("sequence missed a path: %+v", cov)
+	}
+}
+
+func replayIdle(t *testing.T, seed uint64, gvpnOf layout, span uint64) {
+	rng := simrand.New(seed)
+	tr := &scanTracker{visit: idleVisit}
+	tr.store.reset()
+	m := newMapModel()
+	var cov coverage
+	for step := 0; step < 400; step++ {
+		now := sim.Time(step) * sim.Millisecond
+		for _, gvpn := range scanOrder(rng, gvpnOf, span, 1+rng.Intn(int(span))) {
+			// Set-and-test: only pages found accessed are marked.
+			accessed := rng.Intn(8) == 0
+			tr.visit(&tr.store, gvpn, accessed, now)
+			if accessed {
+				m.idleMarkActive(gvpn, now)
+			}
+		}
+		if rng.Intn(3) == 0 {
+			read(t, step, &tr.store, tr, m, &cov)
+		}
+	}
+	read(t, -1, &tr.store, tr, m, &cov)
+	if cov.resorts == 0 {
+		t.Fatalf("sequence never re-sorted: %+v", cov)
+	}
+}
+
+func replayPEBS(t *testing.T, seed uint64, gvpnOf layout, span uint64) {
+	rng := simrand.New(seed)
+	tr := &pebsTracker{}
+	tr.store.reset()
+	m := newMapModel()
+	var cov coverage
+	evicted := make(map[uint64]bool)
+	for step := 0; step < 400; step++ {
+		now := sim.Time(step) * sim.Millisecond
+		// Samples arrive in access order, not address order.
+		for i := rng.Intn(12); i > 0; i-- {
+			gvpn := gvpnOf(rng.Uint64n(span))
+			if evicted[gvpn] {
+				cov.resampled++
+				delete(evicted, gvpn)
+			}
+			tr.sample(gvpn, now)
+			m.pebsSample(gvpn, now)
+		}
+		if rng.Intn(2) == 0 {
+			for gvpn, c := range m.acc {
+				if c*pebsDecay < pebsEvict {
+					evicted[gvpn] = true
+					cov.evicted++
 				}
 			}
-			read(t, -1, &tr.store, tr, m, &cov)
-			if cov.resorts == 0 || cov.saturated == 0 || cov.decremented == 0 {
-				t.Fatalf("sequence missed a path: %+v", cov)
-			}
-		})
-		t.Run(fmt.Sprintf("idlepage/seed%d", seed), func(t *testing.T) {
-			rng := simrand.New(seed)
-			tr := &scanTracker{visit: idleVisit}
-			tr.store.reset()
-			m := newMapModel()
-			var cov coverage
-			for step := 0; step < 400; step++ {
-				now := sim.Time(step) * sim.Millisecond
-				for _, gvpn := range scanOrder(rng, base, span, 1+rng.Intn(span)) {
-					// Set-and-test: only pages found accessed are marked.
-					accessed := rng.Intn(8) == 0
-					tr.visit(&tr.store, gvpn, accessed, now)
-					if accessed {
-						m.idleMarkActive(gvpn, now)
-					}
-				}
-				if rng.Intn(3) == 0 {
-					read(t, step, &tr.store, tr, m, &cov)
-				}
-			}
-			read(t, -1, &tr.store, tr, m, &cov)
-			if cov.resorts == 0 {
-				t.Fatalf("sequence never re-sorted: %+v", cov)
-			}
-		})
-		t.Run(fmt.Sprintf("pebs/seed%d", seed), func(t *testing.T) {
-			rng := simrand.New(seed)
-			tr := &pebsTracker{}
-			tr.store.reset()
-			m := newMapModel()
-			var cov coverage
-			evicted := make(map[uint64]bool)
-			for step := 0; step < 400; step++ {
-				now := sim.Time(step) * sim.Millisecond
-				// Samples arrive in access order, not address order.
-				for i := rng.Intn(12); i > 0; i-- {
-					gvpn := base + rng.Uint64n(span)
-					if evicted[gvpn] {
-						cov.resampled++
-						delete(evicted, gvpn)
-					}
-					tr.sample(gvpn, now)
-					m.pebsSample(gvpn, now)
-				}
-				if rng.Intn(2) == 0 {
-					for gvpn, c := range m.acc {
-						if c*pebsDecay < pebsEvict {
-							evicted[gvpn] = true
-							cov.evicted++
-						}
-					}
-					tr.decay()
-					m.pebsDecay()
-				}
-				if rng.Intn(3) == 0 {
-					read(t, step, &tr.store, tr, m, &cov)
-				}
-			}
-			read(t, -1, &tr.store, tr, m, &cov)
-			if cov.resorts == 0 || cov.evicted == 0 || cov.resampled == 0 {
-				t.Fatalf("sequence missed a path: %+v", cov)
-			}
-		})
+			tr.decay()
+			m.pebsDecay()
+		}
+		if rng.Intn(3) == 0 {
+			read(t, step, &tr.store, tr, m, &cov)
+		}
+	}
+	read(t, -1, &tr.store, tr, m, &cov)
+	if cov.resorts == 0 || cov.evicted == 0 || cov.resampled == 0 {
+		t.Fatalf("sequence missed a path: %+v", cov)
 	}
 }

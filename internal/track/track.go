@@ -52,8 +52,11 @@ type Tracker interface {
 	Attach(eng *sim.Engine, vm *hypervisor.VM) error
 	// Detach stops all tracking activity. Safe to call when detached.
 	Detach()
-	// Counters returns the current read model: a fresh slice sorted by
-	// StartGVPN. Callers may retain and mutate it freely.
+	// Counters returns the current read model, sorted by StartGVPN. The
+	// slice is the tracker's own, lent without a copy: it is read-only
+	// and valid until the tracker's next event (a scan round, drain,
+	// decay or aggregation). Callers read it at once and keep nothing;
+	// one that must keep it copies it.
 	Counters() []Counter
 }
 

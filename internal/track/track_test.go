@@ -1,6 +1,7 @@
 package track
 
 import (
+	"slices"
 	"sort"
 	"testing"
 
@@ -111,25 +112,43 @@ func TestTrackersObserveSkew(t *testing.T) {
 	}
 }
 
-func TestTrackerCountersAreFreshSlices(t *testing.T) {
-	eng, vm, x, _ := rig(t)
-	tr, err := New(testConfig("abit"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := tr.Attach(eng, vm); err != nil {
-		t.Fatal(err)
-	}
-	defer tr.Detach()
-	engine.RunAll(eng, 100*sim.Second, x)
-	a := tr.Counters()
-	if len(a) == 0 {
-		t.Fatal("no counters")
-	}
-	a[0].Accesses = -999
-	b := tr.Counters()
-	if b[0].Accesses == -999 {
-		t.Fatal("Counters aliases internal state")
+// TestTrackerCountersAreBorrowedViews pins the read-model contract for
+// every kind: Counters lends the tracker's own slice, so two reads with
+// no event in between give the same contents, a read allocates nothing,
+// and the contents follow the tracker's next scan, drain or aggregation.
+func TestTrackerCountersAreBorrowedViews(t *testing.T) {
+	for _, kind := range Kinds() {
+		t.Run(kind, func(t *testing.T) {
+			eng, vm, x, _ := rig(t)
+			tr, err := New(testConfig(kind))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := tr.Attach(eng, vm); err != nil {
+				t.Fatal(err)
+			}
+			defer tr.Detach()
+			x.Start()
+			defer x.Stop()
+			eng.Run(eng.Now() + 6*sim.Millisecond)
+			before := slices.Clone(tr.Counters())
+			if len(before) == 0 {
+				t.Fatal("no counters after warm-up")
+			}
+			if n := testing.AllocsPerRun(20, func() { tr.Counters() }); n != 0 {
+				t.Fatalf("a read allocates %v times, want 0", n)
+			}
+			if again := tr.Counters(); !slices.Equal(again, before) {
+				t.Fatal("two reads with no event in between differ")
+			}
+			eng.Run(eng.Now() + 6*sim.Millisecond)
+			if x.Finished() {
+				t.Fatal("workload finished inside the window; the rig is too small")
+			}
+			if slices.Equal(tr.Counters(), before) {
+				t.Fatal("contents did not follow the tracker's events")
+			}
+		})
 	}
 }
 
