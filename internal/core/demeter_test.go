@@ -6,6 +6,7 @@ import (
 	"demeter/internal/engine"
 	"demeter/internal/hypervisor"
 	"demeter/internal/mem"
+	"demeter/internal/pebs"
 	"demeter/internal/sim"
 	"demeter/internal/workload"
 )
@@ -212,5 +213,66 @@ func TestDemeterTranslationAblationCostsMore(t *testing.T) {
 	translated := run(true)
 	if translated <= direct {
 		t.Fatalf("per-sample translation (%v) should cost more than direct gVA use (%v)", translated, direct)
+	}
+}
+
+// runUntilDropsExceed advances the rig one epoch at a time until the VM's
+// delegation drop count rises above floor.
+func runUntilDropsExceed(t *testing.T, eng *sim.Engine, d *Demeter, floor uint64) {
+	t.Helper()
+	for i := 0; d.ChannelDropped() <= floor; i++ {
+		if i > 10_000 {
+			t.Fatalf("drops stayed at %d after %d epochs on a wedged channel", d.ChannelDropped(), i)
+		}
+		eng.Run(eng.Now() + d.Cfg.EpochPeriod)
+	}
+}
+
+// TestDemeterChannelDropsSurviveReattach pins the drop half of the
+// channel.wedge contract: a wedged channel fills and then drops, the VM's
+// drop count carries over a re-attach unchanged, and it keeps rising once
+// the new channel overflows too.
+func TestDemeterChannelDropsSurviveReattach(t *testing.T) {
+	eng, vm, x, _ := rig(t, 512, 4096, 2048, 4_000_000)
+	d := New(testConfig())
+	d.Attach(eng, vm)
+	defer d.Detach()
+	x.Start()
+	d.ch.Wedge()
+	runUntilDropsExceed(t, eng, d, 0)
+
+	d.Detach()
+	before := d.ChannelDropped()
+	d.Attach(eng, vm)
+	if got := d.ChannelDropped(); got != before {
+		t.Fatalf("ChannelDropped = %d right after re-attach, want %d", got, before)
+	}
+	d.ch.Wedge()
+	runUntilDropsExceed(t, eng, d, before)
+}
+
+// TestDemeterReconcileUnwedgesChannel pins the recovery half: Reconcile
+// discards what a wedged channel buffered and lets the consumer drain
+// again.
+func TestDemeterReconcileUnwedgesChannel(t *testing.T) {
+	eng, vm, x, _ := rig(t, 512, 4096, 2048, 400_000)
+	d := New(testConfig())
+	d.Attach(eng, vm)
+	defer d.Detach()
+	x.Start()
+	d.ch.Wedge()
+	for i := 0; d.ch.Len() == 0; i++ {
+		if i > 1000 {
+			t.Fatal("wedged channel never buffered a sample")
+		}
+		eng.Run(eng.Now() + d.Cfg.EpochPeriod)
+	}
+	d.Reconcile()
+	if n := d.ch.Len(); n != 0 {
+		t.Fatalf("Len = %d after Reconcile, want 0", n)
+	}
+	d.ch.Push(pebs.Sample{GVPN: 7})
+	if n := d.ch.Drain(func(pebs.Sample) {}); n != 1 {
+		t.Fatalf("Drain after Reconcile returned %d samples, want 1", n)
 	}
 }
