@@ -165,6 +165,9 @@ func NewReplayer(name string, r io.Reader, total, initOps uint64) (*Replayer, er
 		if err != nil {
 			return nil, err
 		}
+		if kind != 'h' && kind != 'm' {
+			return nil, fmt.Errorf("trace: region %d has unknown kind %q", i, kind)
+		}
 		bytes, err := binary.ReadUvarint(br)
 		if err != nil {
 			return nil, err
@@ -200,13 +203,10 @@ func (rp *Replayer) Err() error { return rp.err }
 func (rp *Replayer) Setup(as workload.AddressSpace) {
 	for _, r := range rp.regions {
 		var start uint64
-		switch r.Kind {
-		case 'h':
+		if r.Kind == 'h' { // NewReplayer admits only 'h' and 'm'
 			start = as.Brk(r.Bytes)
-		case 'm':
+		} else {
 			start = as.Mmap(r.Bytes)
-		default:
-			panic(fmt.Sprintf("trace: unknown region kind %q", r.Kind))
 		}
 		if start != r.Start {
 			panic(fmt.Sprintf("trace: replay layout diverged: region at %#x, recorded %#x", start, r.Start))

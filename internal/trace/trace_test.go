@@ -2,6 +2,7 @@ package trace
 
 import (
 	"bytes"
+	"math"
 	"testing"
 
 	"demeter/internal/core"
@@ -202,37 +203,50 @@ func TestReplayMatchesLiveRunExactly(t *testing.T) {
 	}
 }
 
+// recordGood records a short GUPS trace to corrupt.
+func recordGood(tb testing.TB) ([]byte, uint64) {
+	tb.Helper()
+	var good bytes.Buffer
+	count, err := Record(&good, workload.Must(workload.NewGUPS(256, 5_000, 2)), newFakeAS())
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return good.Bytes(), count
+}
+
+type corruptCase struct {
+	name string
+	data []byte
+	// wantHeaderErr: NewReplayer itself must fail. Otherwise the
+	// replayer must construct, then report the damage via Err().
+	wantHeaderErr bool
+}
+
+// corruptCases derives malformed streams from a known-good trace.
+func corruptCases(good []byte) []corruptCase {
+	return []corruptCase{
+		{name: "empty", data: nil, wantHeaderErr: true},
+		{name: "short magic", data: []byte("DM"), wantHeaderErr: true},
+		{name: "bad magic", data: append([]byte("XXXX"), good[4:]...), wantHeaderErr: true},
+		{name: "wrong version", data: func() []byte {
+			d := append([]byte(nil), good...)
+			d[4] = 99 // version uvarint follows the 4-byte magic
+			return d
+		}(), wantHeaderErr: true},
+		{name: "truncated header", data: good[:7], wantHeaderErr: true},
+		// Magic, version 1, one region of kind 'x', 1 byte at address 0.
+		{name: "bad region kind", data: append([]byte(magic), version, 1, 'x', 1, 0), wantHeaderErr: true},
+		{name: "truncated mid-stream", data: good[:len(good)/2]},
+		{name: "truncated mid-varint", data: good[:len(good)-1]},
+	}
+}
+
 // TestCorruptInputs drives the replayer through malformed streams: every
 // variant must surface an error (construction failure or Err() after the
 // stream stops) without panicking.
 func TestCorruptInputs(t *testing.T) {
-	// A known-good trace to corrupt.
-	var good bytes.Buffer
-	count, err := Record(&good, workload.Must(workload.NewGUPS(256, 5_000, 2)), newFakeAS())
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	cases := []struct {
-		name string
-		data []byte
-		// wantHeaderErr: NewReplayer itself must fail. Otherwise the
-		// replayer must construct, then report the damage via Err().
-		wantHeaderErr bool
-	}{
-		{name: "empty", data: nil, wantHeaderErr: true},
-		{name: "short magic", data: []byte("DM"), wantHeaderErr: true},
-		{name: "bad magic", data: append([]byte("XXXX"), good.Bytes()[4:]...), wantHeaderErr: true},
-		{name: "wrong version", data: func() []byte {
-			d := append([]byte(nil), good.Bytes()...)
-			d[4] = 99 // version uvarint follows the 4-byte magic
-			return d
-		}(), wantHeaderErr: true},
-		{name: "truncated header", data: good.Bytes()[:7], wantHeaderErr: true},
-		{name: "truncated mid-stream", data: good.Bytes()[:good.Len()/2]},
-		{name: "truncated mid-varint", data: good.Bytes()[:good.Len()-1]},
-	}
-	for _, tc := range cases {
+	good, count := recordGood(t)
+	for _, tc := range corruptCases(good) {
 		t.Run(tc.name, func(t *testing.T) {
 			rp, err := NewReplayer("corrupt", bytes.NewReader(tc.data), count, 0)
 			if tc.wantHeaderErr {
@@ -260,4 +274,51 @@ func TestCorruptInputs(t *testing.T) {
 			}
 		})
 	}
+}
+
+// layoutAS returns a recorded layout: its i-th reservation, Brk or Mmap,
+// starts at the i-th recorded address.
+type layoutAS struct{ starts []uint64 }
+
+func (a *layoutAS) Brk(uint64) uint64  { return a.next() }
+func (a *layoutAS) Mmap(uint64) uint64 { return a.next() }
+
+func (a *layoutAS) next() uint64 {
+	s := a.starts[0]
+	a.starts = a.starts[1:]
+	return s
+}
+
+// FuzzNewReplayer feeds arbitrary bytes to the replayer, as `tracer replay
+// -in FILE` does. NewReplayer must never panic; for a header it accepts,
+// Setup over an address space that reproduces the recorded layout must not
+// panic either, and the Fill loop must terminate.
+func FuzzNewReplayer(f *testing.F) {
+	good, _ := recordGood(f)
+	f.Add(good)
+	for _, tc := range corruptCases(good) {
+		f.Add(tc.data)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		rp, err := NewReplayer("fuzz", bytes.NewReader(data), math.MaxUint64, 0)
+		if err != nil {
+			return
+		}
+		as := &layoutAS{}
+		for _, r := range rp.regions {
+			as.starts = append(as.starts, r.Start)
+		}
+		rp.Setup(as)
+		// Every access takes at least one byte, so a full 512-access
+		// batch consumes at least 512 bytes of data.
+		buf := make([]workload.Access, 512)
+		for i := 0; ; i++ {
+			if i > len(data)/len(buf)+1 {
+				t.Fatalf("Fill still running after %d calls on %d bytes", i, len(data))
+			}
+			if _, done := rp.Fill(buf); done {
+				break
+			}
+		}
+	})
 }
