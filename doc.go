@@ -17,7 +17,9 @@
 // Layout:
 //
 //   - internal/core — the paper's contribution: range-based classifier,
-//     lock-free sample channel, balanced relocation, the Demeter policy.
+//     bounded sample channel (the paper's lock-free channel, represented
+//     by its constant per-sample cost), balanced relocation, the Demeter
+//     policy.
 //   - internal/{sim,mem,pagetable,tlb,pebs,virtio,guestos,hypervisor,
 //     balloon,engine,workload} — the substrates.
 //   - internal/tmm — baseline TMM designs.

@@ -1,121 +1,68 @@
 package core
 
-import (
-	"sync/atomic"
+import "demeter/internal/pebs"
 
-	"demeter/internal/pebs"
-)
-
-// SampleChannel is the lock-free multi-producer single-consumer ring that
-// carries PEBS samples from context-switch draining (any vCPU) to the
-// classifier (one consumer), §3.2.2. Producers reserve slots with a CAS on
-// the tail and publish with a per-slot sequence word; the consumer never
-// takes a lock. Capacity must be a power of two. When the ring is full
-// samples are dropped and counted — hotness sampling is lossy by nature,
-// and blocking a context switch on a full ring would be far worse.
-//
-// The simulator itself is single-threaded, but the channel is a faithful
-// standalone implementation (tested under the race detector) because the
-// paper calls it out as a scalability ingredient.
+// SampleChannel carries PEBS samples from context-switch draining to the
+// classifier, §3.2.2. The paper's channel is a lock-free multi-producer
+// ring, so no vCPU ever blocks on the classifier. The simulator runs each
+// VM on one goroutine, so here the channel is a bounded FIFO and the
+// lock-free design is represented by its constant per-sample cost
+// (hypervisor.SampleHandleCost to push, PTEOpCost to consume). When the
+// channel is full samples are dropped and counted — hotness sampling is
+// lossy by nature, and blocking a context switch would be far worse.
 type SampleChannel struct {
-	mask    uint64
-	slots   []sampleSlot
-	head    uint64 // consumer cursor (owned by the single consumer)
-	tail    atomic.Uint64
-	dropped atomic.Uint64
-	wedged  atomic.Bool
+	buf      []pebs.Sample // grows on demand, never past capacity
+	capacity int
+	dropped  uint64
+	wedged   bool
 }
 
-type sampleSlot struct {
-	seq    atomic.Uint64
-	sample pebs.Sample
-}
-
-// NewSampleChannel returns a channel with the given power-of-two capacity.
+// NewSampleChannel returns an empty channel that holds at most capacity
+// samples.
 func NewSampleChannel(capacity int) *SampleChannel {
-	if capacity <= 0 || capacity&(capacity-1) != 0 {
-		panic("core: sample channel capacity must be a positive power of two")
+	if capacity <= 0 {
+		panic("core: sample channel capacity must be positive")
 	}
-	c := &SampleChannel{
-		mask:  uint64(capacity - 1),
-		slots: make([]sampleSlot, capacity),
-	}
-	for i := range c.slots {
-		c.slots[i].seq.Store(uint64(i))
-	}
-	return c
+	return &SampleChannel{capacity: capacity}
 }
 
-// Push publishes one sample; it reports false (and counts a drop) when the
-// ring is full.
+// Push appends one sample; it reports false (and counts a drop) when the
+// channel is full.
 func (c *SampleChannel) Push(s pebs.Sample) bool {
-	for {
-		tail := c.tail.Load()
-		slot := &c.slots[tail&c.mask]
-		seq := slot.seq.Load()
-		switch {
-		case seq == tail:
-			// Slot free: claim it.
-			if c.tail.CompareAndSwap(tail, tail+1) {
-				slot.sample = s
-				slot.seq.Store(tail + 1) // publish
-				return true
-			}
-		case seq < tail:
-			// Slot still holds an unconsumed sample from a lap ago: full.
-			c.dropped.Add(1)
-			return false
-		default:
-			// Another producer claimed this slot; retry with a new tail.
-		}
+	if len(c.buf) >= c.capacity {
+		c.dropped++
+		return false
 	}
+	c.buf = append(c.buf, s)
+	return true
 }
 
-// Wedge freezes the consumer cursor: Pop refuses until Unwedge. This is
-// the channel.wedge fault — the consumer side of the delegation path
-// stops making progress, producers lap the ring and every further Push
+// Wedge stops the consumer: Drain hands out nothing until Unwedge. This is
+// the channel.wedge fault — the consumer side of the delegation path stops
+// making progress, producers fill the channel and every further Push
 // drops. Producers are unaffected, so the drop counter keeps climbing,
 // which is exactly the signal the health monitor keys on.
-func (c *SampleChannel) Wedge() { c.wedged.Store(true) }
+func (c *SampleChannel) Wedge() { c.wedged = true }
 
-// Unwedge releases a wedged consumer cursor (recovery handback).
-func (c *SampleChannel) Unwedge() { c.wedged.Store(false) }
+// Unwedge releases a wedged consumer (recovery handback).
+func (c *SampleChannel) Unwedge() { c.wedged = false }
 
-// Wedged reports whether the consumer cursor is wedged.
-func (c *SampleChannel) Wedged() bool { return c.wedged.Load() }
-
-// Pop removes the oldest sample. Only the single consumer may call it.
-func (c *SampleChannel) Pop() (pebs.Sample, bool) {
-	if c.wedged.Load() {
-		return pebs.Sample{}, false
-	}
-	slot := &c.slots[c.head&c.mask]
-	if slot.seq.Load() != c.head+1 {
-		return pebs.Sample{}, false // not yet published
-	}
-	s := slot.sample
-	// Mark the slot reusable for the producer one lap ahead.
-	slot.seq.Store(c.head + uint64(len(c.slots)))
-	c.head++
-	return s, true
-}
-
-// Drain pops every available sample into fn and returns the count.
+// Drain hands every buffered sample to fn, oldest first, and returns the
+// count. A wedged channel drains nothing. fn must not Push.
 func (c *SampleChannel) Drain(fn func(pebs.Sample)) int {
-	n := 0
-	for {
-		s, ok := c.Pop()
-		if !ok {
-			return n
-		}
-		fn(s)
-		n++
+	if c.wedged {
+		return 0
 	}
+	for _, s := range c.buf {
+		fn(s)
+	}
+	n := len(c.buf)
+	c.buf = c.buf[:0]
+	return n
 }
 
-// Dropped returns the number of samples rejected on a full ring.
-func (c *SampleChannel) Dropped() uint64 { return c.dropped.Load() }
+// Dropped returns the number of samples rejected on a full channel.
+func (c *SampleChannel) Dropped() uint64 { return c.dropped }
 
-// Len returns the number of buffered samples (approximate under
-// concurrent producers).
-func (c *SampleChannel) Len() int { return int(c.tail.Load() - c.head) }
+// Len returns the number of buffered samples.
+func (c *SampleChannel) Len() int { return len(c.buf) }

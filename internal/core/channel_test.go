@@ -1,12 +1,34 @@
 package core
 
 import (
-	"runtime"
-	"sync"
 	"testing"
 
 	"demeter/internal/pebs"
 )
+
+// drainGVPNs drains c and returns the sample pages in the order handed out.
+func drainGVPNs(t *testing.T, c *SampleChannel) []uint64 {
+	t.Helper()
+	var got []uint64
+	n := c.Drain(func(s pebs.Sample) { got = append(got, s.GVPN) })
+	if n != len(got) {
+		t.Fatalf("Drain returned %d, handed out %d", n, len(got))
+	}
+	return got
+}
+
+// wantSequence fails unless got is first, first+1, ..., first+n-1.
+func wantSequence(t *testing.T, got []uint64, first uint64, n int) {
+	t.Helper()
+	if len(got) != n {
+		t.Fatalf("drained %d samples, want %d", len(got), n)
+	}
+	for i, g := range got {
+		if g != first+uint64(i) {
+			t.Fatalf("sample %d = %d, want %d", i, g, first+uint64(i))
+		}
+	}
+}
 
 func TestChannelFIFO(t *testing.T) {
 	c := NewSampleChannel(8)
@@ -15,14 +37,9 @@ func TestChannelFIFO(t *testing.T) {
 			t.Fatalf("push %d failed", i)
 		}
 	}
-	for i := uint64(0); i < 5; i++ {
-		s, ok := c.Pop()
-		if !ok || s.GVPN != i {
-			t.Fatalf("pop %d = %v,%v", i, s, ok)
-		}
-	}
-	if _, ok := c.Pop(); ok {
-		t.Fatal("pop on empty channel succeeded")
+	wantSequence(t, drainGVPNs(t, c), 0, 5)
+	if n := c.Drain(func(pebs.Sample) {}); n != 0 {
+		t.Fatalf("drain on empty channel returned %d", n)
 	}
 }
 
@@ -32,15 +49,15 @@ func TestChannelFullDrops(t *testing.T) {
 		c.Push(pebs.Sample{GVPN: i})
 	}
 	if c.Push(pebs.Sample{GVPN: 99}) {
-		t.Fatal("push on full ring succeeded")
+		t.Fatal("push on full channel succeeded")
 	}
 	if c.Dropped() != 1 {
 		t.Fatalf("dropped = %d", c.Dropped())
 	}
-	// Consuming frees slots for new pushes.
-	c.Pop()
+	// Consuming frees room for new pushes.
+	wantSequence(t, drainGVPNs(t, c), 0, 4)
 	if !c.Push(pebs.Sample{GVPN: 100}) {
-		t.Fatal("push after pop failed")
+		t.Fatal("push after drain failed")
 	}
 }
 
@@ -52,17 +69,12 @@ func TestChannelWrapsAround(t *testing.T) {
 				t.Fatalf("round %d push %d failed", round, i)
 			}
 		}
-		for i := uint64(0); i < 4; i++ {
-			s, ok := c.Pop()
-			if !ok || s.GVPN != round*4+i {
-				t.Fatalf("round %d pop %d = %v,%v", round, i, s, ok)
-			}
-		}
+		wantSequence(t, drainGVPNs(t, c), round*4, 4)
 	}
 }
 
 func TestChannelCapacityValidation(t *testing.T) {
-	for _, n := range []int{0, -1, 3, 12} {
+	for _, n := range []int{0, -1} {
 		func() {
 			defer func() {
 				if recover() == nil {
@@ -89,98 +101,17 @@ func TestChannelDrain(t *testing.T) {
 	}
 }
 
-// TestChannelConcurrentProducers exercises the lock-free path with real
-// goroutines (meaningful under -race). Every successfully pushed sample
-// must be consumed exactly once; drops are allowed but double-delivery and
-// loss are not.
-func TestChannelConcurrentProducers(t *testing.T) {
-	const producers = 8
-	const perProducer = 20000
-	c := NewSampleChannel(1 << 12)
-
-	var wg sync.WaitGroup
-	pushCounts := make([]uint64, producers)
-	stop := make(chan struct{})
-	seen := make(map[uint64]bool)
-	var duplicate uint64
-	consumerDone := make(chan struct{})
-	go func() {
-		defer close(consumerDone)
-		consume := func(s pebs.Sample) bool {
-			if seen[s.GVPN] {
-				duplicate = s.GVPN
-				return false
-			}
-			seen[s.GVPN] = true
-			return true
-		}
-		for {
-			if s, ok := c.Pop(); ok {
-				if !consume(s) {
-					return
-				}
-				continue
-			}
-			select {
-			case <-stop:
-				for {
-					s, ok := c.Pop()
-					if !ok {
-						return
-					}
-					if !consume(s) {
-						return
-					}
-				}
-			default:
-				runtime.Gosched()
-			}
-		}
-	}()
-
-	for p := 0; p < producers; p++ {
-		wg.Add(1)
-		go func(p int) {
-			defer wg.Done()
-			for i := 0; i < perProducer; i++ {
-				v := uint64(p)<<32 | uint64(i)
-				if c.Push(pebs.Sample{GVPN: v}) {
-					pushCounts[p]++
-				}
-			}
-		}(p)
-	}
-	wg.Wait()
-	close(stop)
-	<-consumerDone
-
-	if duplicate != 0 {
-		t.Fatalf("duplicate sample %#x", duplicate)
-	}
-	var totalPushed uint64
-	for _, n := range pushCounts {
-		totalPushed += n
-	}
-	if uint64(len(seen)) != totalPushed {
-		t.Fatalf("consumed %d, pushed %d", len(seen), totalPushed)
-	}
-}
-
 // TestChannelWedge models a wedged consumer (channel.wedge fault): a
-// wedged channel refuses pops so the ring fills and producers start
-// dropping; unwedging restores consumption without losing buffered
-// samples.
+// wedged channel drains nothing so it fills and producers start dropping;
+// unwedging restores consumption without losing buffered samples.
 func TestChannelWedge(t *testing.T) {
 	c := NewSampleChannel(4)
 	c.Push(pebs.Sample{GVPN: 1})
 	c.Wedge()
-	if !c.Wedged() {
-		t.Fatal("Wedged() false after Wedge")
+	if n := c.Drain(func(pebs.Sample) {}); n != 0 || c.Len() != 1 {
+		t.Fatalf("wedged drain took %d samples, left %d", n, c.Len())
 	}
-	if _, ok := c.Pop(); ok {
-		t.Fatal("pop succeeded on wedged channel")
-	}
-	// Producers keep pushing; once the ring fills, samples drop.
+	// Producers keep pushing; once the channel fills, samples drop.
 	for i := uint64(2); i <= 6; i++ {
 		c.Push(pebs.Sample{GVPN: i})
 	}
@@ -188,14 +119,18 @@ func TestChannelWedge(t *testing.T) {
 		t.Fatalf("dropped = %d, want 2", c.Dropped())
 	}
 	c.Unwedge()
-	if c.Wedged() {
-		t.Fatal("Wedged() true after Unwedge")
-	}
 	// Buffered samples survive the wedge in order.
-	for i := uint64(1); i <= 4; i++ {
-		s, ok := c.Pop()
-		if !ok || s.GVPN != i {
-			t.Fatalf("pop after unwedge = %v,%v, want %d", s, ok, i)
-		}
+	wantSequence(t, drainGVPNs(t, c), 1, 4)
+
+	// The same at the capacity Demeter attaches with.
+	c = NewSampleChannel(channelCapacity)
+	c.Wedge()
+	for i := uint64(0); i < channelCapacity+100; i++ {
+		c.Push(pebs.Sample{GVPN: i})
 	}
+	if c.Dropped() != 100 {
+		t.Fatalf("dropped = %d at capacity %d, want 100", c.Dropped(), channelCapacity)
+	}
+	c.Unwedge()
+	wantSequence(t, drainGVPNs(t, c), 0, channelCapacity)
 }

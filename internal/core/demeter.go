@@ -28,10 +28,10 @@ var (
 	// magnitude epochs; it recovers on its own.
 	FaultAgentStall = fault.Register("guest.agent-stall", "core",
 		"guest tiering agent stalls for magnitude epochs (GC pause, CPU starvation), then resumes by itself", 0, 16)
-	// FaultChannelWedge freezes the sample channel's consumer cursor so
-	// the ring fills and every further push drops.
+	// FaultChannelWedge stops the sample channel's consumer so the
+	// channel fills and every further push drops.
 	FaultChannelWedge = fault.Register("channel.wedge", "core",
-		"sample channel consumer wedges: the ring laps and all further pushes drop until host reconciliation", 0, 0)
+		"sample channel consumer wedges: the channel fills and all further pushes drop until host reconciliation", 0, 0)
 )
 
 // Config assembles all of Demeter's tunables.
@@ -71,7 +71,7 @@ type Config struct {
 
 // Fixed tunables: the paper's values, which no caller changes.
 const (
-	// channelCapacity sizes the MPSC sample ring (power of two).
+	// channelCapacity bounds the sample channel.
 	channelCapacity = 1 << 14
 	// minHotSamples is the minimum decayed access count a range needs to
 	// source promotions: ranges whose counts are sampling noise must not
@@ -356,7 +356,7 @@ func (d *Demeter) ProbeAgent(now sim.Time) bool {
 }
 
 // ChannelDropped returns the total delegation samples dropped on a full
-// ring across this VM's lifetime, including channels discarded by
+// channel across this VM's lifetime, including channels discarded by
 // degraded-mode re-attachment.
 func (d *Demeter) ChannelDropped() uint64 {
 	n := d.prevDropped
@@ -405,7 +405,7 @@ func (d *Demeter) trackedRegions() []Region {
 	return rs
 }
 
-// drain moves PEBS samples into the MPSC channel. Each sample costs only
+// drain moves PEBS samples into the sample channel. Each sample costs only
 // a copy — no page-table walk, because the gVA is directly what the
 // classifier wants (§3.2.2).
 func (d *Demeter) drain() {

@@ -1,7 +1,9 @@
 // Package core implements Demeter's guest-delegated tiered memory
 // management (§3.2): the range-based hotness classifier operating in guest
-// virtual address space, the lock-free MPSC sample channel fed from
-// context-switch PEBS draining, and the balanced page relocation pipeline.
+// virtual address space, the bounded sample channel fed from
+// context-switch PEBS draining (the paper's lock-free multi-producer
+// channel, represented by its constant per-sample cost: the simulator runs
+// each VM on one goroutine), and the balanced page relocation pipeline.
 package core
 
 import (

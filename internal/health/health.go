@@ -15,7 +15,7 @@
 //
 //   - missed epoch heartbeats (core.Demeter.OnEpoch stops firing),
 //   - sustained sample drop rate on the delegation channel
-//     (core.SampleChannel laps its ring, e.g. a wedged consumer),
+//     (core.SampleChannel fills and drops, e.g. a wedged consumer),
 //   - balloon watchdog expiry streaks (balloon Timeouts climbing every
 //     window: the guest driver has stopped answering),
 //   - stale or implausible guest telemetry (MemStats.When stagnating
