@@ -8,8 +8,10 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"demeter/internal/core"
@@ -28,21 +30,19 @@ const (
 	ops        = 300_000
 )
 
-func buildWorkload(name string) workload.Workload {
+// buildWorkload returns the named workload, or a usage error.
+func buildWorkload(name string) (workload.Workload, error) {
 	switch name {
 	case "gups":
-		return workload.Must(workload.NewGUPS(footprint, ops, 1))
+		return workload.Must(workload.NewGUPS(footprint, ops, 1)), nil
 	case "silo":
-		return workload.Must(workload.NewSilo(footprint, ops/8, 1))
+		return workload.Must(workload.NewSilo(footprint, ops/8, 1)), nil
 	case "ycsb":
-		return workload.Must(workload.NewYCSB(footprint, ops/2, 1, workload.YCSBB))
+		return workload.Must(workload.NewYCSB(footprint, ops/2, 1, workload.YCSBB)), nil
 	case "xsbench":
-		return workload.Must(workload.NewXSBench(footprint, ops/5, 1))
-	default:
-		fmt.Fprintf(os.Stderr, "unknown workload %q (gups|silo|ycsb|xsbench)\n", name)
-		os.Exit(2)
-		return nil
+		return workload.Must(workload.NewXSBench(footprint, ops/5, 1)), nil
 	}
+	return nil, usageError(fmt.Sprintf("unknown workload %q (gups|silo|ycsb|xsbench)", name))
 }
 
 // fakeAS mirrors the guest process layout for recording.
@@ -86,85 +86,163 @@ func runThrough(wl workload.Workload) sim.Duration {
 	return x.Runtime()
 }
 
-func main() {
-	recordCmd := flag.NewFlagSet("record", flag.ExitOnError)
-	recWL := recordCmd.String("workload", "gups", "workload to record")
-	recOut := recordCmd.String("out", "workload.trace", "output file")
+// usageError is a command-line mistake: it exits 2, as flag errors do.
+// An empty one was already reported by the flag package.
+type usageError string
 
-	replayCmd := flag.NewFlagSet("replay", flag.ExitOnError)
-	repIn := replayCmd.String("in", "workload.trace", "trace file")
-	repOps := replayCmd.Uint64("ops", 0, "access count recorded in the trace")
-	repInit := replayCmd.Uint64("init", 0, "init-sweep length of the original workload")
+func (e usageError) Error() string { return string(e) }
 
-	if len(os.Args) < 2 {
-		fmt.Fprintln(os.Stderr, "usage: tracer <record|replay|demo> [flags]")
-		os.Exit(2)
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+// run executes one tracer subcommand and returns its exit status: 0 on
+// success, 2 on a usage error, and 1, after one "tracer: ..." line on
+// stderr, when the input or the run fails.
+func run(args []string, stdout, stderr io.Writer) int {
+	if len(args) < 1 {
+		fmt.Fprintln(stderr, "usage: tracer <record|replay|demo> [flags]")
+		return 2
 	}
-	switch os.Args[1] {
+	var err error
+	switch args[0] {
 	case "record":
-		recordCmd.Parse(os.Args[2:])
-		f, err := os.Create(*recOut)
-		if err != nil {
-			panic(err)
-		}
-		defer f.Close()
-		count, err := trace.Record(f, buildWorkload(*recWL), newFakeAS())
-		if err != nil {
-			panic(err)
-		}
-		st, _ := f.Stat()
-		fmt.Printf("recorded %d accesses to %s (%.2f bytes/access)\n",
-			count, *recOut, float64(st.Size())/float64(count))
-		fmt.Printf("replay with: tracer replay -in %s -ops %d\n", *recOut, count)
-
+		err = record(args[1:], stdout, stderr)
 	case "replay":
-		replayCmd.Parse(os.Args[2:])
-		f, err := os.Open(*repIn)
-		if err != nil {
-			panic(err)
-		}
-		defer f.Close()
-		rp, err := trace.NewReplayer("replay", f, *repOps, *repInit)
-		if err != nil {
-			panic(err)
-		}
-		rt := runThrough(rp)
-		if rp.Err() != nil {
-			panic(rp.Err())
-		}
-		fmt.Printf("replayed %d accesses under Demeter: runtime %v\n", *repOps, rt)
-
+		err = replay(args[1:], stdout, stderr)
 	case "demo":
-		// Record to a temp file, replay, verify runtimes match the live run.
-		tmp, err := os.CreateTemp("", "demeter-*.trace")
-		if err != nil {
-			panic(err)
-		}
-		defer os.Remove(tmp.Name())
-		orig := buildWorkload("gups")
-		count, err := trace.Record(tmp, orig, newFakeAS())
-		if err != nil {
-			panic(err)
-		}
-		tmp.Close()
-		live := runThrough(buildWorkload("gups"))
-		f, _ := os.Open(tmp.Name())
-		defer f.Close()
-		rp, err := trace.NewReplayer("gups", f, count, orig.InitOps())
-		if err != nil {
-			panic(err)
-		}
-		replayed := runThrough(rp)
-		fmt.Printf("live run:     %v\nreplayed run: %v\n", live, replayed)
-		if live == replayed {
-			fmt.Println("replay is bit-identical to the live run ✓")
-		} else {
-			fmt.Println("MISMATCH — replay diverged")
-			os.Exit(1)
-		}
-
+		err = demo(stdout)
 	default:
-		fmt.Fprintf(os.Stderr, "unknown subcommand %q\n", os.Args[1])
-		os.Exit(2)
+		err = usageError(fmt.Sprintf("unknown subcommand %q", args[0]))
 	}
+	var usage usageError
+	switch {
+	case err == nil || errors.Is(err, flag.ErrHelp):
+		return 0
+	case errors.As(err, &usage):
+		if usage != "" {
+			fmt.Fprintln(stderr, usage)
+		}
+		return 2
+	}
+	fmt.Fprintf(stderr, "tracer: %v\n", err)
+	return 1
+}
+
+// parseFlags parses args into fs, reporting mistakes on stderr.
+func parseFlags(fs *flag.FlagSet, args []string, stderr io.Writer) error {
+	fs.SetOutput(stderr)
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return err
+		}
+		return usageError("")
+	}
+	return nil
+}
+
+// record writes a workload's access trace to a file.
+func record(args []string, stdout, stderr io.Writer) error {
+	fs := flag.NewFlagSet("record", flag.ContinueOnError)
+	wlName := fs.String("workload", "gups", "workload to record")
+	out := fs.String("out", "workload.trace", "output file")
+	if err := parseFlags(fs, args, stderr); err != nil {
+		return err
+	}
+	wl, err := buildWorkload(*wlName)
+	if err != nil {
+		return err
+	}
+	f, err := os.Create(*out)
+	if err != nil {
+		return err
+	}
+	count, err := trace.Record(f, wl, newFakeAS())
+	if err != nil {
+		f.Close()
+		return fmt.Errorf("record %s: %w", *out, err)
+	}
+	st, err := f.Stat()
+	if err != nil {
+		f.Close()
+		return err
+	}
+	if err := f.Close(); err != nil {
+		return err
+	}
+	fmt.Fprintf(stdout, "recorded %d accesses to %s (%.2f bytes/access)\n",
+		count, *out, float64(st.Size())/float64(count))
+	fmt.Fprintf(stdout, "replay with: tracer replay -in %s -ops %d\n", *out, count)
+	return nil
+}
+
+// replay runs a recorded trace under Demeter.
+func replay(args []string, stdout, stderr io.Writer) error {
+	fs := flag.NewFlagSet("replay", flag.ContinueOnError)
+	in := fs.String("in", "workload.trace", "trace file")
+	total := fs.Uint64("ops", 0, "access count recorded in the trace")
+	initOps := fs.Uint64("init", 0, "init-sweep length of the original workload")
+	if err := parseFlags(fs, args, stderr); err != nil {
+		return err
+	}
+	f, err := os.Open(*in)
+	if err != nil {
+		return err
+	}
+	defer f.Close()
+	rp, err := trace.NewReplayer("replay", f, *total, *initOps)
+	if err != nil {
+		return fmt.Errorf("%s: %w", *in, err)
+	}
+	rt := runThrough(rp)
+	if err := rp.Err(); err != nil {
+		return fmt.Errorf("%s: %w", *in, err)
+	}
+	fmt.Fprintf(stdout, "replayed %d accesses under Demeter: runtime %v\n", *total, rt)
+	return nil
+}
+
+// demo records GUPS to a temporary file, replays it, and checks that the
+// replay's runtime equals the live run's.
+func demo(stdout io.Writer) error {
+	tmp, err := os.CreateTemp("", "demeter-*.trace")
+	if err != nil {
+		return err
+	}
+	defer os.Remove(tmp.Name())
+	orig, err := buildWorkload("gups")
+	if err != nil {
+		return err
+	}
+	count, err := trace.Record(tmp, orig, newFakeAS())
+	if err != nil {
+		tmp.Close()
+		return fmt.Errorf("record: %w", err)
+	}
+	if err := tmp.Close(); err != nil {
+		return err
+	}
+	live, err := buildWorkload("gups")
+	if err != nil {
+		return err
+	}
+	liveRT := runThrough(live)
+	f, err := os.Open(tmp.Name())
+	if err != nil {
+		return err
+	}
+	defer f.Close()
+	rp, err := trace.NewReplayer("gups", f, count, orig.InitOps())
+	if err != nil {
+		return err
+	}
+	replayed := runThrough(rp)
+	if err := rp.Err(); err != nil {
+		return err
+	}
+	fmt.Fprintf(stdout, "live run:     %v\nreplayed run: %v\n", liveRT, replayed)
+	if liveRT != replayed {
+		fmt.Fprintln(stdout, "MISMATCH — replay diverged")
+		return errors.New("replay diverged from the live run")
+	}
+	fmt.Fprintln(stdout, "replay is bit-identical to the live run ✓")
+	return nil
 }

@@ -202,6 +202,18 @@ type Demeter struct {
 	// range over budget has its pages abandoned instead of requeued. The
 	// counters decay by half each epoch.
 	rangeRetries map[uint64]int
+
+	// proms and demos are relocate's candidate buffers, reused across
+	// epochs; no candidate outlives its epoch.
+	proms, demos []cand
+}
+
+// cand is one relocation candidate, tagged with its range's hotness for
+// the hysteresis check and its range start for the retry budget.
+type cand struct {
+	gvpn       uint64
+	freq       float64
+	rangeStart uint64
 }
 
 type retryEntry struct {
@@ -560,7 +572,7 @@ func (d *Demeter) fmemCapacity() uint64 {
 // promotion candidates misplaced in SMEM, collect exactly as many demotion
 // candidates from the coldest ranges, and swap them pairwise.
 func (d *Demeter) relocate() {
-	ranked := d.tree.Ranked()
+	ranked := d.tree.ranked()
 	fmemCap := d.fmemCapacity()
 
 	// ❶ Find the largest prefix of hot ranges fitting FMEM.
@@ -581,15 +593,8 @@ func (d *Demeter) relocate() {
 	kernel := d.vm.Kernel
 	var scanCost sim.Duration
 
-	// ❷ Promotion candidates: hot-range pages resident in SMEM, tagged
-	// with their range's hotness for the hysteresis check and their range
-	// start for the retry budget.
-	type cand struct {
-		gvpn       uint64
-		freq       float64
-		rangeStart uint64
-	}
-	var proms []cand
+	// ❷ Promotion candidates: hot-range pages resident in SMEM.
+	proms := d.proms[:0]
 	for i := 0; i < f && len(proms) < d.Cfg.MigrationBatch; i++ {
 		r := ranked[i]
 		if r.Count < minHotSamples {
@@ -603,6 +608,7 @@ func (d *Demeter) relocate() {
 		})
 		scanCost += sim.Duration(visited) * hypervisor.PTEOpCost
 	}
+	d.proms = proms
 	if len(proms) == 0 {
 		d.vm.ChargeGuest(hypervisor.CompMigrate, scanCost)
 		return
@@ -637,7 +643,7 @@ func (d *Demeter) relocate() {
 
 	// ❸ Demotion candidates: coldest-range pages resident in FMEM,
 	// exactly len(proms) of them, scanned in reverse rank order.
-	var demos []cand
+	demos := d.demos[:0]
 	for i := len(ranked) - 1; i >= f && len(demos) < len(proms); i-- {
 		r := ranked[i]
 		visited := gpt.ScanRange(r.StartPage, r.EndPage, func(gvpn uint64, e *pagetable.Entry) bool {
@@ -648,6 +654,7 @@ func (d *Demeter) relocate() {
 		})
 		scanCost += sim.Duration(visited) * hypervisor.PTEOpCost
 	}
+	d.demos = demos
 
 	// ❸ Batched balanced swapping, one-to-one.
 	pairs := len(proms)

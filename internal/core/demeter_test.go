@@ -276,3 +276,27 @@ func TestDemeterReconcileUnwedgesChannel(t *testing.T) {
 		t.Fatalf("Drain after Reconcile returned %d samples, want 1", n)
 	}
 }
+
+// relocate on a warmed VM reuses its candidate buffers, the range tree's
+// ranking buffer and the page table's cached scan order, so it allocates
+// nothing, while still promoting and swapping pages on each call.
+func TestRelocateAllocatesNothing(t *testing.T) {
+	eng, vm, x, _ := rig(t, 256, 4096, 2048, 10_000_000)
+	cfg := testConfig()
+	cfg.MigrationBatch = 4 // leave misplaced pages for every call below
+	d := New(cfg)
+	d.Attach(eng, vm)
+	defer d.Detach()
+	x.Start()
+	defer x.Stop()
+	eng.Run(eng.Now() + 20*sim.Millisecond)
+	before := d.Stats()
+	if n := testing.AllocsPerRun(20, d.relocate); n != 0 {
+		t.Fatalf("relocate allocates %v times, want 0", n)
+	}
+	after := d.Stats()
+	if after.SwapPairs-before.SwapPairs < 21 {
+		t.Fatalf("21 relocate calls made %d balanced swaps; the test needs at least one per call",
+			after.SwapPairs-before.SwapPairs)
+	}
+}

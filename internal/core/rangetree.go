@@ -7,7 +7,9 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -79,6 +81,10 @@ type RangeTree struct {
 
 	merges  uint64
 	ignored uint64 // samples outside tracked regions
+
+	// Buffers reused across epochs; see leavesInOrder and ranked.
+	leafBuf []*rnode
+	rankBuf []RangeInfo
 }
 
 // NewRangeTree builds a tree over the given regions (zero-length regions
@@ -124,22 +130,23 @@ func (t *RangeTree) Record(page uint64) {
 	n.count++
 }
 
-// leavesInOrder appends all leaves in address order.
+// leavesInOrder returns all leaves in address order, in a buffer the tree
+// reuses: the result is valid until the next leavesInOrder call.
 func (t *RangeTree) leavesInOrder() []*rnode {
-	var out []*rnode
-	var walk func(*rnode)
-	walk = func(n *rnode) {
-		if n.leaf() {
-			out = append(out, n)
-			return
-		}
-		walk(n.left)
-		walk(n.right)
-	}
+	out := t.leafBuf[:0]
 	for _, r := range t.roots {
-		walk(r)
+		out = appendLeaves(out, r)
 	}
+	t.leafBuf = out
 	return out
+}
+
+// appendLeaves appends n's leaves to out in address order.
+func appendLeaves(out []*rnode, n *rnode) []*rnode {
+	if n.leaf() {
+		return append(out, n)
+	}
+	return appendLeaves(appendLeaves(out, n.left), n.right)
 }
 
 // EndEpoch runs one classification epoch: split checks against both
@@ -200,25 +207,27 @@ func (t *RangeTree) split(n *rnode) {
 // (effectively) zero and that have been stable for mergeEpochs.
 func (t *RangeTree) mergePass() int {
 	merged := 0
-	var walk func(*rnode)
-	walk = func(n *rnode) {
-		if n.leaf() {
-			return
-		}
-		walk(n.left)
-		walk(n.right)
-		if n.left.leaf() && n.right.leaf() &&
-			n.left.count < 1 && n.right.count < 1 &&
-			t.epoch-n.left.created >= mergeEpochs &&
-			t.epoch-n.right.created >= mergeEpochs {
-			n.count = n.left.count + n.right.count
-			n.created = t.epoch
-			n.left, n.right = nil, nil
-			merged++
-		}
-	}
 	for _, r := range t.roots {
-		walk(r)
+		merged += t.mergeUnder(r)
+	}
+	return merged
+}
+
+// mergeUnder runs the merge pass over n's subtree, children first, and
+// returns the merges it made.
+func (t *RangeTree) mergeUnder(n *rnode) int {
+	if n.leaf() {
+		return 0
+	}
+	merged := t.mergeUnder(n.left) + t.mergeUnder(n.right)
+	if n.left.leaf() && n.right.leaf() &&
+		n.left.count < 1 && n.right.count < 1 &&
+		t.epoch-n.left.created >= mergeEpochs &&
+		t.epoch-n.right.created >= mergeEpochs {
+		n.count = n.left.count + n.right.count
+		n.created = t.epoch
+		n.left, n.right = nil, nil
+		merged++
 	}
 	return merged
 }
@@ -226,10 +235,13 @@ func (t *RangeTree) mergePass() int {
 // Ranked returns all leaf ranges ordered by hotness: descending access
 // frequency (count per page), with creation age as tiebreaker — newer
 // ranges first, leveraging temporal locality (§3.2.1 "Hotness Ranking").
-func (t *RangeTree) Ranked() []RangeInfo {
-	leaves := t.leavesInOrder()
-	out := make([]RangeInfo, 0, len(leaves))
-	for _, n := range leaves {
+func (t *RangeTree) Ranked() []RangeInfo { return slices.Clone(t.ranked()) }
+
+// ranked is Ranked in a buffer the tree reuses: the result is valid
+// until the next ranked call.
+func (t *RangeTree) ranked() []RangeInfo {
+	out := t.rankBuf[:0]
+	for _, n := range t.leavesInOrder() {
 		out = append(out, RangeInfo{
 			StartPage: n.start,
 			EndPage:   n.end,
@@ -238,13 +250,20 @@ func (t *RangeTree) Ranked() []RangeInfo {
 			Created:   n.created,
 		})
 	}
-	sort.SliceStable(out, func(i, j int) bool {
-		if out[i].Freq != out[j].Freq {
-			return out[i].Freq > out[j].Freq
-		}
-		return out[i].Created > out[j].Created
-	})
+	slices.SortStableFunc(out, byHotness)
+	t.rankBuf = out
 	return out
+}
+
+// byHotness orders ranges by descending frequency, then newest first.
+func byHotness(a, b RangeInfo) int {
+	switch {
+	case a.Freq > b.Freq:
+		return -1
+	case a.Freq < b.Freq:
+		return 1
+	}
+	return cmp.Compare(b.Created, a.Created)
 }
 
 // Leaves returns the current number of leaf ranges (the paper expects

@@ -25,7 +25,8 @@ type cluster struct {
 }
 
 // newCluster builds the host with s's scan cost. The obs attaches before
-// any VM exists, so every layer's publish hooks register.
+// any VM exists, so every layer's publish hooks register. Its journal
+// keeps events only under SetEventCapture; otherwise it only counts.
 func (s Scale) newCluster(tier string, hostFMEM, hostSMEM uint64) *cluster {
 	topology, err := mem.PaperTopology(tier)
 	if err != nil {
@@ -36,7 +37,10 @@ func (s Scale) newCluster(tier string, hostFMEM, hostSMEM uint64) *cluster {
 	if s.ScanPTECost > 0 {
 		m.Cost.ScanPTECost = s.ScanPTECost
 	}
-	o := obs.New(0)
+	o := obs.NewCounting(0)
+	if eventCapture() {
+		o = obs.New(0)
+	}
 	m.AttachObs(o)
 	return &cluster{eng: eng, m: m, o: o}
 }

@@ -12,8 +12,10 @@
 //     and `top` subcommand (arrival-order merge; the global dump has no
 //     byte-identity contract).
 //
-// Event journals are retained only when SetEventCapture(true) — ring
-// buffers from hundreds of leaf runs are not worth holding by default.
+// A leaf's journal keeps events only under SetEventCapture(true), for the
+// -events export. Otherwise it is count-only: it still publishes the
+// journal_events and journal_dropped counters a ring of the same capacity
+// would, and allocates no ring.
 
 package experiments
 
@@ -120,12 +122,20 @@ var (
 )
 
 // SetEventCapture enables retention of per-cluster event journals for
-// the -events export. Off by default: metrics merging is cheap, holding
-// every leaf's ring buffer is not.
+// the -events export. Off by default: metrics merging is cheap, a ring
+// buffer per leaf is not, so without capture a leaf keeps counts only.
+// It applies to clusters built after the call.
 func SetEventCapture(on bool) {
 	obsMu.Lock()
 	obsCapture = on
 	obsMu.Unlock()
+}
+
+// eventCapture reports whether SetEventCapture is on.
+func eventCapture() bool {
+	obsMu.Lock()
+	defer obsMu.Unlock()
+	return obsCapture
 }
 
 // GlobalMetrics returns the merged metrics snapshot across every cluster

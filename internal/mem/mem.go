@@ -191,8 +191,8 @@ type Topology struct {
 	// tiers caches each node's frame bound and the two spec fields the
 	// per-access hot path needs, in node order. Node ranges are assigned
 	// at construction and never move, so the cache is immutable; a
-	// hand-built Topology (no NewTopology) leaves it nil and falls back
-	// to NodeOf.
+	// hand-built Topology (no NewTopology) leaves it nil, and Tier and
+	// NodeOf fall back to scanning Nodes.
 	tiers []tierRef
 }
 
@@ -259,10 +259,16 @@ type NodeConfig struct {
 	Frames uint64
 }
 
-// NodeOf returns the node owning frame f.
+// NodeOf returns the node owning frame f: a compare per node against the
+// cached bounds Tier uses, or a Contains scan on a hand-built topology.
 //
 //demeter:hotpath
 func (t *Topology) NodeOf(f Frame) *Node {
+	for i := range t.tiers {
+		if f < t.tiers[i].limit {
+			return t.Nodes[i]
+		}
+	}
 	for _, n := range t.Nodes {
 		if n.Contains(f) {
 			return n

@@ -1,6 +1,7 @@
 package mem
 
 import (
+	"fmt"
 	"testing"
 	"testing/quick"
 
@@ -136,6 +137,70 @@ func TestTierRangeMatchesTier(t *testing.T) {
 	lo, hi, lat, kind := hand.TierRange(70)
 	if lo != 64 || hi != 96 || lat != SpecCXL.LoadedLatency || kind != SpecCXL.Kind {
 		t.Fatalf("fallback TierRange(70) = [%d,%d) (%v,%v)", lo, hi, lat, kind)
+	}
+}
+
+// containsNodeOf is NodeOf as a scan of Node.Contains, the reference the
+// cached-bound lookup must agree with.
+func containsNodeOf(t *Topology, f Frame) *Node {
+	for _, n := range t.Nodes {
+		if n.Contains(f) {
+			return n
+		}
+	}
+	return nil
+}
+
+// NodeOf answers from the cached node bounds exactly as the Contains scan
+// does, for every frame, and panics with the same text on a frame no node
+// owns.
+func TestNodeOfMatchesContainsScan(t *testing.T) {
+	type named struct {
+		name string
+		topo *Topology
+	}
+	topos := []named{
+		{"PaperDRAMPMEM", PaperDRAMPMEM(100, 500)},
+		{"three nodes", NewTopology(
+			NodeConfig{Spec: SpecLocalDRAM, Frames: 3},
+			NodeConfig{Spec: SpecCXL, Frames: 1},
+			NodeConfig{Spec: SpecPMEM, Frames: 70},
+		)},
+		{"hand-built three nodes", &Topology{Nodes: []*Node{
+			NewNode(0, SpecLocalDRAM, 0, 5),
+			NewNode(1, SpecCXL, 5, 2),
+			NewNode(2, SpecPMEM, 7, 40),
+		}}},
+	}
+	for _, tier := range []string{"pmem", "cxl"} {
+		build, err := PaperTopology(tier)
+		if err != nil {
+			t.Fatal(err)
+		}
+		topos = append(topos, named{"PaperTopology " + tier, build(64, 192)})
+	}
+	for _, nt := range topos {
+		name, topo := nt.name, nt.topo
+		total := Frame(topo.TotalFrames())
+		for f := Frame(0); f < total; f++ {
+			if got, want := topo.NodeOf(f), containsNodeOf(topo, f); got != want {
+				t.Fatalf("%s: NodeOf(%d) = node %d, want node %d", name, f, got.ID, want.ID)
+			}
+		}
+		for _, f := range []Frame{total, total + 1000, InvalidFrame} {
+			if containsNodeOf(topo, f) != nil {
+				t.Fatalf("%s: frame %d is not foreign", name, f)
+			}
+			func() {
+				want := fmt.Sprintf("mem: frame %d belongs to no node", f)
+				defer func() {
+					if r := recover(); r != want {
+						t.Fatalf("%s: NodeOf(%d) panicked with %v, want %q", name, f, r, want)
+					}
+				}()
+				topo.NodeOf(f)
+			}()
+		}
 	}
 }
 

@@ -96,29 +96,41 @@ type Event struct {
 }
 
 // DefaultJournalCap bounds the journal when the caller passes 0: large
-// enough to hold a full management epoch of control events, small enough
-// (~1 MiB of Events) that many concurrent cluster runs stay cheap.
+// enough to hold a full management epoch of control events. A ring of
+// this size is ~1 MiB of Events; a run that does not export its events
+// keeps a count-only journal (NewCounting) instead.
 const DefaultJournalCap = 16384
 
 // Journal is a bounded ring of Events. When full, the oldest records are
 // overwritten — the journal is a flight recorder, not an audit log — and
-// Dropped counts the overwritten records. A nil *Journal accepts and
-// discards appends, so call sites need no guards beyond their obs-enabled
-// check.
+// Dropped counts the overwritten records. A count-only journal keeps no
+// ring: it reports the same Len, Cap, Total and Dropped as a ring of its
+// capacity, and its Events is nil. A nil *Journal accepts and discards
+// appends, so call sites need no guards beyond their obs-enabled check.
 type Journal struct {
-	ring  []Event
-	next  int
-	n     int
-	total uint64
+	ring     []Event // nil in a count-only journal
+	capacity int
+	next     int
+	n        int
+	total    uint64
 }
 
 // NewJournal returns a journal holding up to capacity events (0 selects
 // DefaultJournalCap).
 func NewJournal(capacity int) *Journal {
+	j := newCountingJournal(capacity)
+	j.ring = make([]Event, j.capacity)
+	return j
+}
+
+// newCountingJournal returns a count-only journal of the given capacity
+// (0 selects DefaultJournalCap): it counts appends as a ring of that
+// capacity would, and retains none of them.
+func newCountingJournal(capacity int) *Journal {
 	if capacity <= 0 {
 		capacity = DefaultJournalCap
 	}
-	return &Journal{ring: make([]Event, capacity)}
+	return &Journal{capacity: capacity}
 }
 
 // Append records e, overwriting the oldest record when full.
@@ -126,29 +138,32 @@ func (j *Journal) Append(e Event) {
 	if j == nil {
 		return
 	}
-	j.ring[j.next] = e
-	j.next++
-	if j.next == len(j.ring) {
-		j.next = 0
+	if j.ring != nil {
+		j.ring[j.next] = e
+		j.next++
+		if j.next == j.capacity {
+			j.next = 0
+		}
 	}
-	if j.n < len(j.ring) {
+	if j.n < j.capacity {
 		j.n++
 	}
 	j.total++
 }
 
-// Events returns the retained records, oldest first.
+// Events returns the retained records, oldest first (nil for a
+// count-only journal).
 func (j *Journal) Events() []Event {
-	if j == nil || j.n == 0 {
+	if j == nil || j.ring == nil || j.n == 0 {
 		return nil
 	}
 	out := make([]Event, 0, j.n)
 	start := j.next - j.n
 	if start < 0 {
-		start += len(j.ring)
+		start += j.capacity
 	}
 	for i := 0; i < j.n; i++ {
-		out = append(out, j.ring[(start+i)%len(j.ring)])
+		out = append(out, j.ring[(start+i)%j.capacity])
 	}
 	return out
 }
@@ -166,7 +181,7 @@ func (j *Journal) Cap() int {
 	if j == nil {
 		return 0
 	}
-	return len(j.ring)
+	return j.capacity
 }
 
 // Total returns how many events were ever appended.

@@ -15,7 +15,8 @@
 // The journal is the exception that proves the rule: it records rare
 // control-plane events (migrations, PMIs, balloon ops, full TLB flushes,
 // fault injections), never per-access ones, and appending is a single
-// ring-slot store guarded by one nil check.
+// ring-slot store guarded by one nil check (a count-only journal skips
+// the store).
 package obs
 
 // Obs bundles one machine's registry and journal. Experiments attach one
@@ -29,8 +30,15 @@ type Obs struct {
 // New returns an Obs whose journal holds journalCap events (0 selects
 // DefaultJournalCap). The journal publishes its own occupancy counters
 // into the registry at snapshot time.
-func New(journalCap int) *Obs {
-	o := &Obs{Reg: NewRegistry(), Journal: NewJournal(journalCap)}
+func New(journalCap int) *Obs { return withJournal(NewJournal(journalCap)) }
+
+// NewCounting is New with a count-only journal: the same journal
+// counters, no retained events.
+func NewCounting(journalCap int) *Obs { return withJournal(newCountingJournal(journalCap)) }
+
+// withJournal returns an Obs around j with j's counters published.
+func withJournal(j *Journal) *Obs {
+	o := &Obs{Reg: NewRegistry(), Journal: j}
 	o.Reg.OnSnapshot(func(r *Registry) {
 		r.Counter("journal_events").Set(o.Journal.Total())
 		r.Counter("journal_dropped").Set(o.Journal.Dropped())

@@ -6,9 +6,12 @@ import (
 	"encoding/json"
 	"fmt"
 	"math"
+	"reflect"
 	"strings"
 	"testing"
 
+	"demeter/internal/sim"
+	"demeter/internal/simrand"
 	"demeter/internal/stats"
 )
 
@@ -212,6 +215,42 @@ func TestObsPublishesJournalCounters(t *testing.T) {
 	}
 	if got["journal_events"] != 3 || got["journal_dropped"] != 1 {
 		t.Fatalf("journal counters = %v, want events=3 dropped=1", got)
+	}
+}
+
+// A count-only journal counts exactly as a ring of the same capacity does,
+// below, at and past capacity, and publishes the same journal counters;
+// it retains no events.
+func TestCountingJournalMatchesRing(t *testing.T) {
+	rng := simrand.New(28)
+	for _, capacity := range []int{1, 7, 64} {
+		counts := []int{0, capacity - 1, capacity, capacity + 1, 3*capacity + rng.Intn(capacity)}
+		for _, n := range counts {
+			ring, counting := New(capacity), NewCounting(capacity)
+			for i := 0; i < n; i++ {
+				e := Event{At: sim.Time(rng.Uint64n(1 << 40)), Type: EventType(rng.Intn(9)), Arg1: rng.Uint64()}
+				ring.Journal.Append(e)
+				counting.Journal.Append(e)
+			}
+			r, c := ring.Journal, counting.Journal
+			if r.Len() != c.Len() || r.Cap() != c.Cap() || r.Total() != c.Total() || r.Dropped() != c.Dropped() {
+				t.Fatalf("cap %d, %d appends: ring Len/Cap/Total/Dropped %d/%d/%d/%d, count-only %d/%d/%d/%d",
+					capacity, n, r.Len(), r.Cap(), r.Total(), r.Dropped(), c.Len(), c.Cap(), c.Total(), c.Dropped())
+			}
+			if n > 0 && r.Events() == nil {
+				t.Fatalf("cap %d, %d appends: the ring retained nothing", capacity, n)
+			}
+			if c.Events() != nil {
+				t.Fatalf("cap %d, %d appends: count-only Events = %v, want nil", capacity, n, c.Events())
+			}
+			rs, cs := ring.Reg.Snapshot(), counting.Reg.Snapshot()
+			if !reflect.DeepEqual(rs, cs) {
+				t.Fatalf("cap %d, %d appends: published %+v, count-only %+v", capacity, n, rs, cs)
+			}
+		}
+	}
+	if NewCounting(0).Journal.Cap() != DefaultJournalCap {
+		t.Fatal("a count-only journal of capacity 0 is not DefaultJournalCap")
 	}
 }
 

@@ -15,7 +15,7 @@ package pagetable
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 )
 
 // Walk cost model, in memory references per translation. With four
@@ -117,6 +117,10 @@ type Table struct {
 	// guest access, and an array probe is several times cheaper than a
 	// map access.
 	cache [cacheSlots]blockCacheEntry
+	// keys caches the block keys in ascending order for the scans; nil
+	// when a block has been added or dropped since it was built. It
+	// follows cache so the cache keeps its 16-byte alignment.
+	keys []uint64
 }
 
 const cacheSlots = 1024 // power of two
@@ -153,6 +157,7 @@ func (t *Table) blockFor(blockKey uint64) *leafBlock {
 // dropBlock removes a (now empty) leaf block and its cache entry.
 func (t *Table) dropBlock(blockKey uint64) {
 	delete(t.blocks, blockKey)
+	t.keys = nil
 	slot := &t.cache[blockKey&(cacheSlots-1)]
 	if slot.key == blockKey {
 		slot.key, slot.b = ^uint64(0), nil
@@ -222,6 +227,7 @@ func (t *Table) Map(key, value uint64) *Entry {
 	if b == nil {
 		b = &leafBlock{}
 		t.blocks[blockKey] = b
+		t.keys = nil
 	}
 	e := &b.entries[key&blockMask]
 	if e.Present() {
@@ -272,13 +278,20 @@ func (t *Table) Remap(key, newValue uint64) (old uint64) {
 }
 
 // sortedBlockKeys returns leaf block keys in ascending order so scans are
-// deterministic regardless of map iteration order.
+// deterministic regardless of map iteration order. The slice is cached
+// until Map adds a block or Unmap drops one, and each rebuild fills a
+// fresh slice: a scan whose callback maps or unmaps keeps iterating the
+// snapshot it started with. Callers must not modify it.
 func (t *Table) sortedBlockKeys() []uint64 {
+	if t.keys != nil || len(t.blocks) == 0 {
+		return t.keys
+	}
 	keys := make([]uint64, 0, len(t.blocks))
 	for k := range t.blocks {
 		keys = append(keys, k)
 	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
+	slices.Sort(keys)
+	t.keys = keys
 	return keys
 }
 
@@ -310,9 +323,11 @@ func (t *Table) ScanRange(lo, hi uint64, fn func(key uint64, e *Entry) bool) (vi
 		return 0
 	}
 	loBlock, hiBlock := lo>>blockShift, (hi-1)>>blockShift
-	for _, bk := range t.sortedBlockKeys() {
-		if bk < loBlock || bk > hiBlock {
-			continue
+	keys := t.sortedBlockKeys()
+	first, _ := slices.BinarySearch(keys, loBlock)
+	for _, bk := range keys[first:] {
+		if bk > hiBlock {
+			break
 		}
 		b := t.blocks[bk]
 		for i := range b.entries {
@@ -344,7 +359,7 @@ func (t *Table) ScanFrom(start uint64, maxVisits int, fn func(key uint64, e *Ent
 	}
 	keys := t.sortedBlockKeys()
 	startBlock := start >> blockShift
-	i := sort.Search(len(keys), func(i int) bool { return keys[i] >= startBlock })
+	i, _ := slices.BinarySearch(keys, startBlock)
 	for ; i < len(keys); i++ {
 		b := t.blocks[keys[i]]
 		for j := range b.entries {

@@ -1,6 +1,7 @@
 package pagetable
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -248,5 +249,89 @@ func TestHintFlagLifecycle(t *testing.T) {
 	e.ClearHint()
 	if e.Hinted() {
 		t.Fatal("hint not cleared")
+	}
+}
+
+// scanKeys returns the keys Scan, ScanFrom and ScanRange visit over the
+// whole table; all three must agree.
+func scanKeys(t *testing.T, pt *Table) []uint64 {
+	t.Helper()
+	var all, from, rng []uint64
+	pt.Scan(func(key uint64, _ *Entry) bool { all = append(all, key); return true })
+	pt.ScanFrom(0, int(pt.Mapped())+1, func(key uint64, _ *Entry) bool { from = append(from, key); return true })
+	pt.ScanRange(0, ^uint64(0), func(key uint64, _ *Entry) bool { rng = append(rng, key); return true })
+	if !slices.Equal(all, from) || !slices.Equal(all, rng) {
+		t.Fatalf("Scan %v, ScanFrom %v, ScanRange %v disagree", all, from, rng)
+	}
+	return all
+}
+
+// The cached block order follows every Map that adds a block and every
+// Unmap that drops one: after each, a scan visits exactly the freshly
+// sorted list of mapped keys.
+func TestScanOrderFollowsBlockChanges(t *testing.T) {
+	pt := New()
+	mapped := map[uint64]bool{}
+	check := func(step string) {
+		t.Helper()
+		want := make([]uint64, 0, len(mapped))
+		for k := range mapped {
+			want = append(want, k)
+		}
+		slices.Sort(want)
+		if got := scanKeys(t, pt); !slices.Equal(got, want) {
+			t.Fatalf("after %s: scan order %v, want %v", step, got, want)
+		}
+	}
+	add := func(k uint64) { pt.Map(k, k); mapped[k] = true }
+	drop := func(k uint64) { pt.Unmap(k); delete(mapped, k) }
+	for _, k := range []uint64{5 << blockShift, 9<<blockShift + 3, 7 << blockShift} {
+		add(k)
+	}
+	check("the initial maps")
+	add(1<<blockShift + 100) // a new lowest block
+	check("a map that adds a low block")
+	add(8<<blockShift + 1) // a new block between two others
+	check("a map that adds a middle block")
+	add(7<<blockShift + 2) // same block: no change in block order
+	check("a map into an existing block")
+	drop(8<<blockShift + 1)
+	check("an unmap that drops a middle block")
+	drop(7 << blockShift)
+	check("an unmap that leaves its block")
+	drop(1<<blockShift + 100)
+	add(20 << blockShift)
+	check("a drop then an add")
+	for k := range mapped {
+		drop(k)
+	}
+	check("unmapping everything")
+	add(3)
+	check("a map into the emptied table")
+}
+
+// A scan keeps iterating the block order it started with, even when its
+// callback maps a new block and a nested scan rebuilds the order.
+func TestScanSnapshotSurvivesNestedRebuild(t *testing.T) {
+	pt := New()
+	for _, k := range []uint64{4 << blockShift, 5 << blockShift, 6 << blockShift} {
+		pt.Map(k, k)
+	}
+	var outer []uint64
+	pt.Scan(func(key uint64, _ *Entry) bool {
+		outer = append(outer, key)
+		if len(outer) == 1 {
+			pt.Map(1<<blockShift, 1) // sorts before every block
+			if n := pt.Scan(func(uint64, *Entry) bool { return true }); n != 4 {
+				t.Fatalf("nested scan visited %d, want 4", n)
+			}
+		}
+		return true
+	})
+	if want := []uint64{4 << blockShift, 5 << blockShift, 6 << blockShift}; !slices.Equal(outer, want) {
+		t.Fatalf("outer scan visited %v, want %v", outer, want)
+	}
+	if got := scanKeys(t, pt); got[0] != 1<<blockShift || len(got) != 4 {
+		t.Fatalf("scan after the callback's map = %v", got)
 	}
 }

@@ -31,6 +31,7 @@ type guestScan struct {
 	prevPromoted uint64 // promotions as of the previous mark pass
 	active       bool
 	stats        ScanStats
+	coldFast     []uint64 // round's demotion candidates, reused across rounds
 
 	// promoted runs after a successful hint-fault promotion and returns
 	// extra critical-path cost.
@@ -103,7 +104,7 @@ func (g *guestScan) round() {
 	gpt := vm.Proc.GPT
 	kernel := vm.Kernel
 
-	var coldFast []uint64 // FMEM-resident, score 0: demotion candidates
+	coldFast := g.coldFast[:0] // FMEM-resident, score 0: demotion candidates
 	var flushCost sim.Duration
 	visited, next := gpt.ScanFrom(g.cursor, g.cfg.scanBudget(gpt.Mapped()), func(gvpn uint64, e *pagetable.Entry) bool {
 		accessed := e.Accessed()
@@ -146,6 +147,7 @@ func (g *guestScan) round() {
 		}
 		return true
 	})
+	g.coldFast = coldFast
 	g.cursor = next
 	g.stats.Rounds++
 

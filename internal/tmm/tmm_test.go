@@ -607,6 +607,43 @@ func BenchmarkRound(b *testing.B) {
 	}
 }
 
+// touchSlow sets the A bit of every slow-tier page in vm's GPT and EPT:
+// pages promoted by one round cool off and are demoted again, so
+// back-to-back rounds keep finding both hot and cold pages.
+func touchSlow(vm *hypervisor.VM) {
+	vm.Proc.GPT.Scan(func(_ uint64, e *pagetable.Entry) bool {
+		if vm.Kernel.NodeOfGPFN(mem.Frame(e.Value())) != 0 {
+			e.MarkAccessed()
+		}
+		return true
+	})
+	vm.EPT.Scan(func(_ uint64, e *pagetable.Entry) bool {
+		if vm.Machine.Topo.NodeOf(hostFrameOf(e)).ID != 0 {
+			e.MarkAccessed()
+		}
+		return true
+	})
+}
+
+// A warmed-up round of each baseline reuses its candidate buffers and the
+// tables' cached scan order, so it allocates nothing.
+func TestSteadyStateRoundAllocatesNothing(t *testing.T) {
+	for _, d := range designs {
+		t.Run(d.name, func(t *testing.T) {
+			p, round := d.make()
+			_, vm := warm(t, p)
+			defer p.Detach()
+			if scored(p) == 0 {
+				t.Fatal("no page scored after warm-up")
+			}
+			touched := func() { touchSlow(vm); round() }
+			if n := testing.AllocsPerRun(50, touched); n != 0 {
+				t.Fatalf("steady-state round allocates %v times, want 0", n)
+			}
+		})
+	}
+}
+
 func testVTMM() ScanConfig {
 	cfg := DefaultVTMMConfig()
 	cfg.ScanPeriod = 2 * sim.Millisecond

@@ -40,6 +40,10 @@ type TPPH struct {
 	cursor uint64
 	active bool
 	stats  ScanStats
+
+	// hot and coldFast are the round's candidate buffers, reused across
+	// rounds.
+	hot, coldFast []uint64
 }
 
 // NewTPPH returns a detached hypervisor TPP.
@@ -80,8 +84,8 @@ func (p *TPPH) round() {
 	fastHost := vm.Machine.Topo.FastNode()
 	slowHost := vm.Machine.Topo.SlowNode()
 
-	var hot []uint64      // gpfns on SMEM with score >= threshold
-	var coldFast []uint64 // gpfns on FMEM with score 0
+	hot := p.hot[:0]           // gpfns on SMEM with score >= threshold
+	coldFast := p.coldFast[:0] // gpfns on FMEM with score 0
 	var flushCost sim.Duration
 	cleared := 0
 	fulls := 0
@@ -111,6 +115,7 @@ func (p *TPPH) round() {
 		flushCost += vm.FlushFull() // trailing partial batch
 		fulls++
 	}
+	p.hot, p.coldFast = hot, coldFast
 	p.cursor = next
 	p.stats.Rounds++
 
