@@ -1,8 +1,9 @@
 // demeter-lint is the repo's static-analysis gate: a multichecker over
 // the analyzers in internal/analysis that turns the simulator's runtime
 // contracts — determinism, byte-identical reports, a 0 allocs/op access
-// fast path, handled constructor errors, lock discipline, shard-safe
-// state, canonical float folds — into compile-time checks.
+// fast path, handled constructor errors, lock discipline, no mutable
+// package state shared by parallel runs, canonical float folds — into
+// compile-time checks.
 //
 // Usage:
 //
@@ -20,9 +21,8 @@
 //
 // on the flagged line or the line directly above it; the reason is
 // mandatory. A directive that suppresses nothing is itself reported as
-// stale (-stale, on by default; stale detection is only meaningful for
-// full-module runs, since a partial load can miss the finding a
-// directive suppresses).
+// stale; stale detection is only meaningful for full-module runs, since
+// a partial load can miss the finding a directive suppresses.
 package main
 
 import (
@@ -37,10 +37,9 @@ import (
 func main() {
 	list := flag.Bool("list", false, "list analyzers and exit")
 	only := flag.String("only", "", "comma-separated analyzer subset to run (default: all)")
-	stale := flag.Bool("stale", true, "report //lint:allow directives that suppress nothing")
 	asJSON := flag.Bool("json", false, "emit machine-readable JSON report on stdout (human summary goes to stderr)")
 	flag.Usage = func() {
-		fmt.Fprintf(flag.CommandLine.Output(), "usage: demeter-lint [-list] [-only a,b] [-stale=false] [-json] [packages]\n")
+		fmt.Fprintf(flag.CommandLine.Output(), "usage: demeter-lint [-list] [-only a,b] [-json] [packages]\n")
 		flag.PrintDefaults()
 	}
 	flag.Parse()
@@ -52,49 +51,30 @@ func main() {
 		return
 	}
 
-	analyzers, err := analysis.ByName(*only)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "demeter-lint:", err)
-		os.Exit(2)
+	// check exits 2 on a usage, load or analyzer error.
+	check := func(err error) {
+		if err != nil {
+			fmt.Fprintln(os.Stderr, "demeter-lint:", err)
+			os.Exit(2)
+		}
 	}
-
+	analyzers, err := analysis.ByName(*only)
+	check(err)
 	patterns := flag.Args()
 	if len(patterns) == 0 {
 		patterns = []string{"./..."}
 	}
-
-	wd, err := os.Getwd()
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "demeter-lint:", err)
-		os.Exit(2)
-	}
-	loader, err := analysis.NewLoader(wd)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "demeter-lint:", err)
-		os.Exit(2)
-	}
+	loader, err := analysis.NewLoader(".")
+	check(err)
 	pkgs, err := loader.Load(patterns...)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "demeter-lint:", err)
-		os.Exit(2)
-	}
+	check(err)
 	res, err := analysis.Run(pkgs, analyzers)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "demeter-lint:", err)
-		os.Exit(2)
-	}
-	if !*stale {
-		res.Stale = nil
-	}
+	check(err)
 
 	if *asJSON {
-		rep := analysis.NewJSONReport(loader.ModuleDir, analyzers, res)
 		enc := json.NewEncoder(os.Stdout)
 		enc.SetIndent("", "  ")
-		if err := enc.Encode(rep); err != nil {
-			fmt.Fprintln(os.Stderr, "demeter-lint:", err)
-			os.Exit(2)
-		}
+		check(enc.Encode(analysis.NewJSONReport(loader.ModuleDir, analyzers, res)))
 	} else {
 		for _, d := range res.Diags {
 			fmt.Println(d)
@@ -103,8 +83,7 @@ func main() {
 			fmt.Println(d)
 		}
 	}
-	total := len(res.Diags) + len(res.Stale)
-	if total > 0 {
+	if len(res.Diags)+len(res.Stale) > 0 {
 		fmt.Fprintf(os.Stderr, "demeter-lint: %d finding(s) (%d stale allow(s)) in %d package(s)\n",
 			len(res.Diags), len(res.Stale), len(pkgs))
 		os.Exit(1)

@@ -16,6 +16,7 @@ import (
 
 	"demeter/internal/core"
 	"demeter/internal/engine"
+	"demeter/internal/guestos"
 	"demeter/internal/hypervisor"
 	"demeter/internal/mem"
 	"demeter/internal/sim"
@@ -45,21 +46,11 @@ func buildWorkload(name string) (workload.Workload, error) {
 	return nil, usageError(fmt.Sprintf("unknown workload %q (gups|silo|ycsb|xsbench)", name))
 }
 
-// fakeAS mirrors the guest process layout for recording.
-type fakeAS struct{ brk, mmapNext uint64 }
-
-func newFakeAS() *fakeAS {
-	return &fakeAS{brk: 0x5555_0000_0000, mmapNext: 0x7ffe_0000_0000}
-}
-func (f *fakeAS) Brk(b uint64) uint64 {
-	s := f.brk
-	f.brk += (b + 4095) &^ 4095
-	return s
-}
-func (f *fakeAS) Mmap(b uint64) uint64 {
-	size := (b + (2<<20 - 1)) &^ uint64(2<<20-1)
-	f.mmapNext -= size
-	return f.mmapNext
+// guestProcess returns a fresh guest process to record through: replay
+// runs in one laid out the same way, so the recorded addresses replay
+// unchanged.
+func guestProcess() *guestos.Process {
+	return guestos.NewKernel(mem.PaperDRAMPMEM(fmemFrames, smemFrames)).NewProcess("record")
 }
 
 func runThrough(wl workload.Workload) sim.Duration {
@@ -155,7 +146,7 @@ func record(args []string, stdout, stderr io.Writer) error {
 	if err != nil {
 		return err
 	}
-	count, err := trace.Record(f, wl, newFakeAS())
+	count, err := trace.Record(f, wl, guestProcess())
 	if err != nil {
 		f.Close()
 		return fmt.Errorf("record %s: %w", *out, err)
@@ -212,7 +203,7 @@ func demo(stdout io.Writer) error {
 	if err != nil {
 		return err
 	}
-	count, err := trace.Record(tmp, orig, newFakeAS())
+	count, err := trace.Record(tmp, orig, guestProcess())
 	if err != nil {
 		tmp.Close()
 		return fmt.Errorf("record: %w", err)

@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -17,16 +18,31 @@ func TestReplayReportsBadInput(t *testing.T) {
 	if err := os.WriteFile(badKind, []byte("DMTR\x01\x01x\x01\x00"), 0o644); err != nil {
 		t.Fatal(err)
 	}
+	// The first 100 bytes of a recorded silo trace hold its header and
+	// 77 accesses, fewer than the replay asks for.
+	silo := filepath.Join(dir, "silo.trace")
+	if code := run([]string{"record", "-workload", "silo", "-out", silo}, io.Discard, io.Discard); code != 0 {
+		t.Fatalf("record exit status %d", code)
+	}
+	full, err := os.ReadFile(silo)
+	if err != nil {
+		t.Fatal(err)
+	}
+	truncated := filepath.Join(dir, "silo100.trace")
+	if err := os.WriteFile(truncated, full[:100], 0o644); err != nil {
+		t.Fatal(err)
+	}
 	cases := []struct {
-		name, in, want string
+		name, in, ops, want string
 	}{
-		{"missing file", filepath.Join(dir, "missing.trace"), "no such file"},
-		{"bad region kind", badKind, "unknown kind 'x'"},
+		{"missing file", filepath.Join(dir, "missing.trace"), "10", "no such file"},
+		{"bad region kind", badKind, "10", "unknown kind 'x'"},
+		{"truncated", truncated, "1000", "truncated after 77 of 1000 accesses: unexpected EOF"},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
 			var stdout, stderr bytes.Buffer
-			code := run([]string{"replay", "-in", c.in, "-ops", "10"}, &stdout, &stderr)
+			code := run([]string{"replay", "-in", c.in, "-ops", c.ops}, &stdout, &stderr)
 			if code != 1 {
 				t.Errorf("exit status %d, want 1", code)
 			}

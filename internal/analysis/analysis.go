@@ -23,11 +23,30 @@
 //   - floatfold:    no float accumulation in nondeterministic order
 //     (map ranges, fan-out collection callbacks) under internal/
 //
-// The syntactic analyzers run per package through Analyzer.Run; the
-// flow-sensitive ones (lockorder, crossshard, and hotpath's call-tree
-// walk) run once over the whole loaded module through
-// Analyzer.RunModule, against the shared internal/analysis/flow CFG and
-// call graph exposed on both pass types.
+// Every analyzer has one entry point, Analyzer.Run, called once per
+// driver run with a Pass that carries every loaded package and the
+// module call graph. The syntactic analyzers (simdet, mapiter,
+// errpropagate, floatfold) loop over pass.Pkgs and ask "does this
+// statement do X". The state that parallel leaf runs and the serve loop
+// share is guarded by flow properties instead — what is held when a
+// call happens, what is reachable from a run path — and lockorder,
+// crossshard and hotpath's call-tree walk answer them over pass.Graph:
+// static calls resolved through go/types object identity, interface
+// calls resolved to every in-module implementer via method sets, and a
+// per-function control-flow graph (basic blocks over ast.Stmt with
+// branch, loop and defer edges) built on first use.
+//
+// The flow layer's deliberate limits (see DESIGN.md §9):
+//
+//   - No aliasing analysis. A lock or variable reached through a copied
+//     pointer is invisible; lock identities conflate all instances of a
+//     named type (which is the right granularity for an order
+//     discipline, and an over-approximation for re-entry).
+//   - Calls through function-typed values and fields are unresolved.
+//     Interface method calls resolve to every in-module named type that
+//     implements the interface; external implementers are invisible.
+//   - Basic blocks hold whole statements; evaluation order inside one
+//     statement is approximated by AST order.
 //
 // Suppression: a finding is silenced by a comment of the form
 //
@@ -46,21 +65,17 @@
 //
 // The x/tools module is deliberately not imported: the build must work in
 // a hermetic environment with only the Go toolchain present, so the
-// driver (Load + Run), the flow layer (internal/analysis/flow), the
-// fixture harness (analysistest) and the multichecker (cmd/demeter-lint)
-// are all local code.
+// driver (Load + Run), the call graph and CFG, the fixture harness
+// (analysistest) and the multichecker (cmd/demeter-lint) are all local
+// code.
 package analysis
 
 import (
 	"fmt"
-	"go/ast"
 	"go/token"
-	"go/types"
 	"regexp"
 	"sort"
 	"strings"
-
-	"demeter/internal/analysis/flow"
 )
 
 // StaleName is the pseudo-analyzer name carried by stale-suppression
@@ -70,45 +85,26 @@ const StaleName = "staleallow"
 
 // Analyzer describes one static check. It mirrors the x/tools analysis
 // API shape so the checks could be ported to a real multichecker wholesale
-// if the dependency ever becomes available. Exactly one of Run and
-// RunModule is set: Run performs a per-package check, RunModule a
-// whole-module one (called once per driver run with every loaded
-// package and the shared call graph).
+// if the dependency ever becomes available.
 type Analyzer struct {
 	// Name identifies the analyzer in diagnostics and in
 	// //lint:allow <name> suppressions.
 	Name string
 	// Doc is a one-paragraph description, shown by demeter-lint -list.
 	Doc string
-	// Run performs the check on one package and reports findings
-	// through pass.Reportf.
+	// Run performs the check once over every loaded package and reports
+	// findings through pass.Reportf.
 	Run func(pass *Pass) error
-	// RunModule performs the check once over every loaded package.
-	RunModule func(pass *ModulePass) error
 }
 
-// Pass carries one analyzer's view of one type-checked package.
+// Pass carries one analyzer's view of a whole driver run.
 type Pass struct {
-	Analyzer  *Analyzer
-	Fset      *token.FileSet
-	Files     []*ast.File
-	PkgPath   string
-	Pkg       *types.Package
-	TypesInfo *types.Info
-	// Flow is the module-wide call graph over every package in the
-	// current driver run (not only this pass's package).
-	Flow *flow.Module
-
-	allow  *allowIndex
-	report func(Diagnostic)
-}
-
-// ModulePass carries a module-wide analyzer's view of the whole run.
-type ModulePass struct {
 	Analyzer *Analyzer
 	Fset     *token.FileSet
-	Pkgs     []*Package
-	Flow     *flow.Module
+	// Pkgs holds every loaded package, in load order.
+	Pkgs []*Package
+	// Graph is the call graph over Pkgs.
+	Graph *CallGraph
 
 	allow  *allowIndex
 	report func(Diagnostic)
@@ -134,24 +130,13 @@ type Result struct {
 }
 
 // Reportf reports a finding at pos unless a //lint:allow suppression
-// covers its line.
+// covers its line. The suppression index spans every loaded package.
 func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
-	reportf(p.Fset, p.allow, p.report, p.Analyzer.Name, pos, format, args...)
-}
-
-// Reportf reports a finding at pos unless a //lint:allow suppression
-// covers its line. Module-wide analyzers report into whichever file
-// holds pos; the suppression index spans every loaded package.
-func (p *ModulePass) Reportf(pos token.Pos, format string, args ...any) {
-	reportf(p.Fset, p.allow, p.report, p.Analyzer.Name, pos, format, args...)
-}
-
-func reportf(fset *token.FileSet, allow *allowIndex, report func(Diagnostic), analyzer string, pos token.Pos, format string, args ...any) {
-	position := fset.Position(pos)
-	if allow.suppress(position, analyzer) {
+	position := p.Fset.Position(pos)
+	if p.allow.suppress(position, p.Analyzer.Name) {
 		return
 	}
-	report(Diagnostic{Analyzer: analyzer, Pos: position, Message: fmt.Sprintf(format, args...)})
+	p.report(Diagnostic{Analyzer: p.Analyzer.Name, Pos: position, Message: fmt.Sprintf(format, args...)})
 }
 
 type allowKey struct {
@@ -179,6 +164,18 @@ type allowIndex struct {
 
 var allowRE = regexp.MustCompile(`^lint:allow\s+([a-z][a-z0-9_]*)\s+(\S.*)$`)
 
+// parseAllow matches one comment's text ("//lint:allow simdet reason")
+// against the directive form and returns the analyzer it names and its
+// reason. ok is false for anything else, including a directive with no
+// reason.
+func parseAllow(comment string) (analyzer, reason string, ok bool) {
+	m := allowRE.FindStringSubmatch(strings.TrimSpace(strings.TrimPrefix(comment, "//")))
+	if m == nil {
+		return "", "", false
+	}
+	return m[1], m[2], true
+}
+
 // buildAllowIndex scans every file's comments for //lint:allow
 // directives. Each well-formed directive (analyzer name plus a
 // non-empty reason) suppresses that analyzer on the comment's own line
@@ -203,16 +200,15 @@ func buildAllowIndex(fset *token.FileSet, pkgs []*Package) *allowIndex {
 			seenFile[name] = true
 			for _, cg := range f.Comments {
 				for _, c := range cg.List {
-					text := strings.TrimSpace(strings.TrimPrefix(c.Text, "//"))
-					m := allowRE.FindStringSubmatch(text)
-					if m == nil {
+					analyzer, _, ok := parseAllow(c.Text)
+					if !ok {
 						continue
 					}
 					pos := fset.Position(c.Slash)
-					d := &allowDirective{analyzer: m[1], pos: pos}
+					d := &allowDirective{analyzer: analyzer, pos: pos}
 					idx.all = append(idx.all, d)
-					idx.byKey[allowKey{file: pos.Filename, line: pos.Line, analyzer: m[1]}] = d
-					idx.byKey[allowKey{file: pos.Filename, line: pos.Line + 1, analyzer: m[1]}] = d
+					idx.byKey[allowKey{file: pos.Filename, line: pos.Line, analyzer: analyzer}] = d
+					idx.byKey[allowKey{file: pos.Filename, line: pos.Line + 1, analyzer: analyzer}] = d
 				}
 			}
 		}
@@ -248,50 +244,25 @@ func (idx *allowIndex) stale(ran map[string]bool) []Diagnostic {
 	return out
 }
 
-// Run applies each analyzer to the loaded packages — per-package
-// analyzers to each package, module analyzers once over all of them —
-// and returns the findings plus any stale suppressions, each sorted by
-// position. An analyzer error (not a finding) aborts the run.
+// Run applies each analyzer once to the loaded packages and returns
+// the findings plus any stale suppressions, each sorted by position.
+// An analyzer error (not a finding) aborts the run.
 func Run(pkgs []*Package, analyzers []*Analyzer) (Result, error) {
 	var res Result
-	var fset *token.FileSet
-	flowPkgs := make([]*flow.Pkg, 0, len(pkgs))
-	for _, pkg := range pkgs {
-		fset = pkg.Fset
-		flowPkgs = append(flowPkgs, &flow.Pkg{Path: pkg.Path, Files: pkg.Files, Types: pkg.Types, Info: pkg.Info})
+	fset := token.NewFileSet()
+	if len(pkgs) > 0 {
+		fset = pkgs[0].Fset
 	}
-	if fset == nil {
-		fset = token.NewFileSet()
-	}
-	mod := flow.Build(fset, flowPkgs)
+	graph := buildCallGraph(pkgs)
 	allow := buildAllowIndex(fset, pkgs)
 	report := func(d Diagnostic) { res.Diags = append(res.Diags, d) }
 
 	ran := map[string]bool{}
 	for _, a := range analyzers {
 		ran[a.Name] = true
-		if a.RunModule != nil {
-			pass := &ModulePass{Analyzer: a, Fset: fset, Pkgs: pkgs, Flow: mod, allow: allow, report: report}
-			if err := a.RunModule(pass); err != nil {
-				return Result{}, fmt.Errorf("%s: %w", a.Name, err)
-			}
-			continue
-		}
-		for _, pkg := range pkgs {
-			pass := &Pass{
-				Analyzer:  a,
-				Fset:      pkg.Fset,
-				Files:     pkg.Files,
-				PkgPath:   pkg.Path,
-				Pkg:       pkg.Types,
-				TypesInfo: pkg.Info,
-				Flow:      mod,
-				allow:     allow,
-				report:    report,
-			}
-			if err := a.Run(pass); err != nil {
-				return Result{}, fmt.Errorf("%s: %s: %w", a.Name, pkg.Path, err)
-			}
+		pass := &Pass{Analyzer: a, Fset: fset, Pkgs: pkgs, Graph: graph, allow: allow, report: report}
+		if err := a.Run(pass); err != nil {
+			return Result{}, fmt.Errorf("%s: %w", a.Name, err)
 		}
 	}
 	res.Stale = allow.stale(ran)

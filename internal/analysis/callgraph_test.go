@@ -1,4 +1,4 @@
-package flow
+package analysis
 
 import (
 	"go/ast"
@@ -10,12 +10,12 @@ import (
 	"testing"
 )
 
-// buildModule type-checks one or more single-file packages and builds
+// buildGraph type-checks one or more single-file packages and builds
 // the module call graph over them. files maps import path -> source.
-func buildModule(t *testing.T, files map[string]string) *Module {
+func buildGraph(t *testing.T, files map[string]string) *CallGraph {
 	t.Helper()
 	fset := token.NewFileSet()
-	var pkgs []*Pkg
+	var pkgs []*Package
 	checked := map[string]*types.Package{}
 	// Two passes so intra-module imports resolve regardless of order is
 	// unnecessary here: tests keep packages import-free or ordered.
@@ -36,9 +36,9 @@ func buildModule(t *testing.T, files map[string]string) *Module {
 			t.Fatalf("typecheck %s: %v", path, err)
 		}
 		checked[path] = tp
-		pkgs = append(pkgs, &Pkg{Path: path, Files: []*ast.File{file}, Types: tp, Info: info})
+		pkgs = append(pkgs, &Package{Path: path, Fset: fset, Files: []*ast.File{file}, Types: tp, Info: info})
 	}
-	return Build(fset, pkgs)
+	return buildCallGraph(pkgs)
 }
 
 type mapImporter struct {
@@ -68,7 +68,7 @@ func sortedKeys(m map[string]string) []string {
 	return keys
 }
 
-func findFunc(t *testing.T, m *Module, name string) *Func {
+func findFunc(t *testing.T, m *CallGraph, name string) *Func {
 	t.Helper()
 	for _, f := range m.Funcs() {
 		if f.Name() == name {
@@ -80,7 +80,7 @@ func findFunc(t *testing.T, m *Module, name string) *Func {
 }
 
 func TestCallGraphStaticCall(t *testing.T) {
-	m := buildModule(t, map[string]string{"a": `package a
+	m := buildGraph(t, map[string]string{"a": `package a
 func Root() { leaf() }
 func leaf() {}
 `})
@@ -98,7 +98,7 @@ func leaf() {}
 }
 
 func TestCallGraphInterfaceResolution(t *testing.T) {
-	m := buildModule(t, map[string]string{"a": `package a
+	m := buildGraph(t, map[string]string{"a": `package a
 type Runner interface{ run() }
 type fast struct{}
 func (fast) run() {}
@@ -127,7 +127,7 @@ func Drive(r Runner) { r.run() }
 }
 
 func TestCallGraphFuncLitAndPanicMarkers(t *testing.T) {
-	m := buildModule(t, map[string]string{"a": `package a
+	m := buildGraph(t, map[string]string{"a": `package a
 func describe() string { return "x" }
 func inner() {}
 func Root() {
@@ -163,7 +163,7 @@ func Root() {
 }
 
 func TestCallGraphSkipsConversionsAndBuiltins(t *testing.T) {
-	m := buildModule(t, map[string]string{"a": `package a
+	m := buildGraph(t, map[string]string{"a": `package a
 type wrap int
 func Root() {
 	xs := make([]int, 0)
@@ -178,7 +178,7 @@ func Root() {
 }
 
 func TestCallGraphCrossPackage(t *testing.T) {
-	m := buildModule(t, map[string]string{
+	m := buildGraph(t, map[string]string{
 		"a": `package a
 func Leaf() {}
 `,
@@ -204,7 +204,7 @@ func Root() { a.Leaf() }
 }
 
 func TestReachableAndChain(t *testing.T) {
-	m := buildModule(t, map[string]string{"a": `package a
+	m := buildGraph(t, map[string]string{"a": `package a
 func Entry() { mid() }
 func mid() { deep() }
 func deep() {}
@@ -213,7 +213,7 @@ func orphan() {}
 	entry := findFunc(t, m, "Entry")
 	deep := findFunc(t, m, "deep")
 	orphan := findFunc(t, m, "orphan")
-	parent := m.Reachable([]*Func{entry})
+	parent := m.Reachable([]*Func{entry}, nil)
 	if _, ok := parent[deep]; !ok {
 		t.Fatal("deep not reachable from Entry")
 	}
@@ -226,7 +226,7 @@ func orphan() {}
 }
 
 func TestCFGViaFuncLazy(t *testing.T) {
-	m := buildModule(t, map[string]string{"a": `package a
+	m := buildGraph(t, map[string]string{"a": `package a
 func F() { defer G(); return }
 func G() {}
 `})

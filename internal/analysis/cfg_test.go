@@ -1,4 +1,4 @@
-package flow
+package analysis
 
 import (
 	"go/ast"

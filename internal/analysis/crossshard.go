@@ -5,8 +5,6 @@ import (
 	"go/token"
 	"go/types"
 	"strings"
-
-	"demeter/internal/analysis/flow"
 )
 
 // Crossshard inventories the package-level mutable state that stands
@@ -27,18 +25,18 @@ import (
 // init still count as writes (context-insensitive), which errs toward
 // reporting.
 var Crossshard = &Analyzer{
-	Name:      "crossshard",
-	Doc:       "forbid package-level mutable state in simulation packages reachable from engine/experiments run paths",
-	RunModule: runCrossshard,
+	Name: "crossshard",
+	Doc:  "forbid package-level mutable state in simulation packages reachable from engine/experiments run paths",
+	Run:  runCrossshard,
 }
 
 // crossshardEntrySuffixes marks the packages whose functions are the
 // run paths sharding must make safe.
 var crossshardEntrySuffixes = []string{"/internal/engine", "/internal/experiments"}
 
-func runCrossshard(pass *ModulePass) error {
-	mod := pass.Flow
-	var entries []*flow.Func
+func runCrossshard(pass *Pass) error {
+	mod := pass.Graph
+	var entries []*Func
 	for _, f := range mod.Funcs() {
 		for _, suf := range crossshardEntrySuffixes {
 			if strings.HasSuffix(f.Pkg.Path, suf) {
@@ -50,12 +48,12 @@ func runCrossshard(pass *ModulePass) error {
 	if len(entries) == 0 {
 		return nil
 	}
-	reach := mod.Reachable(entries)
+	reach := mod.Reachable(entries, nil)
 
 	// writers and readers of every package-level var, module-wide, in
 	// deterministic function order.
-	writers := map[*types.Var][]*flow.Func{}
-	readers := map[*types.Var][]*flow.Func{}
+	writers := map[*types.Var][]*Func{}
+	readers := map[*types.Var][]*Func{}
 	for _, f := range mod.Funcs() {
 		isInit := f.Decl.Recv == nil && f.Decl.Name.Name == "init"
 		seenW := map[*types.Var]bool{}
@@ -88,7 +86,7 @@ func runCrossshard(pass *ModulePass) error {
 			if len(ws) == 0 {
 				continue
 			}
-			var via *flow.Func
+			var via *Func
 			for _, r := range readers[v] {
 				if _, reachable := reach[r]; reachable {
 					via = r
@@ -100,7 +98,7 @@ func runCrossshard(pass *ModulePass) error {
 			}
 			pass.Reportf(v.Pos(),
 				"package-level mutable state %s (written by %s) is reachable from engine/experiments run paths via %s; shards cannot run concurrently over it",
-				v.Name(), ws[0].DisplayFrom(pkg.Path), flow.Chain(reach, via, pkg.Path))
+				v.Name(), ws[0].DisplayFrom(pkg.Path), Chain(reach, via, pkg.Path))
 		}
 	}
 	return nil
@@ -111,7 +109,7 @@ func runCrossshard(pass *ModulePass) error {
 // the var at the root of the left-hand side, delete() on it, its
 // address taken, or a pointer-receiver method called on it (or on a
 // field chain rooted at it).
-func scanVarAccesses(f *flow.Func, visit func(v *types.Var, write bool)) {
+func scanVarAccesses(f *Func, visit func(v *types.Var, write bool)) {
 	info := f.Pkg.Info
 	pkgLevel := func(e ast.Expr) *types.Var {
 		v := rootVar(info, e)

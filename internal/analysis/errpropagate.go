@@ -25,25 +25,27 @@ var Errpropagate = &Analyzer{
 }
 
 func runErrpropagate(pass *Pass) error {
-	if !strings.Contains(pass.PkgPath, "/internal/") {
-		return nil
-	}
-	for _, f := range pass.Files {
-		ast.Inspect(f, func(n ast.Node) bool {
-			switch n := n.(type) {
-			case *ast.ExprStmt:
-				if call, ok := ast.Unparen(n.X).(*ast.CallExpr); ok {
-					checkDiscardedCall(pass, call, "")
+	for _, pkg := range pass.Pkgs {
+		if !strings.Contains(pkg.Path, "/internal/") {
+			continue
+		}
+		for _, f := range pkg.Files {
+			ast.Inspect(f, func(n ast.Node) bool {
+				switch n := n.(type) {
+				case *ast.ExprStmt:
+					if call, ok := ast.Unparen(n.X).(*ast.CallExpr); ok {
+						checkDiscardedCall(pass, pkg, call, "")
+					}
+				case *ast.DeferStmt:
+					checkDiscardedCall(pass, pkg, n.Call, "defer ")
+				case *ast.GoStmt:
+					checkDiscardedCall(pass, pkg, n.Call, "go ")
+				case *ast.AssignStmt:
+					checkBlankError(pass, pkg, n)
 				}
-			case *ast.DeferStmt:
-				checkDiscardedCall(pass, n.Call, "defer ")
-			case *ast.GoStmt:
-				checkDiscardedCall(pass, n.Call, "go ")
-			case *ast.AssignStmt:
-				checkBlankError(pass, n)
-			}
-			return true
-		})
+				return true
+			})
+		}
 	}
 	return nil
 }
@@ -51,8 +53,8 @@ func runErrpropagate(pass *Pass) error {
 // guardedCallee returns the callee and a display name when the call is
 // one whose error must be handled: a module-local constructor (New…) or
 // any Commit/Rollback method, with an error among its results.
-func guardedCallee(pass *Pass, call *ast.CallExpr) (*types.Func, string, int) {
-	fn := calleeFunc(pass.TypesInfo, call)
+func guardedCallee(pkg *Package, call *ast.CallExpr) (*types.Func, string, int) {
+	fn := calleeFunc(pkg.Info, call)
 	if fn == nil || fn.Pkg() == nil {
 		return nil, "", -1
 	}
@@ -67,7 +69,7 @@ func guardedCallee(pass *Pass, call *ast.CallExpr) (*types.Func, string, int) {
 	name := fn.Name()
 	switch {
 	case name == "Commit" || name == "Rollback":
-	case strings.HasPrefix(name, "New") && sameModule(pass.PkgPath, fn.Pkg().Path()):
+	case strings.HasPrefix(name, "New") && sameModule(pkg.Path, fn.Pkg().Path()):
 	default:
 		return nil, "", -1
 	}
@@ -86,27 +88,17 @@ func sameModule(a, b string) bool {
 	return as == bs
 }
 
-func recvTypeName(t types.Type) string {
-	if p, ok := t.(*types.Pointer); ok {
-		t = p.Elem()
-	}
-	if n, ok := t.(*types.Named); ok {
-		return n.Obj().Name()
-	}
-	return t.String()
-}
-
 // checkDiscardedCall flags a statement that drops every result of a
 // guarded call.
-func checkDiscardedCall(pass *Pass, call *ast.CallExpr, how string) {
-	if _, display, _ := guardedCallee(pass, call); display != "" {
+func checkDiscardedCall(pass *Pass, pkg *Package, call *ast.CallExpr, how string) {
+	if _, display, _ := guardedCallee(pkg, call); display != "" {
 		pass.Reportf(call.Pos(), "%sdiscards the error from %s: constructor and Commit/Rollback errors must be handled", how, display)
 	}
 }
 
 // checkBlankError flags `x, _ := NewThing()` style assignments where the
 // blank identifier lands on the guarded call's error result.
-func checkBlankError(pass *Pass, as *ast.AssignStmt) {
+func checkBlankError(pass *Pass, pkg *Package, as *ast.AssignStmt) {
 	if len(as.Rhs) != 1 {
 		return
 	}
@@ -114,7 +106,7 @@ func checkBlankError(pass *Pass, as *ast.AssignStmt) {
 	if !ok {
 		return
 	}
-	_, display, errIdx := guardedCallee(pass, call)
+	_, display, errIdx := guardedCallee(pkg, call)
 	if display == "" || errIdx >= len(as.Lhs) {
 		return
 	}

@@ -47,11 +47,17 @@ type floatRegion struct {
 }
 
 func runFloatfold(pass *Pass) error {
-	if !strings.Contains(pass.PkgPath, "/internal/") {
-		return nil
+	for _, pkg := range pass.Pkgs {
+		if strings.Contains(pkg.Path, "/internal/") {
+			floatfoldPackage(pass, pkg)
+		}
 	}
-	info := pass.TypesInfo
-	for _, f := range pass.Files {
+	return nil
+}
+
+func floatfoldPackage(pass *Pass, pkg *Package) {
+	info := pkg.Info
+	for _, f := range pkg.Files {
 		var regions []floatRegion
 		ast.Inspect(f, func(n ast.Node) bool {
 			switch n := n.(type) {
@@ -108,7 +114,7 @@ func runFloatfold(pass *Pass) error {
 			}
 			switch as.Tok {
 			case token.ADD_ASSIGN, token.SUB_ASSIGN, token.MUL_ASSIGN, token.QUO_ASSIGN:
-				checkFoldTarget(pass, reg, as.Lhs[0], as.Pos())
+				checkFoldTarget(pass, info, reg, as.Lhs[0], as.Pos())
 			case token.ASSIGN:
 				if len(as.Lhs) != 1 || len(as.Rhs) != 1 {
 					return true
@@ -124,13 +130,12 @@ func runFloatfold(pass *Pass) error {
 				}
 				lhs := types.ExprString(as.Lhs[0])
 				if types.ExprString(be.X) == lhs || types.ExprString(be.Y) == lhs {
-					checkFoldTarget(pass, reg, as.Lhs[0], as.Pos())
+					checkFoldTarget(pass, info, reg, as.Lhs[0], as.Pos())
 				}
 			}
 			return true
 		})
 	}
-	return nil
 }
 
 // innermostRegion returns the smallest region containing pos, or nil.
@@ -150,8 +155,7 @@ func innermostRegion(regions []floatRegion, pos token.Pos) *floatRegion {
 
 // checkFoldTarget reports if lhs is a float accumulation target
 // declared outside the region.
-func checkFoldTarget(pass *Pass, reg *floatRegion, lhs ast.Expr, pos token.Pos) {
-	info := pass.TypesInfo
+func checkFoldTarget(pass *Pass, info *types.Info, reg *floatRegion, lhs ast.Expr, pos token.Pos) {
 	t := info.TypeOf(lhs)
 	if t == nil {
 		return

@@ -6,8 +6,6 @@ import (
 	"go/token"
 	"go/types"
 	"strings"
-
-	"demeter/internal/analysis/flow"
 )
 
 // HotpathAnnotation marks a function as part of the simulator's access
@@ -53,9 +51,9 @@ const ColdpathAnnotation = "demeter:coldpath"
 // Deliberate allocations (e.g. appending to a buffer preallocated at
 // arm time) carry //lint:allow hotpath <reason>.
 var Hotpath = &Analyzer{
-	Name:      "hotpath",
-	Doc:       "forbid allocating constructs in //demeter:hotpath functions and their whole in-module call tree (stopped at //demeter:coldpath)",
-	RunModule: runHotpath,
+	Name: "hotpath",
+	Doc:  "forbid allocating constructs in //demeter:hotpath functions and their whole in-module call tree (stopped at //demeter:coldpath)",
+	Run:  runHotpath,
 }
 
 func hasAnnotation(fd *ast.FuncDecl, annotation string) bool {
@@ -79,51 +77,28 @@ func IsHotpathAnnotated(fd *ast.FuncDecl) bool { return hasAnnotation(fd, Hotpat
 // the //demeter:coldpath annotation.
 func IsColdpathAnnotated(fd *ast.FuncDecl) bool { return hasAnnotation(fd, ColdpathAnnotation) }
 
-func runHotpath(pass *ModulePass) error {
-	mod := pass.Flow
-	var roots []*flow.Func
-	for _, f := range mod.Funcs() {
+func runHotpath(pass *Pass) error {
+	var roots []*Func
+	for _, f := range pass.Graph.Funcs() {
 		if IsHotpathAnnotated(f.Decl) {
 			roots = append(roots, f)
 		}
 	}
-	// Multi-source BFS over the call graph with parent pointers, so a
-	// finding in an un-annotated callee can name a shortest chain from
-	// an annotated root. Panic-argument calls are the dying-words path;
-	// closure-body calls only run if the closure does, and the closure
-	// literal itself is flagged in hot code; coldpath functions are
-	// deliberate slow-path boundaries.
-	parent := make(map[*flow.Func]*flow.Func, len(roots))
-	for _, r := range roots {
-		parent[r] = nil
-	}
-	queue := append([]*flow.Func(nil), roots...)
-	for len(queue) > 0 {
-		f := queue[0]
-		queue = queue[1:]
-		for _, call := range f.Calls {
-			if call.InPanicArg || call.InFuncLit {
-				continue
-			}
-			for _, callee := range call.Callees {
-				if _, seen := parent[callee]; seen {
-					continue
-				}
-				if IsColdpathAnnotated(callee.Decl) {
-					continue
-				}
-				parent[callee] = f
-				queue = append(queue, callee)
-			}
-		}
-	}
-	for _, f := range mod.Funcs() {
+	// The parent pointers let a finding in an un-annotated callee name a
+	// shortest chain from an annotated root. Panic-argument calls are
+	// the dying-words path; closure-body calls only run if the closure
+	// does, and the closure literal itself is flagged in hot code;
+	// coldpath functions are deliberate slow-path boundaries.
+	parent := pass.Graph.Reachable(roots, func(call *Call, callee *Func) bool {
+		return !call.InPanicArg && !call.InFuncLit && !IsColdpathAnnotated(callee.Decl)
+	})
+	for _, f := range pass.Graph.Funcs() {
 		if _, in := parent[f]; !in {
 			continue
 		}
 		suffix := ""
 		if !IsHotpathAnnotated(f.Decl) {
-			suffix = fmt.Sprintf(" (hot-path tree: %s)", flow.Chain(parent, f, f.Pkg.Path))
+			suffix = fmt.Sprintf(" (hot-path tree: %s)", Chain(parent, f, f.Pkg.Path))
 		}
 		scan := &hotpathScan{
 			info:   f.Pkg.Info,
@@ -143,7 +118,7 @@ type hotpathScan struct {
 	info   *types.Info
 	fname  string
 	suffix string
-	pass   *ModulePass
+	pass   *Pass
 }
 
 func (s *hotpathScan) reportf(pos token.Pos, format string, args ...any) {

@@ -7,8 +7,6 @@ import (
 	"go/types"
 	"sort"
 	"strings"
-
-	"demeter/internal/analysis/flow"
 )
 
 // Lockorder tracks sync.Mutex/RWMutex acquisitions along CFG paths and
@@ -35,9 +33,9 @@ import (
 // go statements, defer statements and panic arguments are excluded
 // from the synchronous event stream.
 var Lockorder = &Analyzer{
-	Name:      "lockorder",
-	Doc:       "forbid inconsistent mutex acquisition order, re-entry, and locks held across blocking operations under internal/",
-	RunModule: runLockorder,
+	Name: "lockorder",
+	Doc:  "forbid inconsistent mutex acquisition order, re-entry, and locks held across blocking operations under internal/",
+	Run:  runLockorder,
 }
 
 // lockKey identifies one lock approximately. id is the identity used
@@ -60,8 +58,8 @@ type lockEvent struct {
 	kind int
 	key  lockKey // acquire/release
 	pos  token.Pos
-	desc string     // block: what blocks; call: callee display name
-	call *flow.Call // call
+	desc string // block: what blocks; call: callee display name
+	call *Call  // call
 }
 
 // lockSummary is a function's transitive effect: the locks its
@@ -79,21 +77,21 @@ type lockOrderEdge struct {
 }
 
 type lockorderState struct {
-	pass    *ModulePass
-	mod     *flow.Module
-	events  map[*flow.Func][]lockEvent              // whole-body events, for summaries
-	byNode  map[*flow.Func]map[ast.Node][]lockEvent // per-CFG-node events, for dataflow
-	summary map[*flow.Func]*lockSummary
+	pass    *Pass
+	mod     *CallGraph
+	events  map[*Func][]lockEvent              // whole-body events, for summaries
+	byNode  map[*Func]map[ast.Node][]lockEvent // per-CFG-node events, for dataflow
+	summary map[*Func]*lockSummary
 	edges   map[[2]string]lockOrderEdge
 }
 
-func runLockorder(pass *ModulePass) error {
+func runLockorder(pass *Pass) error {
 	st := &lockorderState{
 		pass:    pass,
-		mod:     pass.Flow,
-		events:  map[*flow.Func][]lockEvent{},
-		byNode:  map[*flow.Func]map[ast.Node][]lockEvent{},
-		summary: map[*flow.Func]*lockSummary{},
+		mod:     pass.Graph,
+		events:  map[*Func][]lockEvent{},
+		byNode:  map[*Func]map[ast.Node][]lockEvent{},
+		summary: map[*Func]*lockSummary{},
 		edges:   map[[2]string]lockOrderEdge{},
 	}
 	for _, f := range st.mod.Funcs() {
@@ -112,10 +110,10 @@ func runLockorder(pass *ModulePass) error {
 // collectEvents extracts the synchronous lock/block/call events of f,
 // both as a flat body-order list (for summaries) and grouped by the
 // statement or expression node that carries them (for the CFG walk).
-func (st *lockorderState) collectEvents(f *flow.Func) {
+func (st *lockorderState) collectEvents(f *Func) {
 	skip := exclusionRanges(f)
 	comm := selectCommRanges(f)
-	callOf := map[*ast.CallExpr]*flow.Call{}
+	callOf := map[*ast.CallExpr]*Call{}
 	for _, c := range f.Calls {
 		callOf[c.Site] = c
 	}
@@ -133,7 +131,7 @@ func (st *lockorderState) collectEvents(f *flow.Func) {
 }
 
 // nodeEvents scans one CFG node for events in AST pre-order.
-func (st *lockorderState) nodeEvents(f *flow.Func, node ast.Node, skip, comm []posRangeA, callOf map[*ast.CallExpr]*flow.Call) []lockEvent {
+func (st *lockorderState) nodeEvents(f *Func, node ast.Node, skip, comm []posRange, callOf map[*ast.CallExpr]*Call) []lockEvent {
 	info := f.Pkg.Info
 	var evs []lockEvent
 	var scan func(n ast.Node) bool
@@ -164,23 +162,23 @@ func (st *lockorderState) nodeEvents(f *flow.Func, node ast.Node, skip, comm []p
 			}
 			return false
 		case *ast.SendStmt:
-			if !inRangesA(comm, n.Pos()) {
+			if !inRanges(comm, n.Pos()) {
 				evs = append(evs, lockEvent{kind: evBlock, pos: n.Arrow, desc: "channel send"})
 			}
 			return true
 		case *ast.UnaryExpr:
-			if n.Op == token.ARROW && !inRangesA(comm, n.Pos()) {
+			if n.Op == token.ARROW && !inRanges(comm, n.Pos()) {
 				evs = append(evs, lockEvent{kind: evBlock, pos: n.OpPos, desc: "channel receive"})
 			}
 			return true
 		case *ast.CallExpr:
-			if inRangesA(skip, n.Pos()) {
+			if inRanges(skip, n.Pos()) {
 				return false
 			}
 			if b := calleeBuiltin(info, n); b != "" {
 				return b != "panic" // dying words exempt
 			}
-			if op, key, ok := lockMethod(f, n, st.mod.Fset); ok {
+			if op, key, ok := lockMethod(f, n, st.pass.Fset); ok {
 				kind := evAcquire
 				if op == "Unlock" || op == "RUnlock" {
 					kind = evRelease
@@ -211,35 +209,22 @@ func (st *lockorderState) nodeEvents(f *flow.Func, node ast.Node, skip, comm []p
 	return evs
 }
 
-// posRangeA is a half-open source span (analysis-side twin of the flow
-// package's internal type).
-type posRangeA struct{ lo, hi token.Pos }
-
-func inRangesA(ranges []posRangeA, p token.Pos) bool {
-	for _, r := range ranges {
-		if r.lo <= p && p < r.hi {
-			return true
-		}
-	}
-	return false
-}
-
 // exclusionRanges returns the spans of f's body whose events are not
 // synchronous with f: closure bodies, defer and go statements, panic
 // arguments.
-func exclusionRanges(f *flow.Func) []posRangeA {
-	var out []posRangeA
+func exclusionRanges(f *Func) []posRange {
+	var out []posRange
 	info := f.Pkg.Info
 	ast.Inspect(f.Decl.Body, func(n ast.Node) bool {
 		switch n := n.(type) {
 		case *ast.FuncLit:
-			out = append(out, posRangeA{n.Body.Pos(), n.Body.End()})
+			out = append(out, posRange{n.Body.Pos(), n.Body.End()})
 		case *ast.DeferStmt, *ast.GoStmt:
-			out = append(out, posRangeA{n.Pos(), n.End()})
+			out = append(out, posRange{n.Pos(), n.End()})
 		case *ast.CallExpr:
 			if id, ok := ast.Unparen(n.Fun).(*ast.Ident); ok {
 				if b, ok := info.Uses[id].(*types.Builtin); ok && b.Name() == "panic" && len(n.Args) > 0 {
-					out = append(out, posRangeA{n.Args[0].Pos(), n.Rparen})
+					out = append(out, posRange{n.Args[0].Pos(), n.Rparen})
 				}
 			}
 		}
@@ -251,13 +236,13 @@ func exclusionRanges(f *flow.Func) []posRangeA {
 // selectCommRanges returns the spans of select communication clauses:
 // a send or receive there is the select's own arming, not an extra
 // blocking operation.
-func selectCommRanges(f *flow.Func) []posRangeA {
-	var out []posRangeA
+func selectCommRanges(f *Func) []posRange {
+	var out []posRange
 	ast.Inspect(f.Decl.Body, func(n ast.Node) bool {
 		if sel, ok := n.(*ast.SelectStmt); ok {
 			for _, c := range sel.Body.List {
 				if cc, ok := c.(*ast.CommClause); ok && cc.Comm != nil {
-					out = append(out, posRangeA{cc.Comm.Pos(), cc.Comm.End()})
+					out = append(out, posRange{cc.Comm.Pos(), cc.Comm.End()})
 				}
 			}
 		}
@@ -269,7 +254,7 @@ func selectCommRanges(f *flow.Func) []posRangeA {
 // lockMethod recognizes a sync.Mutex / sync.RWMutex method call and
 // derives the lock's key. Promoted (embedded) methods resolve their
 // field path through the type-checker's selection index.
-func lockMethod(f *flow.Func, call *ast.CallExpr, fset *token.FileSet) (op string, key lockKey, ok bool) {
+func lockMethod(f *Func, call *ast.CallExpr, fset *token.FileSet) (op string, key lockKey, ok bool) {
 	sel, isSel := ast.Unparen(call.Fun).(*ast.SelectorExpr)
 	if !isSel {
 		return "", lockKey{}, false
@@ -333,7 +318,7 @@ func blockingCall(info *types.Info, call *ast.CallExpr) (string, bool) {
 // lockKeyOf derives the identity of the mutex a method call selector
 // denotes: the syntactic chain below the method plus the promotion
 // path through embedded fields.
-func lockKeyOf(f *flow.Func, sel *ast.SelectorExpr, fset *token.FileSet) (lockKey, bool) {
+func lockKeyOf(f *Func, sel *ast.SelectorExpr, fset *token.FileSet) (lockKey, bool) {
 	info := f.Pkg.Info
 	var promo []string
 	if s, ok := info.Selections[sel]; ok {
@@ -464,9 +449,9 @@ func (st *lockorderState) solveSummaries() {
 
 // checkFunc runs the may-hold dataflow over f's CFG to a fixpoint, then
 // replays each block once against its stable entry state to report.
-func (st *lockorderState) checkFunc(f *flow.Func) {
+func (st *lockorderState) checkFunc(f *Func) {
 	cfg := f.CFG()
-	preds := map[*flow.Block][]*flow.Block{}
+	preds := map[*Block][]*Block{}
 	for _, b := range cfg.Blocks {
 		for _, s := range b.Succs {
 			preds[s] = append(preds[s], b)
@@ -478,7 +463,7 @@ func (st *lockorderState) checkFunc(f *flow.Func) {
 		in[i] = map[string]lockKey{}
 		out[i] = map[string]lockKey{}
 	}
-	work := make([]*flow.Block, len(cfg.Blocks))
+	work := make([]*Block, len(cfg.Blocks))
 	copy(work, cfg.Blocks)
 	inWork := make([]bool, len(cfg.Blocks))
 	for i := range inWork {
@@ -516,7 +501,7 @@ func (st *lockorderState) checkFunc(f *flow.Func) {
 // transfer applies a block's events to a held set; when reportIn is
 // non-nil, violations are reported as they are found and order edges
 // recorded.
-func (st *lockorderState) transfer(f *flow.Func, b *flow.Block, held map[string]lockKey, reportIn *flow.Func) map[string]lockKey {
+func (st *lockorderState) transfer(f *Func, b *Block, held map[string]lockKey, reportIn *Func) map[string]lockKey {
 	h := make(map[string]lockKey, len(held))
 	for id, k := range held {
 		h[id] = k
@@ -599,9 +584,9 @@ func sameKeySet(a, b map[string]lockKey) bool {
 	return true
 }
 
-func (st *lockorderState) addEdge(from, to lockKey, pos token.Pos, f *flow.Func) {
+func (st *lockorderState) addEdge(from, to lockKey, pos token.Pos, f *Func) {
 	key := [2]string{from.id, to.id}
-	p := st.mod.Fset.Position(pos)
+	p := st.pass.Fset.Position(pos)
 	if old, ok := st.edges[key]; ok && lessPosition(old.pos, p) {
 		return
 	}

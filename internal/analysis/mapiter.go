@@ -46,17 +46,19 @@ var writerPackages = map[string]bool{
 }
 
 func runMapiter(pass *Pass) error {
-	for _, f := range pass.Files {
-		ast.Inspect(f, func(n ast.Node) bool {
-			rng, ok := n.(*ast.RangeStmt)
-			if !ok || !isMapType(pass.TypesInfo.TypeOf(rng.X)) {
+	for _, pkg := range pass.Pkgs {
+		for _, f := range pkg.Files {
+			ast.Inspect(f, func(n ast.Node) bool {
+				rng, ok := n.(*ast.RangeStmt)
+				if !ok || !isMapType(pkg.Info.TypeOf(rng.X)) {
+					return true
+				}
+				if sink := findSink(pkg, rng.Body); sink != "" {
+					pass.Reportf(rng.Pos(), "map iteration feeds %s without an intervening sort: emit in sorted key order so reports stay byte-identical", sink)
+				}
 				return true
-			}
-			if sink := findSink(pass, rng.Body); sink != "" {
-				pass.Reportf(rng.Pos(), "map iteration feeds %s without an intervening sort: emit in sorted key order so reports stay byte-identical", sink)
-			}
-			return true
-		})
+			})
+		}
 	}
 	return nil
 }
@@ -64,7 +66,7 @@ func runMapiter(pass *Pass) error {
 // findSink returns a description of the first output sink reached in the
 // loop body, or "". Closure bodies are scanned too: emitting from a
 // callback defined inside the loop is still per-iteration emission.
-func findSink(pass *Pass, body *ast.BlockStmt) string {
+func findSink(pkg *Package, body *ast.BlockStmt) string {
 	var sink string
 	ast.Inspect(body, func(n ast.Node) bool {
 		if sink != "" {
@@ -74,7 +76,7 @@ func findSink(pass *Pass, body *ast.BlockStmt) string {
 		if !ok {
 			return true
 		}
-		fn := calleeFunc(pass.TypesInfo, call)
+		fn := calleeFunc(pkg.Info, call)
 		if fn == nil || fn.Pkg() == nil {
 			return true
 		}
@@ -82,7 +84,7 @@ func findSink(pass *Pass, body *ast.BlockStmt) string {
 		switch {
 		case sinkPackages[path]:
 			sink = fn.Pkg().Name() + "." + fn.Name()
-		case strings.HasSuffix(path, "internal/obs") && path != pass.PkgPath:
+		case strings.HasSuffix(path, "internal/obs") && path != pkg.Path:
 			// Calls into the obs layer (journal appends, snapshot helpers)
 			// are emission; obs's own internals are the canonicalization
 			// layer and sort before rendering.

@@ -64,10 +64,16 @@ var Simdet = &Analyzer{
 }
 
 func runSimdet(pass *Pass) error {
-	if !IsSimulationPackage(pass.PkgPath) {
-		return nil
+	for _, pkg := range pass.Pkgs {
+		if IsSimulationPackage(pkg.Path) {
+			simdetPackage(pass, pkg)
+		}
 	}
-	for _, f := range pass.Files {
+	return nil
+}
+
+func simdetPackage(pass *Pass, pkg *Package) {
+	for _, f := range pkg.Files {
 		for _, imp := range f.Imports {
 			p := strings.Trim(imp.Path.Value, `"`)
 			if p == "math/rand" || p == "math/rand/v2" {
@@ -77,7 +83,7 @@ func runSimdet(pass *Pass) error {
 		ast.Inspect(f, func(n ast.Node) bool {
 			switch n := n.(type) {
 			case *ast.CallExpr:
-				fn := calleeFunc(pass.TypesInfo, n)
+				fn := calleeFunc(pkg.Info, n)
 				if fn == nil || fn.Pkg() == nil {
 					return true
 				}
@@ -93,8 +99,8 @@ func runSimdet(pass *Pass) error {
 					}
 				}
 			case *ast.RangeStmt:
-				if isMapType(pass.TypesInfo.TypeOf(n.X)) {
-					s := &escapeScanner{pass: pass}
+				if isMapType(pkg.Info.TypeOf(n.X)) {
+					s := &escapeScanner{pkg: pkg}
 					s.scanStmt(n.Body, true)
 					if s.found != "" {
 						pass.Reportf(n.Pos(), "map iteration %s: behavior depends on randomized map order (iterate a sorted key slice instead)", s.found)
@@ -104,7 +110,6 @@ func runSimdet(pass *Pass) error {
 			return true
 		})
 	}
-	return nil
 }
 
 // escapeScanner walks a map-range body looking for constructs through
@@ -112,7 +117,7 @@ func runSimdet(pass *Pass) error {
 // calls to non-builtin functions. Only the first finding is kept, so a
 // loop produces one diagnostic and one suppression covers it.
 type escapeScanner struct {
-	pass  *Pass
+	pkg   *Package
 	found string
 }
 
@@ -229,8 +234,8 @@ func (s *escapeScanner) scanExpr(n ast.Expr) {
 		case *ast.FuncLit:
 			return false
 		case *ast.CallExpr:
-			if calleeBuiltin(s.pass.TypesInfo, inner) == "" && !isConversion(s.pass.TypesInfo, inner) {
-				s.found = "calls " + callName(s.pass, inner)
+			if calleeBuiltin(s.pkg.Info, inner) == "" && !isConversion(s.pkg.Info, inner) {
+				s.found = "calls " + callName(s.pkg, inner)
 				return false
 			}
 		}
@@ -239,9 +244,9 @@ func (s *escapeScanner) scanExpr(n ast.Expr) {
 }
 
 // callName renders a call target for diagnostics.
-func callName(pass *Pass, call *ast.CallExpr) string {
-	if fn := calleeFunc(pass.TypesInfo, call); fn != nil {
-		if fn.Pkg() != nil && fn.Pkg().Path() != pass.PkgPath {
+func callName(pkg *Package, call *ast.CallExpr) string {
+	if fn := calleeFunc(pkg.Info, call); fn != nil {
+		if fn.Pkg() != nil && fn.Pkg().Path() != pkg.Path {
 			return fn.Pkg().Name() + "." + fn.Name()
 		}
 		return fn.Name()

@@ -75,6 +75,18 @@ func isInterfaceType(t types.Type) bool {
 	return ok
 }
 
+// recvTypeName names a method's receiver type without its pointer:
+// "VM" for both VM and *VM.
+func recvTypeName(t types.Type) string {
+	if p, ok := t.(*types.Pointer); ok {
+		t = p.Elem()
+	}
+	if n, ok := t.(*types.Named); ok {
+		return n.Obj().Name()
+	}
+	return t.String()
+}
+
 var errorType = types.Universe.Lookup("error").Type()
 
 // errorResultIndex returns the index of sig's error result, or -1.

@@ -196,7 +196,9 @@ func (rp *Replayer) TotalOps() uint64 {
 func (rp *Replayer) InitOps() uint64 { return rp.initOps }
 
 // Err returns the first decode error, if any (Fill stops the stream on
-// decode errors; executors see a normal completion).
+// decode errors; executors see a normal completion). A trace that ends
+// before the recorded access count gives an error wrapping
+// io.ErrUnexpectedEOF that names both counts.
 func (rp *Replayer) Err() error { return rp.err }
 
 // Setup implements workload.Workload: re-reserve the recorded layout.
@@ -226,6 +228,9 @@ func (rp *Replayer) Fill(dst []workload.Access) (int, bool) {
 	n := 0
 	for n < len(dst) && rp.played < rp.total {
 		word, err := binary.ReadUvarint(rp.br)
+		if errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) {
+			err = fmt.Errorf("trace: truncated after %d of %d accesses: %w", rp.played, rp.total, io.ErrUnexpectedEOF)
+		}
 		if err != nil {
 			rp.err = err
 			rp.done = true
