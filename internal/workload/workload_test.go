@@ -107,15 +107,6 @@ func TestWorkloadsAreDeterministic(t *testing.T) {
 	}
 }
 
-func TestFillBeforeSetupPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("Fill before Setup did not panic")
-		}
-	}()
-	Must(NewGUPS(1024, 10, 1)).Fill(make([]Access, 8))
-}
-
 func TestGUPSInitSweepIsSequential(t *testing.T) {
 	w := Must(NewGUPS(256, 100, 1))
 	w.Setup(newFakeAS())
