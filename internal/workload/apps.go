@@ -11,17 +11,13 @@ import (
 // leaf level is large and uniformly accessed — the paper's "relatively
 // uniform access distribution" class with subtle hotspots.
 type BTree struct {
+	stream
 	// LeafPages is the leaf level size; internal levels are derived with
 	// btreeFanout.
 	LeafPages uint64
-	Ops       uint64
-	Seed      uint64
 
-	rng       *simrand.Source
-	levels    []levelLayout // root first
-	remaining uint64
-	sweep     initSweep
-	ready     bool
+	rng    *simrand.Source
+	levels []levelLayout // root first
 }
 
 // btreeFanout is the number of children per internal node.
@@ -37,14 +33,8 @@ func NewBTree(leafPages, ops, seed uint64) (*BTree, error) {
 	if leafPages < 2 {
 		return nil, fmt.Errorf("btree: leaf level of %d pages too small (want >= 2)", leafPages)
 	}
-	return &BTree{LeafPages: leafPages, Ops: ops, Seed: seed}, nil
+	return &BTree{stream: stream{name: "btree", Ops: ops, Seed: seed}, LeafPages: leafPages}, nil
 }
-
-// Name implements Workload.
-func (b *BTree) Name() string { return "btree" }
-
-// TotalOps implements Workload.
-func (b *BTree) TotalOps() uint64 { return b.Ops }
 
 // Setup implements Workload: levels allocated on the heap, leaves last,
 // mirroring bulk-loaded index construction.
@@ -64,60 +54,32 @@ func (b *BTree) Setup(as AddressSpace) {
 		b.levels = append(b.levels, levelLayout{start: start, pages: sizes[i]})
 		b.sweep.add(start, sizes[i])
 	}
-	b.remaining = b.Ops
-	b.ready = true
-}
-
-// Fill implements Workload: each lookup touches one page per level along
-// a uniformly random root-to-leaf path.
-func (b *BTree) Fill(dst []Access) (int, bool) {
-	checkSetup(b.Name(), b.ready)
-	n := 0
-	for n < len(dst) {
-		if !b.sweep.done {
-			if a, ok := b.sweep.next(); ok {
-				dst[n] = a
-				n++
-			}
-			continue
-		}
-		if b.remaining == 0 {
-			return n, true
-		}
-		if n+len(b.levels) > len(dst) {
-			return n, false // not enough room for a whole lookup
-		}
-		leaf := b.rng.Uint64n(b.levels[len(b.levels)-1].pages)
-		// Walk from root: the page at level i is the leaf index divided
-		// by fanout^(depth-i).
+	// One lookup touches one page per level along a uniformly random
+	// root-to-leaf path, leaf first: the page at level i is the leaf index
+	// divided by fanout^(depth-i).
+	depth := len(b.levels)
+	b.start(depth, func(dst []Access) {
+		leaf := b.rng.Uint64n(b.levels[depth-1].pages)
 		div := uint64(1)
-		for i := len(b.levels) - 1; i >= 0; i-- {
+		for i := depth - 1; i >= 0; i-- {
 			lv := b.levels[i]
-			page := (leaf / div) % lv.pages
-			dst[n] = Access{GVA: pageGVA(lv.start, page)}
-			n++
+			dst[depth-1-i] = Access{GVA: pageGVA(lv.start, (leaf/div)%lv.pages)}
 			div *= btreeFanout
 		}
-		b.remaining--
-	}
-	return n, b.sweep.done && b.remaining == 0
+	})
 }
 
 // XSBench models the Monte Carlo neutron-transport lookup kernel: a small,
 // intensely hot energy-grid index plus a large cross-section table read at
 // scattered offsets — the "static hotspot" class.
 type XSBench struct {
+	stream
 	IndexPages uint64 // hot grid index
 	DataPages  uint64 // nuclide cross-section data
-	Ops        uint64
-	Seed       uint64
 
 	rng        *simrand.Source
 	indexStart uint64
 	dataStart  uint64
-	remaining  uint64
-	sweep      initSweep
-	ready      bool
 }
 
 // NewXSBench sizes the workload; the index is the hot set (~5% of data).
@@ -129,57 +91,27 @@ func NewXSBench(dataPages, ops, seed uint64) (*XSBench, error) {
 	if idx == 0 {
 		idx = 1
 	}
-	return &XSBench{IndexPages: idx, DataPages: dataPages, Ops: ops, Seed: seed}, nil
+	return &XSBench{stream: stream{name: "xsbench", Ops: ops, Seed: seed}, IndexPages: idx, DataPages: dataPages}, nil
 }
 
-// Name implements Workload.
-func (x *XSBench) Name() string { return "xsbench" }
-
-// TotalOps implements Workload.
-func (x *XSBench) TotalOps() uint64 { return x.Ops }
-
 // Setup implements Workload. Data is mapped before the index so the init
-// sweep exhausts FMEM on cold data, leaving the hot index in SMEM.
+// sweep exhausts FMEM on cold data, leaving the hot index in SMEM. One
+// lookup = 2 binary-search touches in the hot index + 3 scattered
+// cross-section reads.
 func (x *XSBench) Setup(as AddressSpace) {
 	x.rng = simrand.New(x.Seed ^ 0x78736265)
 	x.dataStart = as.Mmap(x.DataPages * 4096)
 	x.indexStart = as.Mmap(x.IndexPages * 4096)
 	x.sweep.add(x.dataStart, x.DataPages)
 	x.sweep.add(x.indexStart, x.IndexPages)
-	x.remaining = x.Ops
-	x.ready = true
-}
-
-// Fill implements Workload: one lookup = 2 binary-search touches in the
-// hot index + 3 scattered cross-section reads.
-func (x *XSBench) Fill(dst []Access) (int, bool) {
-	checkSetup(x.Name(), x.ready)
-	n := 0
-	for n < len(dst) {
-		if !x.sweep.done {
-			if a, ok := x.sweep.next(); ok {
-				dst[n] = a
-				n++
-			}
-			continue
-		}
-		if x.remaining == 0 {
-			return n, true
-		}
-		if n+5 > len(dst) {
-			return n, false
-		}
+	x.start(5, func(dst []Access) {
 		for i := 0; i < 2; i++ {
-			dst[n] = Access{GVA: pageGVA(x.indexStart, x.rng.Uint64n(x.IndexPages))}
-			n++
+			dst[i] = Access{GVA: pageGVA(x.indexStart, x.rng.Uint64n(x.IndexPages))}
 		}
-		for i := 0; i < 3; i++ {
-			dst[n] = Access{GVA: pageGVA(x.dataStart, x.rng.Uint64n(x.DataPages))}
-			n++
+		for i := 2; i < 5; i++ {
+			dst[i] = Access{GVA: pageGVA(x.dataStart, x.rng.Uint64n(x.DataPages))}
 		}
-		x.remaining--
-	}
-	return n, x.sweep.done && x.remaining == 0
+	})
 }
 
 // HotRegion returns the index region for accuracy checks.
@@ -190,19 +122,14 @@ func (x *XSBench) HotRegion() (start uint64, pages uint64) { return x.indexStart
 // small, contiguous model-weight vector — Figure 4's "hottest virtual
 // address region concentrated in small contiguous ranges".
 type LibLinear struct {
+	stream
 	FeaturePages uint64
 	WeightPages  uint64
-	Ops          uint64
-	Seed         uint64
 
 	rng          *simrand.Source
 	featureStart uint64
 	weightStart  uint64
 	cursor       uint64
-	remaining    uint64
-	sweep        initSweep
-	gen          func() Access
-	ready        bool
 }
 
 // NewLibLinear sizes the workload; weights are ~2% of features.
@@ -214,40 +141,25 @@ func NewLibLinear(featurePages, ops, seed uint64) (*LibLinear, error) {
 	if w == 0 {
 		w = 1
 	}
-	return &LibLinear{FeaturePages: featurePages, WeightPages: w, Ops: ops, Seed: seed}, nil
+	return &LibLinear{stream: stream{name: "liblinear", Ops: ops, Seed: seed}, FeaturePages: featurePages, WeightPages: w}, nil
 }
 
-// Name implements Workload.
-func (l *LibLinear) Name() string { return "liblinear" }
-
-// TotalOps implements Workload.
-func (l *LibLinear) TotalOps() uint64 { return l.Ops }
-
-// Setup implements Workload.
+// Setup implements Workload. Operations alternate one sequential feature
+// read with one random weight update.
 func (l *LibLinear) Setup(as AddressSpace) {
 	l.rng = simrand.New(l.Seed ^ 0x6c6c696e)
 	l.featureStart = as.Mmap(l.FeaturePages * 4096)
 	l.weightStart = as.Brk(l.WeightPages * 4096)
 	l.sweep.add(l.featureStart, l.FeaturePages)
 	l.sweep.add(l.weightStart, l.WeightPages)
-	l.remaining = l.Ops
-	l.gen = func() Access {
+	l.start(1, func(dst []Access) {
 		if l.cursor%2 == 0 {
-			a := Access{GVA: pageGVA(l.featureStart, (l.cursor/2)%l.FeaturePages)}
-			l.cursor++
-			return a
+			dst[0] = Access{GVA: pageGVA(l.featureStart, (l.cursor/2)%l.FeaturePages)}
+		} else {
+			dst[0] = Access{GVA: pageGVA(l.weightStart, l.rng.Uint64n(l.WeightPages)), Write: true}
 		}
 		l.cursor++
-		return Access{GVA: pageGVA(l.weightStart, l.rng.Uint64n(l.WeightPages)), Write: true}
-	}
-	l.ready = true
-}
-
-// Fill implements Workload: alternate one sequential feature read with one
-// random weight update.
-func (l *LibLinear) Fill(dst []Access) (int, bool) {
-	checkSetup(l.Name(), l.ready)
-	return fillLoop(&l.sweep, &l.remaining, dst, l.gen)
+	})
 }
 
 // HotRegion returns the weight vector region.
@@ -257,16 +169,11 @@ func (l *LibLinear) HotRegion() (start uint64, pages uint64) { return l.weightSt
 // sweeps over several large arrays — the uniform streaming class with
 // only mild per-array bias.
 type Bwaves struct {
+	stream
 	ArrayPages uint64 // per array
-	Ops        uint64
-	Seed       uint64
 
-	starts    []uint64
-	cursor    uint64
-	remaining uint64
-	sweep     initSweep
-	gen       func() Access
-	ready     bool
+	starts []uint64
+	cursor uint64
 }
 
 // bwavesArrays is the number of solver grids; the last one is written.
@@ -277,37 +184,23 @@ func NewBwaves(arrayPages, ops, seed uint64) (*Bwaves, error) {
 	if arrayPages < 16 {
 		return nil, fmt.Errorf("bwaves: arrays of %d pages too small (want >= 16)", arrayPages)
 	}
-	return &Bwaves{ArrayPages: arrayPages, Ops: ops, Seed: seed}, nil
+	return &Bwaves{stream: stream{name: "bwaves", Ops: ops, Seed: seed}, ArrayPages: arrayPages}, nil
 }
 
-// Name implements Workload.
-func (w *Bwaves) Name() string { return "bwaves" }
-
-// TotalOps implements Workload.
-func (w *Bwaves) TotalOps() uint64 { return w.Ops }
-
-// Setup implements Workload.
+// Setup implements Workload. Operations are round-robin sequential sweeps;
+// the last array is written (the solver output).
 func (w *Bwaves) Setup(as AddressSpace) {
 	for i := 0; i < bwavesArrays; i++ {
 		s := as.Mmap(w.ArrayPages * 4096)
 		w.starts = append(w.starts, s)
 		w.sweep.add(s, w.ArrayPages)
 	}
-	w.remaining = w.Ops
-	w.gen = func() Access {
+	w.start(1, func(dst []Access) {
 		arr := int(w.cursor) % bwavesArrays
 		page := (w.cursor / bwavesArrays) % w.ArrayPages
 		w.cursor++
-		return Access{GVA: pageGVA(w.starts[arr], page), Write: arr == bwavesArrays-1}
-	}
-	w.ready = true
-}
-
-// Fill implements Workload: round-robin sequential sweeps; the last array
-// is written (the solver output).
-func (w *Bwaves) Fill(dst []Access) (int, bool) {
-	checkSetup(w.Name(), w.ready)
-	return fillLoop(&w.sweep, &w.remaining, dst, w.gen)
+		dst[0] = Access{GVA: pageGVA(w.starts[arr], page), Write: arr == bwavesArrays-1}
+	})
 }
 
 // Silo models the in-memory OLTP engine under a YCSB-like mix: strong
@@ -315,19 +208,15 @@ func (w *Bwaves) Fill(dst []Access) (int, bool) {
 // space — the "dynamic shifting hotspot" class. It implements
 // Transactional for latency-percentile measurement (Figure 12).
 type Silo struct {
+	stream
 	TablePages uint64
 	HotPages   uint64 // hot window size
 	ShiftEvery uint64 // transactions between window moves
-	Ops        uint64 // transactions
-	Seed       uint64
 
 	rng        *simrand.Source
 	tableStart uint64
 	hotPos     uint64
 	txns       uint64
-	remaining  uint64
-	sweep      initSweep
-	ready      bool
 }
 
 // NewSilo sizes the OLTP table; the hot window is ~8% of it and drifts a
@@ -341,24 +230,18 @@ func NewSilo(tablePages, ops, seed uint64) (*Silo, error) {
 		hot = 1
 	}
 	return &Silo{
+		stream:     stream{name: "silo", Ops: ops, Seed: seed},
 		TablePages: tablePages,
 		HotPages:   hot,
 		ShiftEvery: ops / 20,
-		Ops:        ops,
-		Seed:       seed,
 	}, nil
 }
-
-// Name implements Workload.
-func (s *Silo) Name() string { return "silo" }
-
-// TotalOps implements Workload.
-func (s *Silo) TotalOps() uint64 { return s.Ops }
 
 // TxnAccesses implements Transactional: 8 record touches per transaction.
 func (s *Silo) TxnAccesses() int { return 8 }
 
-// Setup implements Workload.
+// Setup implements Workload. Per transaction, 8 touches — 80% in the hot
+// window, 20% uniform; 25% writes (YCSB-B-flavored update mix).
 func (s *Silo) Setup(as AddressSpace) {
 	s.rng = simrand.New(s.Seed ^ 0x73696c6f)
 	s.tableStart = as.Mmap(s.TablePages * 4096)
@@ -367,46 +250,21 @@ func (s *Silo) Setup(as AddressSpace) {
 	if s.ShiftEvery == 0 {
 		s.ShiftEvery = 1
 	}
-	s.remaining = s.Ops
-	s.ready = true
-}
-
-// Fill implements Workload: per transaction, 8 touches — 80% in the hot
-// window, 20% uniform; 25% writes (YCSB-B-flavored update mix).
-func (s *Silo) Fill(dst []Access) (int, bool) {
-	checkSetup(s.Name(), s.ready)
-	n := 0
-	for n < len(dst) {
-		if !s.sweep.done {
-			if a, ok := s.sweep.next(); ok {
-				dst[n] = a
-				n++
-			}
-			continue
-		}
-		if s.remaining == 0 {
-			return n, true
-		}
-		if n+s.TxnAccesses() > len(dst) {
-			return n, false
-		}
-		for i := 0; i < s.TxnAccesses(); i++ {
+	s.start(s.TxnAccesses(), func(dst []Access) {
+		for i := range dst {
 			var page uint64
 			if s.rng.Float64() < 0.8 {
 				page = (s.hotPos + s.rng.Uint64n(s.HotPages)) % s.TablePages
 			} else {
 				page = s.rng.Uint64n(s.TablePages)
 			}
-			dst[n] = Access{GVA: pageGVA(s.tableStart, page), Write: s.rng.Bool(0.25)}
-			n++
+			dst[i] = Access{GVA: pageGVA(s.tableStart, page), Write: s.rng.Bool(0.25)}
 		}
-		s.remaining--
 		s.txns++
 		if s.txns%s.ShiftEvery == 0 {
 			s.hotPos = (s.hotPos + s.HotPages/4 + 1) % s.TablePages
 		}
-	}
-	return n, s.sweep.done && s.remaining == 0
+	})
 }
 
 // Graph500 models BFS over a power-law graph: vertex popularity is
@@ -414,18 +272,14 @@ func (s *Silo) Fill(dst []Access) (int, bool) {
 // space, producing the fine-grained hot/cold interleaving that challenges
 // range-based classification (§5.3 "Skewed Access Pattern").
 type Graph500 struct {
+	stream
 	VertexPages uint64
 	EdgePages   uint64
-	Ops         uint64
-	Seed        uint64
 
 	rng         *simrand.Source
 	zipf        *simrand.Zipf
 	vertexStart uint64
 	edgeStart   uint64
-	remaining   uint64
-	sweep       initSweep
-	ready       bool
 }
 
 // NewGraph500 sizes the graph; edges take 4x the vertex space.
@@ -433,16 +287,11 @@ func NewGraph500(vertexPages, ops, seed uint64) (*Graph500, error) {
 	if vertexPages < 64 {
 		return nil, fmt.Errorf("graph500: vertex region of %d pages too small (want >= 64)", vertexPages)
 	}
-	return &Graph500{VertexPages: vertexPages, EdgePages: vertexPages * 4, Ops: ops, Seed: seed}, nil
+	return &Graph500{stream: stream{name: "graph500", Ops: ops, Seed: seed}, VertexPages: vertexPages, EdgePages: vertexPages * 4}, nil
 }
 
-// Name implements Workload.
-func (g *Graph500) Name() string { return "graph500" }
-
-// TotalOps implements Workload.
-func (g *Graph500) TotalOps() uint64 { return g.Ops }
-
-// Setup implements Workload.
+// Setup implements Workload. One op visits a popularity-weighted vertex,
+// then two of its edge list pages, then writes the frontier entry.
 func (g *Graph500) Setup(as AddressSpace) {
 	g.rng = simrand.New(g.Seed ^ 0x67353030)
 	g.zipf = simrand.NewZipf(g.rng.Derive(1), 1.3, g.VertexPages)
@@ -450,8 +299,14 @@ func (g *Graph500) Setup(as AddressSpace) {
 	g.edgeStart = as.Mmap(g.EdgePages * 4096)
 	g.sweep.add(g.vertexStart, g.VertexPages)
 	g.sweep.add(g.edgeStart, g.EdgePages)
-	g.remaining = g.Ops
-	g.ready = true
+	g.start(4, func(dst []Access) {
+		v := pageGVA(g.vertexStart, scatter(g.zipf.Next(), g.VertexPages))
+		dst[0] = Access{GVA: v}
+		for i := 1; i <= 2; i++ {
+			dst[i] = Access{GVA: pageGVA(g.edgeStart, g.rng.Uint64n(g.EdgePages))}
+		}
+		dst[3] = Access{GVA: v, Write: true}
+	})
 }
 
 // scatter spreads a Zipf rank across the page range multiplicatively so
@@ -460,54 +315,17 @@ func scatter(rank, pages uint64) uint64 {
 	return ((rank + 1) * 0x9E3779B1) % pages
 }
 
-// Fill implements Workload: visit a popularity-weighted vertex, then two
-// of its edge list pages, then write the frontier entry.
-func (g *Graph500) Fill(dst []Access) (int, bool) {
-	checkSetup(g.Name(), g.ready)
-	n := 0
-	for n < len(dst) {
-		if !g.sweep.done {
-			if a, ok := g.sweep.next(); ok {
-				dst[n] = a
-				n++
-			}
-			continue
-		}
-		if g.remaining == 0 {
-			return n, true
-		}
-		if n+4 > len(dst) {
-			return n, false
-		}
-		v := scatter(g.zipf.Next(), g.VertexPages)
-		dst[n] = Access{GVA: pageGVA(g.vertexStart, v)}
-		n++
-		for i := 0; i < 2; i++ {
-			dst[n] = Access{GVA: pageGVA(g.edgeStart, g.rng.Uint64n(g.EdgePages))}
-			n++
-		}
-		dst[n] = Access{GVA: pageGVA(g.vertexStart, v), Write: true}
-		n++
-		g.remaining--
-	}
-	return n, g.sweep.done && g.remaining == 0
-}
-
 // PageRank models rank iteration on the Twitter graph: a sequential write
 // pass over destination ranks combined with Zipf-scattered reads of
 // source ranks — streaming plus power-law skew.
 type PageRank struct {
+	stream
 	RankPages uint64
-	Ops       uint64
-	Seed      uint64
 
 	rng       *simrand.Source
 	zipf      *simrand.Zipf
 	rankStart uint64
 	cursor    uint64
-	remaining uint64
-	sweep     initSweep
-	ready     bool
 }
 
 // NewPageRank sizes the rank vectors.
@@ -515,61 +333,21 @@ func NewPageRank(rankPages, ops, seed uint64) (*PageRank, error) {
 	if rankPages < 64 {
 		return nil, fmt.Errorf("pagerank: rank region of %d pages too small (want >= 64)", rankPages)
 	}
-	return &PageRank{RankPages: rankPages, Ops: ops, Seed: seed}, nil
+	return &PageRank{stream: stream{name: "pagerank", Ops: ops, Seed: seed}, RankPages: rankPages}, nil
 }
 
-// Name implements Workload.
-func (p *PageRank) Name() string { return "pagerank" }
-
-// TotalOps implements Workload.
-func (p *PageRank) TotalOps() uint64 { return p.Ops }
-
-// Setup implements Workload.
+// Setup implements Workload. Per op, read two scattered in-neighbor ranks
+// and write the sequentially advancing destination rank.
 func (p *PageRank) Setup(as AddressSpace) {
 	p.rng = simrand.New(p.Seed ^ 0x70616765)
 	p.zipf = simrand.NewZipf(p.rng.Derive(1), 1.3, p.RankPages)
 	p.rankStart = as.Mmap(p.RankPages * 4096)
 	p.sweep.add(p.rankStart, p.RankPages)
-	p.remaining = p.Ops
-	p.ready = true
-}
-
-// Fill implements Workload: per op, read two scattered in-neighbor ranks
-// and write the sequentially advancing destination rank.
-func (p *PageRank) Fill(dst []Access) (int, bool) {
-	checkSetup(p.Name(), p.ready)
-	n := 0
-	for n < len(dst) {
-		if !p.sweep.done {
-			if a, ok := p.sweep.next(); ok {
-				dst[n] = a
-				n++
-			}
-			continue
-		}
-		if p.remaining == 0 {
-			return n, true
-		}
-		if n+3 > len(dst) {
-			return n, false
-		}
+	p.start(3, func(dst []Access) {
 		for i := 0; i < 2; i++ {
-			dst[n] = Access{GVA: pageGVA(p.rankStart, scatter(p.zipf.Next(), p.RankPages))}
-			n++
+			dst[i] = Access{GVA: pageGVA(p.rankStart, scatter(p.zipf.Next(), p.RankPages))}
 		}
-		dst[n] = Access{GVA: pageGVA(p.rankStart, p.cursor%p.RankPages), Write: true}
+		dst[2] = Access{GVA: pageGVA(p.rankStart, p.cursor%p.RankPages), Write: true}
 		p.cursor++
-		n++
-		p.remaining--
-	}
-	return n, p.sweep.done && p.remaining == 0
+	})
 }
-
-// InitOps implements Workload for each generator: the init sweep length.
-func (b *BTree) InitOps() uint64     { return b.sweep.totalPages() }
-func (x *XSBench) InitOps() uint64   { return x.sweep.totalPages() }
-func (l *LibLinear) InitOps() uint64 { return l.sweep.totalPages() }
-func (w *Bwaves) InitOps() uint64    { return w.sweep.totalPages() }
-func (s *Silo) InitOps() uint64      { return s.sweep.totalPages() }
-func (g *Graph500) InitOps() uint64  { return g.sweep.totalPages() }
-func (p *PageRank) InitOps() uint64  { return p.sweep.totalPages() }

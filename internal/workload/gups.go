@@ -13,22 +13,15 @@ import (
 // the start of the region so that the sequential init sweep leaves it in
 // SMEM — promoting it is the TMM's job.
 type GUPS struct {
+	stream
 	// FootprintPages is the table size.
 	FootprintPages uint64
-	// Ops is the number of update transactions.
-	Ops uint64
-	// Seed fixes the access stream.
-	Seed uint64
 
-	rng       *simrand.Source
-	region    uint64
-	hotStart  uint64 // page index of hot section start
-	hotPages  uint64
-	pHot      float64
-	remaining uint64
-	sweep     initSweep
-	gen       func() Access // built once at Setup; Fill is hot
-	ready     bool
+	rng      *simrand.Source
+	region   uint64
+	hotStart uint64 // page index of hot section start
+	hotPages uint64
+	pHot     float64
 }
 
 const (
@@ -44,17 +37,10 @@ func NewGUPS(footprintPages, ops, seed uint64) (*GUPS, error) {
 		return nil, fmt.Errorf("gups: footprint of %d pages too small (want >= 16)", footprintPages)
 	}
 	return &GUPS{
+		stream:         stream{name: "gups", Ops: ops, Seed: seed},
 		FootprintPages: footprintPages,
-		Ops:            ops,
-		Seed:           seed,
 	}, nil
 }
-
-// Name implements Workload.
-func (g *GUPS) Name() string { return "gups" }
-
-// TotalOps implements Workload.
-func (g *GUPS) TotalOps() uint64 { return g.Ops }
 
 // Setup implements Workload.
 func (g *GUPS) Setup(as AddressSpace) {
@@ -72,9 +58,8 @@ func (g *GUPS) Setup(as AddressSpace) {
 	}
 	const hotMass = gupsHotWeight * gupsHotFraction
 	g.pHot = hotMass / (hotMass + (1 - gupsHotFraction))
-	g.remaining = g.Ops
 	g.sweep.add(g.region, g.FootprintPages)
-	g.gen = func() Access {
+	g.start(1, func(dst []Access) {
 		var page uint64
 		if g.rng.Float64() < g.pHot {
 			page = g.hotStart + g.rng.Uint64n(g.hotPages)
@@ -86,15 +71,8 @@ func (g *GUPS) Setup(as AddressSpace) {
 			}
 			page = p
 		}
-		return Access{GVA: pageGVA(g.region, page), Write: true}
-	}
-	g.ready = true
-}
-
-// Fill implements Workload.
-func (g *GUPS) Fill(dst []Access) (int, bool) {
-	checkSetup(g.Name(), g.ready)
-	return fillLoop(&g.sweep, &g.remaining, dst, g.gen)
+		dst[0] = Access{GVA: pageGVA(g.region, page), Write: true}
+	})
 }
 
 // HotRange returns the hot section as page indices relative to the region
@@ -103,6 +81,3 @@ func (g *GUPS) HotRange() (startPage, pages uint64) { return g.hotStart, g.hotPa
 
 // Region returns the table's base address after Setup.
 func (g *GUPS) Region() uint64 { return g.region }
-
-// InitOps implements Workload: the sequential table-fill pass.
-func (g *GUPS) InitOps() uint64 { return g.sweep.totalPages() }

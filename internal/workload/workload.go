@@ -11,6 +11,13 @@
 // order, so the post-init hot set starts mostly in SMEM and tiered memory
 // management has real work to do — matching the ramp-up phase visible in
 // the paper's Figure 8.
+//
+// All generators share one loop (stream.Fill): the init sweep, one access
+// per page, then TotalOps operations. Each operation is a fixed number of
+// accesses, the generator's op width (1 for GUPS, LibLinear and Bwaves,
+// the tree depth for BTree, TxnAccesses for Silo and YCSB), written whole
+// by the op function its Setup binds; a buffer that cannot hold the next
+// operation ends the Fill call early.
 package workload
 
 import (
@@ -141,32 +148,56 @@ func (s *initSweep) totalPages() uint64 {
 	return t
 }
 
-// checkSetup panics when Setup was skipped — a harness bug worth failing
-// loudly on.
-func checkSetup(name string, ready bool) {
-	if !ready {
-		panic(fmt.Sprintf("workload %s: Fill before Setup", name))
-	}
+// stream is the core every generator embeds: the init sweep, then Ops
+// operations of exactly width accesses each, produced by op. A generator's
+// Setup lays out its regions (adding them to sweep) and calls start.
+type stream struct {
+	name string
+	// Ops is the number of main-phase operations.
+	Ops uint64
+	// Seed fixes the access stream.
+	Seed uint64
+
+	sweep     initSweep
+	remaining uint64
+	width     int
+	op        func(dst []Access) // fills exactly width accesses
 }
 
-// fillLoop drives init-then-main generation shared by all workloads.
-func fillLoop(sweep *initSweep, remaining *uint64, dst []Access, gen func() Access) (int, bool) {
-	n := 0
-	for n < len(dst) {
-		if !sweep.done {
-			if a, ok := sweep.next(); ok {
-				dst[n] = a
-				n++
-				continue
-			}
-			continue // sweep just finished; fall through next iteration
-		}
-		if *remaining == 0 {
-			return n, true
-		}
-		dst[n] = gen()
-		*remaining--
-		n++
+// start arms the main phase; Setup calls it last.
+func (s *stream) start(width int, op func(dst []Access)) {
+	s.remaining = s.Ops
+	s.width = width
+	s.op = op
+}
+
+// Name implements Workload.
+func (s *stream) Name() string { return s.name }
+
+// TotalOps implements Workload.
+func (s *stream) TotalOps() uint64 { return s.Ops }
+
+// InitOps implements Workload: the init sweep length.
+func (s *stream) InitOps() uint64 { return s.sweep.totalPages() }
+
+// Fill implements Workload: the rest of the init sweep, then whole
+// operations while they fit. Fill before Setup is a harness bug and
+// panics.
+func (s *stream) Fill(dst []Access) (int, bool) {
+	if s.op == nil {
+		panic(fmt.Sprintf("workload %s: Fill before Setup", s.name))
 	}
-	return n, sweep.done && *remaining == 0
+	n := 0
+	for !s.sweep.done && n < len(dst) {
+		if a, ok := s.sweep.next(); ok {
+			dst[n] = a
+			n++
+		}
+	}
+	for s.remaining > 0 && n+s.width <= len(dst) {
+		s.op(dst[n : n+s.width])
+		n += s.width
+		s.remaining--
+	}
+	return n, s.sweep.done && s.remaining == 0
 }

@@ -27,20 +27,16 @@ var (
 // touch per operation, and the standard read/update/scan mixes. It
 // implements Transactional so executors can collect per-operation latency.
 type YCSB struct {
+	stream
 	// RecordPages is the table size; IndexPages the (hot) index.
 	RecordPages, IndexPages uint64
 	// Mix is the operation mix.
-	Mix  YCSBMix
-	Ops  uint64
-	Seed uint64
+	Mix YCSBMix
 
 	rng         *simrand.Source
 	zipf        *simrand.Zipf
 	indexStart  uint64
 	recordStart uint64
-	remaining   uint64
-	sweep       initSweep
-	ready       bool
 }
 
 const (
@@ -72,22 +68,12 @@ func NewYCSB(recordPages, ops, seed uint64, mix YCSBMix) (*YCSB, error) {
 		idx = 1
 	}
 	return &YCSB{
+		stream:      stream{name: "ycsb", Ops: ops, Seed: seed},
 		RecordPages: recordPages,
 		IndexPages:  idx,
 		Mix:         mix,
-		Ops:         ops,
-		Seed:        seed,
 	}, nil
 }
-
-// Name implements Workload.
-func (y *YCSB) Name() string { return "ycsb" }
-
-// TotalOps implements Workload.
-func (y *YCSB) TotalOps() uint64 { return y.Ops }
-
-// InitOps implements Workload.
-func (y *YCSB) InitOps() uint64 { return y.sweep.totalPages() }
 
 // TxnAccesses implements Transactional: one index touch plus the record
 // touches. Scan-heavy mixes widen every operation to the scan length so
@@ -108,59 +94,32 @@ func (y *YCSB) Setup(as AddressSpace) {
 	y.indexStart = as.Mmap(y.IndexPages * 4096)
 	y.sweep.add(y.recordStart, y.RecordPages)
 	y.sweep.add(y.indexStart, y.IndexPages)
-	y.remaining = y.Ops
-	y.ready = true
+	y.start(y.TxnAccesses(), y.op)
 }
 
 // key returns the record page for the next zipfian draw, hash-scattered.
 func (y *YCSB) key() uint64 { return scatter(y.zipf.Next(), y.RecordPages) }
 
-// Fill implements Workload.
-func (y *YCSB) Fill(dst []Access) (int, bool) {
-	checkSetup(y.Name(), y.ready)
-	n := 0
-	for n < len(dst) {
-		if !y.sweep.done {
-			if a, ok := y.sweep.next(); ok {
-				dst[n] = a
-				n++
-			}
-			continue
+// index returns a uniformly drawn index page access.
+func (y *YCSB) index() Access {
+	return Access{GVA: pageGVA(y.indexStart, y.rng.Uint64n(y.IndexPages))}
+}
+
+// op emits one operation: an index touch, then a read or update of one
+// record padded with index touches, or a scan of consecutive records.
+func (y *YCSB) op(dst []Access) {
+	dst[0] = y.index()
+	rec := dst[1:]
+	if r := y.rng.Float64(); r < y.Mix.ReadFrac+y.Mix.UpdateFrac {
+		rec[0] = Access{GVA: pageGVA(y.recordStart, y.key()), Write: r >= y.Mix.ReadFrac}
+		for i := 1; i < len(rec); i++ {
+			rec[i] = y.index()
 		}
-		if y.remaining == 0 {
-			return n, true
-		}
-		if n+y.TxnAccesses() > len(dst) {
-			return n, false
-		}
-		dst[n] = Access{GVA: pageGVA(y.indexStart, y.rng.Uint64n(y.IndexPages))}
-		n++
-		recordTouches := y.TxnAccesses() - 1
-		r := y.rng.Float64()
-		switch {
-		case r < y.Mix.ReadFrac:
-			dst[n] = Access{GVA: pageGVA(y.recordStart, y.key())}
-			n++
-			for i := 1; i < recordTouches; i++ {
-				dst[n] = Access{GVA: pageGVA(y.indexStart, y.rng.Uint64n(y.IndexPages))}
-				n++
-			}
-		case r < y.Mix.ReadFrac+y.Mix.UpdateFrac:
-			dst[n] = Access{GVA: pageGVA(y.recordStart, y.key()), Write: true}
-			n++
-			for i := 1; i < recordTouches; i++ {
-				dst[n] = Access{GVA: pageGVA(y.indexStart, y.rng.Uint64n(y.IndexPages))}
-				n++
-			}
-		default:
-			// Scan: a short run of consecutive record pages.
-			start := y.key()
-			for i := 0; i < recordTouches; i++ {
-				dst[n] = Access{GVA: pageGVA(y.recordStart, (start+uint64(i))%y.RecordPages)}
-				n++
-			}
-		}
-		y.remaining--
+		return
 	}
-	return n, y.sweep.done && y.remaining == 0
+	// Scan: a short run of consecutive record pages.
+	start := y.key()
+	for i := range rec {
+		rec[i] = Access{GVA: pageGVA(y.recordStart, (start+uint64(i))%y.RecordPages)}
+	}
 }
