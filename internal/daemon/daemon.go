@@ -56,7 +56,7 @@ func New(cfg Config) (*Daemon, error) {
 		cfg: cfg,
 		eng: eng,
 		m:   hypervisor.NewMachine(eng, topology(cfg.HostFMEMFrames, cfg.HostSMEMFrames)),
-		o:   obs.New(0),
+		o:   obs.NewCounting(0),
 		vms: make(map[string]*vmState),
 	}
 	d.m.AttachObs(d.o)
@@ -113,6 +113,18 @@ func (d *Daemon) addVM(spec VMSpec) error {
 		return fmt.Errorf("daemon: vm %q: policy %q needs a tracker", spec.Name, spec.Policy.Kind)
 	}
 
+	// Admission: the host backs every guest frame on first touch, so the
+	// live guests' frames together must fit the host.
+	guestFrames := spec.FMEMFrames + spec.SMEMFrames
+	hostFrames := d.cfg.HostFMEMFrames + d.cfg.HostSMEMFrames
+	total := guestFrames
+	for _, s := range d.vms {
+		total += s.spec.FMEMFrames + s.spec.SMEMFrames
+	}
+	if total > hostFrames {
+		return fmt.Errorf("daemon: vm %q: guest frames would total %d, more than the host's %d", spec.Name, total, hostFrames)
+	}
+
 	vm, err := d.m.NewVM(hypervisor.VMConfig{
 		VCPUs:       spec.VCPUs,
 		GuestFMEM:   spec.FMEMFrames,
@@ -124,6 +136,13 @@ func (d *Daemon) addVM(spec VMSpec) error {
 		return fmt.Errorf("daemon: vm %q: %w", spec.Name, err)
 	}
 	x := engine.NewExecutor(d.eng, vm, wl)
+	// The init sweep touches every workload page, each needing its own
+	// guest frame.
+	if init := wl.InitOps(); init > guestFrames {
+		x.Stop()
+		vm.Destroy()
+		return fmt.Errorf("daemon: vm %q: workload touches %d pages, more than its %d guest frames", spec.Name, init, guestFrames)
+	}
 	if tr != nil {
 		if err := tr.Attach(d.eng, vm); err != nil {
 			x.Stop()

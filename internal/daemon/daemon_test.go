@@ -368,26 +368,28 @@ func TestConfigSchema(t *testing.T) {
 }
 
 // TestDaemonBuildErrors pins New's validation: configs that parse but
-// cannot build report errors naming the offending VM.
+// cannot build report errors naming the offending VM and the reason.
+// Every row but its own fault is valid (GUPS needs >= 16 pages).
 func TestDaemonBuildErrors(t *testing.T) {
 	base := `{"host_fmem_frames":512,"host_smem_frames":4096,"vms":[%s]}`
-	cases := map[string]string{
-		"unknown workload": `{"name":"a","workload":"fortnite","footprint_pages":10,"fmem_frames":8,"smem_frames":64,"tracker":{"kind":"abit"},"policy":{"kind":"heat"}}`,
-		"unknown tracker":  `{"name":"a","workload":"gups","footprint_pages":10,"fmem_frames":8,"smem_frames":64,"tracker":{"kind":"sonar"},"policy":{"kind":"heat"}}`,
-		"unknown policy":   `{"name":"a","workload":"gups","footprint_pages":10,"fmem_frames":8,"smem_frames":64,"tracker":{"kind":"abit"},"policy":{"kind":"vibes"}}`,
-		"missing tracker":  `{"name":"a","workload":"gups","footprint_pages":10,"fmem_frames":8,"smem_frames":64,"tracker":{"kind":"none_dont_default"},"policy":{"kind":"heat"}}`,
-		"bad period":       `{"name":"a","workload":"gups","footprint_pages":10,"fmem_frames":8,"smem_frames":64,"tracker":{"kind":"abit","period":"soon"},"policy":{"kind":"heat"}}`,
-		"oversized vm":     `{"name":"a","workload":"gups","footprint_pages":10,"fmem_frames":1024,"smem_frames":8192,"tracker":{"kind":"abit"},"policy":{"kind":"heat"}}`,
-		"age window flip":  `{"name":"a","workload":"gups","footprint_pages":10,"fmem_frames":8,"smem_frames":64,"tracker":{"kind":"abit"},"policy":{"kind":"age","active_within":"10ms","idle_after":"1ms"}}`,
+	cases := map[string]struct{ vm, want string }{
+		"unknown workload": {`{"name":"a","workload":"fortnite","footprint_pages":32,"fmem_frames":8,"smem_frames":64,"tracker":{"kind":"abit"},"policy":{"kind":"heat"}}`, "fortnite"},
+		"unknown tracker":  {`{"name":"a","workload":"gups","footprint_pages":32,"fmem_frames":8,"smem_frames":64,"tracker":{"kind":"sonar"},"policy":{"kind":"heat"}}`, "sonar"},
+		"unknown policy":   {`{"name":"a","workload":"gups","footprint_pages":32,"fmem_frames":8,"smem_frames":64,"tracker":{"kind":"abit"},"policy":{"kind":"vibes"}}`, "vibes"},
+		"missing tracker":  {`{"name":"a","workload":"gups","footprint_pages":32,"fmem_frames":8,"smem_frames":64,"tracker":{"kind":"none_dont_default"},"policy":{"kind":"heat"}}`, "none_dont_default"},
+		"bad period":       {`{"name":"a","workload":"gups","footprint_pages":32,"fmem_frames":8,"smem_frames":64,"tracker":{"kind":"abit","period":"soon"},"policy":{"kind":"heat"}}`, "period"},
+		"oversized vm":     {`{"name":"a","workload":"gups","footprint_pages":32,"fmem_frames":1024,"smem_frames":8192,"tracker":{"kind":"abit"},"policy":{"kind":"heat"}}`, "more than the host's 4608"},
+		"oversized wl":     {`{"name":"a","workload":"gups","footprint_pages":100,"fmem_frames":8,"smem_frames":64,"tracker":{"kind":"abit"},"policy":{"kind":"heat"}}`, "100 pages, more than its 72 guest frames"},
+		"age window flip":  {`{"name":"a","workload":"gups","footprint_pages":32,"fmem_frames":8,"smem_frames":64,"tracker":{"kind":"abit"},"policy":{"kind":"age","active_within":"10ms","idle_after":"1ms"}}`, "active_within"},
 	}
-	for name, vm := range cases {
+	for name, tc := range cases {
 		t.Run(name, func(t *testing.T) {
-			cfg, err := ParseConfig(strings.NewReader(fmt.Sprintf(base, vm)))
-			if err != nil {
-				return // rejected even earlier: fine
+			cfg, err := ParseConfig(strings.NewReader(fmt.Sprintf(base, tc.vm)))
+			if err == nil {
+				_, err = New(cfg)
 			}
-			if _, err := New(cfg); err == nil {
-				t.Errorf("daemon built from bad vm spec: %s", vm)
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Errorf("error %v, want one naming %q", err, tc.want)
 			}
 		})
 	}
@@ -423,6 +425,43 @@ func TestCommandErrors(t *testing.T) {
 	}
 	if !strings.Contains(out, "bye.") {
 		t.Fatal("session did not survive to quit")
+	}
+}
+
+// TestOversizedVMsAreRejected pins serve's admission rule: a VM whose
+// workload outgrows its guest frames, or whose guest frames outgrow what
+// the host has left, is refused with an error naming it, and the session
+// runs on. A refused VM leaves nothing behind, so its name is free again.
+func TestOversizedVMsAreRejected(t *testing.T) {
+	var fill []string
+	for i := 2; i < 18; i++ {
+		fill = append(fill, fmt.Sprintf("vm add v%d gups 600 abit heat", i))
+	}
+	for _, tc := range []struct {
+		name   string
+		script []string
+		errors int
+		want   string
+	}{
+		// graph500 sweeps 5 x 300 pages; the default guest has 96+512.
+		{"past guest frames", []string{"vm add g graph500 300 abit heat", "run 20ms", "vm add g gups 300 abit heat", "run 5ms"},
+			1, `daemon: vm "g": workload touches 1500 pages, more than its 608 guest frames`},
+		// 2816+608 booted plus nine 608-frame guests fill 8896 of 8960.
+		{"past host frames", append(fill, "run 50ms"),
+			7, `daemon: vm "v11": guest frames would total 9504, more than the host's 8960`},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			out := runScript(t, sampleConfig, strings.Join(append(tc.script, "quit"), "\n")+"\n")
+			if got := strings.Count(out, "error:"); got != tc.errors {
+				t.Errorf("want %d error lines, got %d:\n%s", tc.errors, got, out)
+			}
+			if !strings.Contains(out, tc.want) {
+				t.Errorf("transcript lacks %q:\n%s", tc.want, out)
+			}
+			if !strings.HasSuffix(out, "bye.\n") {
+				t.Errorf("session did not end in bye.:\n%s", out)
+			}
+		})
 	}
 }
 
