@@ -180,9 +180,8 @@ func (s *stream) TotalOps() uint64 { return s.Ops }
 // InitOps implements Workload: the init sweep length.
 func (s *stream) InitOps() uint64 { return s.sweep.totalPages() }
 
-// Fill implements Workload: the rest of the init sweep, then whole
-// operations while they fit. Fill before Setup is a harness bug and
-// panics.
+// Fill implements Workload: the rest of the init sweep, then as many
+// whole operations as fit. Fill before Setup is a harness bug and panics.
 func (s *stream) Fill(dst []Access) (int, bool) {
 	if s.op == nil {
 		panic(fmt.Sprintf("workload %s: Fill before Setup", s.name))
@@ -194,10 +193,11 @@ func (s *stream) Fill(dst []Access) (int, bool) {
 			n++
 		}
 	}
-	for s.remaining > 0 && n+s.width <= len(dst) {
-		s.op(dst[n : n+s.width])
-		n += s.width
-		s.remaining--
+	w, op := s.width, s.op
+	k := min(uint64((len(dst)-n)/w), s.remaining)
+	s.remaining -= k
+	for end := n + int(k)*w; n < end; n += w {
+		op(dst[n : n+w])
 	}
 	return n, s.sweep.done && s.remaining == 0
 }
