@@ -90,6 +90,7 @@ func main() {
 	if *vms > 0 {
 		scale.VMs = *vms
 	}
+	scale.Events = *eventsOut != ""
 	workers := experiments.SetParallelism(*parallel)
 
 	if *cpuprofile != "" {
@@ -109,10 +110,14 @@ func main() {
 	}
 	defer writeMemProfile()
 
-	if *eventsOut != "" {
-		experiments.SetEventCapture(true)
+	// Only these subcommands return reports or rungs to dump.
+	if (*metricsOut != "" || *eventsOut != "") && (cmd == "list" || cmd == "hunt" || cmd == "serve") {
+		fmt.Fprintf(os.Stderr, "-metrics and -events apply to run, top, chaos and single experiments, not %s\n", cmd)
+		os.Exit(2)
 	}
 
+	var snap obs.Snapshot
+	var runs []experiments.CapturedCluster
 	switch cmd {
 	case "list":
 		for _, e := range experiments.All() {
@@ -123,7 +128,7 @@ func main() {
 		fmt.Printf("%-22s %s\n", "top", "Run experiments and print the hottest counters")
 		fmt.Printf("%-22s %s\n", "serve", "Interactive daemon: trackers × policies under a live workload stream")
 	case "chaos":
-		runChaos(scale, *faults, *seed, *floor, *ladder)
+		snap, runs = rungObs(runChaos(scale, *faults, *seed, *floor, *ladder))
 	case "hunt":
 		runHunt(*scaleFlag)
 	case "run", "all":
@@ -132,14 +137,15 @@ func main() {
 			fmt.Fprintf(os.Stderr, "%v\n", err)
 			os.Exit(2)
 		}
-		runSuite(es, scale, workers)
+		snap, runs = reportObs(runSuite(es, scale, workers))
 	case "top":
 		es, err := selectExperiments(*only, *skip)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "%v\n", err)
 			os.Exit(2)
 		}
-		runTop(es, scale, *topN)
+		snap, runs = reportObs(experiments.RunExperiments(scale, es))
+		printTop(snap, len(es), scale.Name, *topN)
 	case "serve":
 		if err := runServe(*serveCfg, *serveIn); err != nil {
 			fmt.Fprintf(os.Stderr, "serve: %v\n", err)
@@ -151,36 +157,59 @@ func main() {
 			fmt.Fprintf(os.Stderr, "unknown experiment %q (try 'demeter-sim list')\n", cmd)
 			os.Exit(2)
 		}
-		runSuite([]experiments.Experiment{e}, scale, workers)
+		snap, runs = reportObs(runSuite([]experiments.Experiment{e}, scale, workers))
 	}
 
-	if err := writeObsOutputs(); err != nil {
+	if err := writeObsOutputs(snap, runs); err != nil {
 		fmt.Fprintf(os.Stderr, "%v\n", err)
 		os.Exit(1)
 	}
 }
 
-// runTop executes the selected experiments for their side effects on the
-// global metrics collector and prints the N hottest counters.
-func runTop(es []experiments.Experiment, s experiments.Scale, n int) {
-	experiments.RunExperiments(s, es)
-	snap := experiments.GlobalMetrics().Condense()
-	top := snap.Top(n)
-	fmt.Printf("top %d counters across %d experiment(s) (scale %s):\n", len(top), len(es), s.Name)
+// printTop prints the N hottest counters of the experiments' merged
+// metrics.
+func printTop(snap obs.Snapshot, experimentCount int, scaleName string, n int) {
+	top := snap.Condense().Top(n)
+	fmt.Printf("top %d counters across %d experiment(s) (scale %s):\n", len(top), experimentCount, scaleName)
 	for _, m := range top {
 		fmt.Printf("  %-28s %d\n", m.Name, uint64(m.Value))
 	}
 }
 
-// writeObsOutputs dumps the global metrics snapshot and captured event
-// journals when -metrics / -events were given.
-func writeObsOutputs() error {
+// reportObs merges the reports' metrics and lists their journals, both
+// in report order.
+func reportObs(reports []experiments.Report) (obs.Snapshot, []experiments.CapturedCluster) {
+	var snap obs.Snapshot
+	var runs []experiments.CapturedCluster
+	for _, r := range reports {
+		snap = snap.Merge(r.Metrics)
+		runs = append(runs, r.Events...)
+	}
+	return snap, runs
+}
+
+// rungObs merges the rungs' metrics in ladder order and lists their
+// journals.
+func rungObs(rungs []experiments.RungResult) (obs.Snapshot, []experiments.CapturedCluster) {
+	var snap obs.Snapshot
+	var runs []experiments.CapturedCluster
+	for _, r := range rungs {
+		snap = snap.Merge(r.Snapshot)
+		runs = append(runs, experiments.CapturedCluster{Label: r.Label(), Events: r.Events})
+	}
+	return snap, runs
+}
+
+// writeObsOutputs dumps the merged metrics snapshot and the journals
+// when -metrics / -events were given. A journal's trace pid is its
+// position in clusters; the file lists the journals sorted by label.
+func writeObsOutputs(snap obs.Snapshot, clusters []experiments.CapturedCluster) error {
 	if *metricsOut != "" {
 		f, err := os.Create(*metricsOut)
 		if err != nil {
 			return fmt.Errorf("-metrics: %w", err)
 		}
-		if err := experiments.GlobalMetrics().WriteJSON(f); err != nil {
+		if err := snap.WriteJSON(f); err != nil {
 			f.Close()
 			return fmt.Errorf("-metrics: %w", err)
 		}
@@ -194,10 +223,15 @@ func writeObsOutputs() error {
 		if err != nil {
 			return fmt.Errorf("-events: %w", err)
 		}
-		clusters := experiments.CapturedEvents()
+		pids := make([]int, len(clusters))
+		for i := range pids {
+			pids[i] = i
+		}
+		slices.SortStableFunc(pids, func(a, b int) int { return strings.Compare(clusters[a].Label, clusters[b].Label) })
 		var total int
-		for _, c := range clusters {
-			if err := obs.WriteTrace(f, c.Seq, c.Label, c.Events); err != nil {
+		for _, pid := range pids {
+			c := clusters[pid]
+			if err := obs.WriteTrace(f, pid, c.Label, c.Events); err != nil {
 				f.Close()
 				return fmt.Errorf("-events: %w", err)
 			}
@@ -268,7 +302,7 @@ func splitIDs(s string) []string {
 	return out
 }
 
-func runSuite(es []experiments.Experiment, s experiments.Scale, workers int) {
+func runSuite(es []experiments.Experiment, s experiments.Scale, workers int) []experiments.Report {
 	start := time.Now()
 	reports := experiments.RunExperiments(s, es)
 	for _, r := range reports {
@@ -281,6 +315,7 @@ func runSuite(es []experiments.Experiment, s experiments.Scale, workers int) {
 		fmt.Printf("suite: %d experiments in %.1fs wall (%d workers)\n",
 			len(es), time.Since(start).Seconds(), workers)
 	}
+	return reports
 }
 
 // runServe boots the interactive daemon from a config file and drives
@@ -323,9 +358,10 @@ func writeMemProfile() {
 	}
 }
 
-// runChaos runs the fault-injection ladder and exits nonzero when an
-// invariant was violated (the report is printed either way).
-func runChaos(s experiments.Scale, spec string, seed uint64, floor float64, ladderSpec string) {
+// runChaos runs the fault-injection ladder, prints its report and
+// returns the rungs; it exits nonzero when an invariant was violated
+// (the report is printed either way).
+func runChaos(s experiments.Scale, spec string, seed uint64, floor float64, ladderSpec string) []experiments.RungResult {
 	cfg := experiments.DefaultChaosConfig()
 	cfg.Seed = seed
 	cfg.Floor = floor // 0 = keep the default
@@ -361,22 +397,25 @@ func runChaos(s experiments.Scale, spec string, seed uint64, floor float64, ladd
 			os.Exit(2)
 		}
 	}
-	// Config problems are usage errors (exit 2); only invariant
-	// violations from the run itself exit 1.
-	if err := cfg.Normalized(s).Validate(); err != nil {
+	start := time.Now()
+	cfg = cfg.Normalized(s)
+	rungs, err := experiments.RunChaosLadder(s, cfg)
+	if err != nil {
+		// Config problems are usage errors (exit 2); only invariant
+		// violations from the run itself exit 1.
 		fmt.Fprintf(os.Stderr, "bad chaos config: %v\n", err)
 		os.Exit(2)
 	}
 	fmt.Printf("=== chaos: fault-injection ladder\n")
 	fmt.Printf("    scale: %s, VMs: %d, seed: %d\n\n", s.Name, s.VMs, seed)
-	start := time.Now()
-	report, err := experiments.RunChaos(s, cfg)
+	report, err := experiments.ChaosReport(cfg, rungs)
 	fmt.Println(report)
 	fmt.Printf("(completed in %.1fs)\n", time.Since(start).Seconds())
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "%v\n", err)
 		os.Exit(1)
 	}
+	return rungs
 }
 
 // parseLadder parses a comma-separated multiplier list.
@@ -470,9 +509,10 @@ subcommands:
           script replays to a byte-identical transcript
   <id>    run one experiment
 
-observability: -metrics FILE dumps the merged metrics snapshot as JSON;
--events FILE dumps per-cluster event journals as chrome://tracing JSONL
-(load via chrome://tracing or https://ui.perfetto.dev).
+observability (run, top, chaos, <id>): -metrics FILE dumps the merged
+metrics snapshot of the reports (or chaos rungs) as JSON; -events FILE
+dumps their per-cluster event journals as chrome://tracing JSONL (load
+via chrome://tracing or https://ui.perfetto.dev).
 
 performance: the repository benchmark lives under bench/ (bash
 bench/run.sh); see bench/README.md.

@@ -1,12 +1,113 @@
 package main
 
 import (
+	"bytes"
+	"errors"
+	"os"
+	"os/exec"
+	"path/filepath"
 	"slices"
 	"strings"
 	"testing"
 
 	"demeter/internal/experiments"
 )
+
+// TestMain runs the command itself, not the tests, when runCLI
+// re-executes the test binary, so the tests can check exit codes.
+func TestMain(m *testing.M) {
+	if os.Getenv("DEMETER_SIM_RUN_MAIN") == "1" {
+		main()
+		os.Exit(0)
+	}
+	os.Exit(m.Run())
+}
+
+// runCLI runs demeter-sim with args in dir and returns its stdout and
+// exit status.
+func runCLI(t *testing.T, dir string, args ...string) (string, int) {
+	t.Helper()
+	cmd := exec.Command(os.Args[0], args...)
+	cmd.Dir = dir
+	cmd.Env = append(os.Environ(), "DEMETER_SIM_RUN_MAIN=1")
+	var out bytes.Buffer
+	cmd.Stdout = &out
+	err := cmd.Run()
+	var exit *exec.ExitError
+	switch {
+	case err == nil:
+		return out.String(), 0
+	case errors.As(err, &exit):
+		return out.String(), exit.ExitCode()
+	}
+	t.Fatal(err)
+	return "", 0
+}
+
+// TestObsFlagsRejectedWithoutClusterRuns: list, hunt and serve have no
+// reports or rungs to dump, so -metrics and -events exit 2 and write
+// nothing.
+func TestObsFlagsRejectedWithoutClusterRuns(t *testing.T) {
+	dir := t.TempDir()
+	for _, cmd := range []string{"list", "hunt", "serve"} {
+		for _, flagName := range []string{"-metrics", "-events"} {
+			if _, code := runCLI(t, dir, flagName, "out", cmd); code != 2 {
+				t.Errorf("%s %s out: exit %d, want 2", flagName, cmd, code)
+			}
+			if _, err := os.Stat(filepath.Join(dir, "out")); err == nil {
+				t.Fatalf("%s %s wrote its file", flagName, cmd)
+			}
+		}
+	}
+}
+
+// TestObsOutputsReadReportsAndRungs: -metrics holds the merge of the
+// reports' Metrics (run, top, a single experiment) or of the chaos
+// rungs' snapshots, and -events their journals.
+func TestObsOutputsReadReportsAndRungs(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs the command")
+	}
+	e, _ := experiments.Get("table2")
+	var want bytes.Buffer
+	if err := experiments.RunExperiments(experiments.Tiny(), []experiments.Experiment{e})[0].Metrics.WriteJSON(&want); err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	for _, args := range [][]string{{"table2"}, {"run", "-only", "table2"}, {"top", "-only", "table2"}} {
+		args = append([]string{"-scale", "tiny", "-metrics", "m.json", "-events", "e.jsonl"}, args...)
+		if _, code := runCLI(t, dir, args...); code != 0 {
+			t.Fatalf("%v: exit %d", args, code)
+		}
+		got, err := os.ReadFile(filepath.Join(dir, "m.json"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want.Bytes()) {
+			t.Errorf("%v: -metrics differs from the report's Metrics", args)
+		}
+		if ev, err := os.ReadFile(filepath.Join(dir, "e.jsonl")); err != nil || !bytes.Contains(ev, []byte(`"mlc-`)) {
+			t.Errorf("%v: -events holds no table2 journal (err %v)", args, err)
+		}
+	}
+
+	out, code := runCLI(t, dir, "-scale", "tiny", "-ladder", "0,1", "-metrics", "c.json", "-events", "c.jsonl", "chaos")
+	if code != 0 {
+		t.Fatalf("chaos: exit %d\n%s", code, out)
+	}
+	if m, err := os.ReadFile(filepath.Join(dir, "c.json")); err != nil || !bytes.Contains(m, []byte("vm_accesses")) {
+		t.Errorf("chaos -metrics holds no rung metrics (err %v)", err)
+	}
+	ev, err := os.ReadFile(filepath.Join(dir, "c.jsonl"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, label := range []string{"chaos-x0", "chaos-x1"} {
+		if !bytes.Contains(ev, []byte(label)) {
+			t.Errorf("chaos -events lacks rung %s", label)
+		}
+	}
+}
 
 func ids(es []experiments.Experiment) []string {
 	out := make([]string, len(es))

@@ -15,9 +15,8 @@ import (
 	"os"
 
 	"demeter/internal/core"
-	"demeter/internal/engine"
+	"demeter/internal/experiments"
 	"demeter/internal/guestos"
-	"demeter/internal/hypervisor"
 	"demeter/internal/mem"
 	"demeter/internal/sim"
 	"demeter/internal/trace"
@@ -54,24 +53,24 @@ func guestProcess() *guestos.Process {
 }
 
 func runThrough(wl workload.Workload) sim.Duration {
-	eng := sim.NewEngine()
-	m := hypervisor.NewMachine(eng, mem.PaperDRAMPMEM(fmemFrames, smemFrames))
-	vm, err := m.NewVM(hypervisor.VMConfig{
-		VCPUs: 4, GuestFMEM: fmemFrames, GuestSMEM: smemFrames,
-		FMEMBacking: 0, SMEMBacking: 1,
-	})
+	c, err := experiments.NewCluster("pmem", fmemFrames, smemFrames)
 	if err != nil {
 		panic(err)
 	}
-	x := engine.NewExecutor(eng, vm, wl)
+	vm, err := c.NewVM(4, fmemFrames, smemFrames)
+	if err != nil {
+		panic(err)
+	}
 	cfg := core.DefaultConfig()
 	cfg.EpochPeriod = 2 * sim.Millisecond
 	cfg.SamplePeriod = 17
 	cfg.Params.GranularityPages = 64
-	d := core.New(cfg)
-	d.Attach(eng, vm)
-	defer d.Detach()
-	if !engine.RunAll(eng, 300*sim.Second, x) {
+	x, err := c.Attach(vm, wl, core.New(cfg))
+	if err != nil {
+		panic(err)
+	}
+	defer c.Detach()
+	if !c.Run(300 * sim.Second) {
 		panic("run did not finish")
 	}
 	return x.Runtime()

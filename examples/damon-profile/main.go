@@ -13,9 +13,10 @@ import (
 	"demeter/internal/core"
 	"demeter/internal/damon"
 	"demeter/internal/engine"
+	"demeter/internal/experiments"
 	"demeter/internal/hypervisor"
-	"demeter/internal/mem"
 	"demeter/internal/sim"
+	"demeter/internal/tmm"
 	"demeter/internal/workload"
 )
 
@@ -26,72 +27,55 @@ const (
 	ops        = 600_000
 )
 
-func newRig() (*sim.Engine, *hypervisor.VM, *engine.Executor, *workload.LibLinear) {
-	eng := sim.NewEngine()
-	m := hypervisor.NewMachine(eng, mem.PaperDRAMPMEM(fmemFrames, smemFrames))
-	vm, err := m.NewVM(hypervisor.VMConfig{
-		VCPUs: 4, GuestFMEM: fmemFrames, GuestSMEM: smemFrames,
-		FMEMBacking: 0, SMEMBacking: 1,
-	})
+// newRig boots one VM running the LibLinear-style workload under pol.
+func newRig(pol tmm.Policy) (*experiments.Cluster, *hypervisor.VM, *engine.Executor) {
+	c, err := experiments.NewCluster("pmem", fmemFrames, smemFrames)
 	if err != nil {
 		panic(err)
 	}
-	wl := workload.Must(workload.NewLibLinear(features, ops, 7))
-	return eng, vm, engine.NewExecutor(eng, vm, wl), wl
+	vm, err := c.NewVM(4, fmemFrames, smemFrames)
+	if err != nil {
+		panic(err)
+	}
+	x, err := c.Attach(vm, workload.Must(workload.NewLibLinear(features, ops, 7)), pol)
+	if err != nil {
+		panic(err)
+	}
+	return c, vm, x
 }
 
 func renderSnapshot(s damon.Snapshot, lo, hi uint64) string {
 	const cols = 72
 	row := make([]uint32, cols)
-	var max uint32
+	peak := uint32(1)
 	for _, r := range s.Regions {
 		if r.EndPage <= lo || r.StartPage >= hi {
 			continue
 		}
-		c0 := int(uint64(cols) * (maxU64(r.StartPage, lo) - lo) / (hi - lo))
-		c1 := int(uint64(cols) * (minU64(r.EndPage, hi) - lo) / (hi - lo))
+		c0 := int(uint64(cols) * (max(r.StartPage, lo) - lo) / (hi - lo))
+		c1 := int(uint64(cols) * (min(r.EndPage, hi) - lo) / (hi - lo))
 		for c := c0; c <= c1 && c < cols; c++ {
-			if r.NrAccesses > row[c] {
-				row[c] = r.NrAccesses
-			}
-			if r.NrAccesses > max {
-				max = r.NrAccesses
-			}
+			row[c] = max(row[c], r.NrAccesses)
+			peak = max(peak, r.NrAccesses)
 		}
-	}
-	if max == 0 {
-		max = 1
 	}
 	shades := []byte(" .:-=+*#%@")
 	var b strings.Builder
 	b.WriteByte('|')
 	for _, v := range row {
-		b.WriteByte(shades[int(uint32(len(shades)-1)*v/max)])
+		b.WriteByte(shades[int(uint32(len(shades)-1)*v/peak)])
 	}
 	b.WriteByte('|')
 	return b.String()
-}
-
-func maxU64(a, b uint64) uint64 {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-func minU64(a, b uint64) uint64 {
-	if a < b {
-		return a
-	}
-	return b
 }
 
 func main() {
 	fmt.Println("DAMON profiling a LibLinear-style run (hot weights + streamed features)")
 	fmt.Println()
 
-	// Pass 1: DAMON profiler, rendering each aggregation snapshot.
-	eng, vm, x, wl := newRig()
+	// Pass 1: DAMON profiler, rendering each aggregation snapshot. It
+	// only watches, so no tiering design runs beside it.
+	c, vm, x := newRig(tmm.NewStatic())
 	cfg := damon.DefaultConfig()
 	cfg.SamplingInterval = 100 * sim.Microsecond
 	cfg.AggregationInterval = 10 * sim.Millisecond
@@ -104,14 +88,15 @@ func main() {
 	// Render over the whole tracked span (heap weights + mmap features).
 	heapLo, _ := vm.Proc.HeapRange()
 	mmapLo, mmapHi := vm.Proc.MmapRange()
-	lo, hi := minU64(heapLo, mmapLo)>>12, mmapHi>>12
-	_ = wl
+	lo, hi := min(heapLo, mmapLo)>>12, mmapHi>>12
 
 	prof.OnAgg = func(s damon.Snapshot) {
 		fmt.Printf("%8s %s regions=%d\n", sim.Time(s.At).String(), renderSnapshot(s, lo, hi), len(s.Regions))
 	}
-	prof.Attach(eng, vm)
-	if !engine.RunAll(eng, 100*sim.Second, x) {
+	if err := prof.Attach(c.Eng, vm); err != nil {
+		panic(err)
+	}
+	if !c.Run(100 * sim.Second) {
 		panic("run did not finish")
 	}
 	prof.Detach()
@@ -119,17 +104,16 @@ func main() {
 		prof.Samples, prof.Flushes, vm.Ledger.Total(hypervisor.CompTrack))
 
 	// Pass 2: same run under Demeter's PEBS feed for the cost contrast.
-	eng2, vm2, x2, _ := newRig()
 	dcfg := core.DefaultConfig()
 	dcfg.EpochPeriod = sim.Millisecond
 	dcfg.SamplePeriod = 7
 	dcfg.Params.GranularityPages = 32
 	d := core.New(dcfg)
-	d.Attach(eng2, vm2)
-	if !engine.RunAll(eng2, 100*sim.Second, x2) {
+	c2, vm2, x2 := newRig(d)
+	if !c2.Run(100 * sim.Second) {
 		panic("run did not finish")
 	}
-	d.Detach()
+	c2.Detach()
 	fmt.Printf("Demeter cost on the identical run: %d PEBS samples, %d TLB flushes, %v tracking CPU\n",
 		d.Stats().Samples, vm2.TLB.Stats().SingleFlushes, vm2.Ledger.Total(hypervisor.CompTrack))
 	fmt.Printf("runtimes: DAMON-profiled %v vs Demeter-managed %v\n", x.Runtime(), x2.Runtime())

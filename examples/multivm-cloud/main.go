@@ -11,9 +11,7 @@ import (
 	"fmt"
 
 	"demeter/internal/core"
-	"demeter/internal/engine"
-	"demeter/internal/hypervisor"
-	"demeter/internal/mem"
+	"demeter/internal/experiments"
 	"demeter/internal/sim"
 	"demeter/internal/workload"
 )
@@ -39,53 +37,46 @@ func buildWorkload(i int) workload.Workload {
 }
 
 func main() {
-	eng := sim.NewEngine()
-	host := hypervisor.NewMachine(eng, mem.PaperDRAMPMEM(vms*fmemPerVM, vms*smemPerVM))
-
-	var xs []*engine.Executor
+	c, err := experiments.NewCluster("pmem", vms*fmemPerVM, vms*smemPerVM)
+	if err != nil {
+		panic(err)
+	}
 	var policies []*core.Demeter
 	for i := 0; i < vms; i++ {
-		vm, err := host.NewVM(hypervisor.VMConfig{
-			VCPUs: 4, GuestFMEM: fmemPerVM, GuestSMEM: smemPerVM,
-			FMEMBacking: 0, SMEMBacking: 1,
-		})
+		vm, err := c.NewVM(4, fmemPerVM, smemPerVM)
 		if err != nil {
 			panic(err)
 		}
-		x := engine.NewExecutor(eng, vm, buildWorkload(i))
 		cfg := core.DefaultConfig()
 		cfg.EpochPeriod = 2 * sim.Millisecond
 		cfg.SamplePeriod = 17
 		cfg.Params.GranularityPages = 64
 		d := core.New(cfg)
-		d.Attach(eng, vm)
+		if _, err := c.Attach(vm, buildWorkload(i), d); err != nil {
+			panic(err)
+		}
 		policies = append(policies, d)
-		xs = append(xs, x)
 	}
-
-	if !engine.RunAll(eng, 300*sim.Second, xs...) {
+	if !c.Run(300 * sim.Second) {
 		panic("cluster did not finish")
 	}
+	defer c.Detach()
 
 	fmt.Printf("consolidated host: %d VMs, %d FMEM + %d SMEM frames each (1:5)\n\n",
 		vms, fmemPerVM, smemPerVM)
 	fmt.Printf("%-4s %-10s %-10s %-12s %-10s %s\n",
 		"VM", "workload", "runtime", "fast-hit %", "promoted", "mgmt CPU")
 
-	var wall sim.Time
+	_, wall := c.Totals()
 	var mgmt sim.Duration
-	for i, x := range xs {
-		vm := host.VMs[i]
+	for i, x := range c.Executors {
+		vm := c.Machine.VMs[i]
 		st := vm.Stats()
 		fastPct := 100 * float64(st.FastHits) / float64(st.FastHits+st.SlowHits)
 		fmt.Printf("%-4d %-10s %-10v %-12.1f %-10d %v\n",
 			i, x.WL.Name(), x.Runtime(), fastPct, policies[i].Stats().Promoted,
 			vm.Ledger.Sum())
-		if x.FinishedAt() > wall {
-			wall = x.FinishedAt()
-		}
 		mgmt += vm.Ledger.Sum()
-		policies[i].Detach()
 	}
 	fmt.Printf("\naggregate management overhead: %.3f cores over %v wall "+
 		"(the paper's Figure 2 keeps this under 0.2 at full scale)\n",

@@ -10,10 +10,9 @@ import (
 	"fmt"
 
 	"demeter/internal/balloon"
-	"demeter/internal/engine"
-	"demeter/internal/hypervisor"
-	"demeter/internal/mem"
+	"demeter/internal/experiments"
 	"demeter/internal/sim"
+	"demeter/internal/tmm"
 	"demeter/internal/workload"
 )
 
@@ -25,45 +24,43 @@ const (
 )
 
 func main() {
-	eng := sim.NewEngine()
-	host := hypervisor.NewMachine(eng, mem.PaperDRAMPMEM(budget, vms*smemPerVM))
-
+	c, err := experiments.NewCluster("pmem", budget, vms*smemPerVM)
+	if err != nil {
+		panic(err)
+	}
 	var doubles []*balloon.Double
-	var vmRefs []*hypervisor.VM
 	for i := 0; i < vms; i++ {
-		vm, err := host.NewVM(hypervisor.VMConfig{
-			VCPUs: 4, GuestFMEM: vmTotal, GuestSMEM: vmTotal,
-			FMEMBacking: 0, SMEMBacking: 1,
-		})
+		vm, err := c.NewVM(4, vmTotal, vmTotal)
 		if err != nil {
 			panic(err)
 		}
-		d := balloon.NewDouble(eng, vm)
+		d := balloon.NewDouble(c.Eng, vm)
 		// Boot-time provision: equal FMEM shares.
 		d.SetProvision(budget/vms, smemPerVM, nil)
 		doubles = append(doubles, d)
-		vmRefs = append(vmRefs, vm)
 	}
-	eng.RunUntilIdle() // settle boot provisioning
+	c.Eng.RunUntilIdle() // settle boot provisioning
 
 	for _, d := range doubles {
 		d.StartStats(2 * sim.Millisecond)
 	}
 	// VM 0 is a premium tenant (weight 2); the others standard.
-	reb := balloon.NewRebalancer(eng, doubles, []float64{2, 1, 1})
+	reb := balloon.NewRebalancer(c.Eng, doubles, []float64{2, 1, 1})
 	reb.Budget = budget
 	reb.MinPerVM = 512
 	reb.SMEMPerVM = smemPerVM
 	reb.Start(8 * sim.Millisecond)
 
 	// VM 0 (premium) and VM 1 are memory-hungry; VM 2 is nearly idle.
+	// No tiering design runs: the balloons alone move the fast tier.
 	sizes := []uint64{10000, 10000, 1024}
-	var xs []*engine.Executor
-	for i, vm := range vmRefs {
-		xs = append(xs, engine.NewExecutor(eng, vm,
-			workload.Must(workload.NewGUPS(sizes[i], 250_000, uint64(i)+1))))
+	for i, vm := range c.Machine.VMs {
+		wl := workload.Must(workload.NewGUPS(sizes[i], 250_000, uint64(i)+1))
+		if _, err := c.Attach(vm, wl, tmm.NewStatic()); err != nil {
+			panic(err)
+		}
 	}
-	if !engine.RunAll(eng, 300*sim.Second, xs...) {
+	if !c.Run(300 * sim.Second) {
 		panic("did not finish")
 	}
 	reb.Stop()
@@ -80,7 +77,7 @@ func main() {
 	tiers := []string{"premium", "standard", "standard"}
 	for i := range doubles {
 		fmt.Printf("%-4d %-8s %-10d %-14d %v\n",
-			i, tiers[i], sizes[i], shares[i], xs[i].Runtime())
+			i, tiers[i], sizes[i], shares[i], c.Executors[i].Runtime())
 	}
 	fmt.Printf("\n%d rebalance rounds; pressured VMs hold the large shares (the\n"+
 		"premium one weighted 2x), the idle VM shrinks toward the floor — policy\n"+

@@ -12,10 +12,9 @@ import (
 	"fmt"
 
 	"demeter/internal/core"
-	"demeter/internal/engine"
-	"demeter/internal/hypervisor"
-	"demeter/internal/mem"
+	"demeter/internal/experiments"
 	"demeter/internal/sim"
+	"demeter/internal/tmm"
 	"demeter/internal/workload"
 )
 
@@ -26,31 +25,22 @@ const (
 	ops        = 400_000
 )
 
-func run(withDemeter bool) (runtime sim.Duration, hotFast float64, d *core.Demeter) {
-	eng := sim.NewEngine()
-	host := hypervisor.NewMachine(eng, mem.PaperDRAMPMEM(fmemFrames, smemFrames))
-	vm, err := host.NewVM(hypervisor.VMConfig{
-		VCPUs: 4, GuestFMEM: fmemFrames, GuestSMEM: smemFrames,
-		FMEMBacking: 0, SMEMBacking: 1,
-	})
+func run(pol tmm.Policy) (runtime sim.Duration, hotFast float64) {
+	c, err := experiments.NewCluster("pmem", fmemFrames, smemFrames)
 	if err != nil {
 		panic(err)
 	}
-
-	wl := workload.Must(workload.NewGUPS(footprint, ops, 42))
-	x := engine.NewExecutor(eng, vm, wl)
-
-	if withDemeter {
-		cfg := core.DefaultConfig()
-		cfg.EpochPeriod = 2 * sim.Millisecond // compressed t_split
-		cfg.SamplePeriod = 17                 // compressed PEBS period
-		cfg.Params.GranularityPages = 64
-		d = core.New(cfg)
-		d.Attach(eng, vm)
-		defer d.Detach()
+	vm, err := c.NewVM(4, fmemFrames, smemFrames)
+	if err != nil {
+		panic(err)
 	}
-
-	if !engine.RunAll(eng, 100*sim.Second, x) {
+	wl := workload.Must(workload.NewGUPS(footprint, ops, 42))
+	x, err := c.Attach(vm, wl, pol)
+	if err != nil {
+		panic(err)
+	}
+	defer c.Detach()
+	if !c.Run(100 * sim.Second) {
 		panic("workload did not finish")
 	}
 
@@ -63,18 +53,23 @@ func run(withDemeter bool) (runtime sim.Duration, hotFast float64, d *core.Demet
 			inFast++
 		}
 	}
-	return x.Runtime(), float64(inFast) / float64(hotPages), d
+	return x.Runtime(), float64(inFast) / float64(hotPages)
 }
 
 func main() {
 	fmt.Println("Demeter quickstart: GUPS hotset on a 1:5 DRAM:PMEM VM")
 	fmt.Println()
 
-	staticRT, staticHot, _ := run(false)
+	staticRT, staticHot := run(tmm.NewStatic())
 	fmt.Printf("static placement : runtime %-10v hot set in FMEM: %4.0f%%\n",
 		staticRT, staticHot*100)
 
-	demeterRT, demeterHot, d := run(true)
+	cfg := core.DefaultConfig()
+	cfg.EpochPeriod = 2 * sim.Millisecond // compressed t_split
+	cfg.SamplePeriod = 17                 // compressed PEBS period
+	cfg.Params.GranularityPages = 64
+	d := core.New(cfg)
+	demeterRT, demeterHot := run(d)
 	fmt.Printf("with Demeter     : runtime %-10v hot set in FMEM: %4.0f%%\n",
 		demeterRT, demeterHot*100)
 

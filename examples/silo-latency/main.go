@@ -11,9 +11,7 @@ import (
 	"fmt"
 
 	"demeter/internal/core"
-	"demeter/internal/engine"
-	"demeter/internal/hypervisor"
-	"demeter/internal/mem"
+	"demeter/internal/experiments"
 	"demeter/internal/sim"
 	"demeter/internal/stats"
 	"demeter/internal/tmm"
@@ -28,51 +26,43 @@ const (
 	txns      = 25_000
 )
 
-type policy interface {
-	Attach(*sim.Engine, *hypervisor.VM)
-	Detach()
+func newPolicy(design string) tmm.Policy {
+	if design == "demeter" {
+		cfg := core.DefaultConfig()
+		cfg.EpochPeriod = sim.Millisecond
+		cfg.SamplePeriod = 7
+		cfg.Params.GranularityPages = 32
+		return core.New(cfg)
+	}
+	cfg := tmm.DefaultScanConfig()
+	cfg.ScanPeriod = 2 * sim.Millisecond
+	cfg.ScanBatchPages = 7200
+	return tmm.NewTPP(cfg)
 }
 
 func run(design string) *stats.Histogram {
-	eng := sim.NewEngine()
-	host := hypervisor.NewMachine(eng, mem.PaperDRAMPMEM(vms*fmemPerVM, vms*smemPerVM))
-	merged := stats.NewHistogram()
-	var xs []*engine.Executor
-	var pols []policy
+	c, err := experiments.NewCluster("pmem", vms*fmemPerVM, vms*smemPerVM)
+	if err != nil {
+		panic(err)
+	}
 	for i := 0; i < vms; i++ {
-		vm, err := host.NewVM(hypervisor.VMConfig{
-			VCPUs: 4, GuestFMEM: fmemPerVM, GuestSMEM: smemPerVM,
-			FMEMBacking: 0, SMEMBacking: 1,
-		})
+		vm, err := c.NewVM(4, fmemPerVM, smemPerVM)
 		if err != nil {
 			panic(err)
 		}
-		x := engine.NewExecutor(eng, vm, workload.Must(workload.NewSilo(tablePg, txns, uint64(i)+1)))
-		x.TxnHist = stats.NewHistogram()
-		var p policy
-		switch design {
-		case "demeter":
-			cfg := core.DefaultConfig()
-			cfg.EpochPeriod = sim.Millisecond
-			cfg.SamplePeriod = 7
-			cfg.Params.GranularityPages = 32
-			p = core.New(cfg)
-		case "tpp":
-			cfg := tmm.DefaultScanConfig()
-			cfg.ScanPeriod = 2 * sim.Millisecond
-			cfg.ScanBatchPages = 7200
-			p = tmm.NewTPP(cfg)
+		x, err := c.Attach(vm, workload.Must(workload.NewSilo(tablePg, txns, uint64(i)+1)), newPolicy(design))
+		if err != nil {
+			panic(err)
 		}
-		p.Attach(eng, vm)
-		pols = append(pols, p)
-		xs = append(xs, x)
+		x.TxnHist = stats.NewHistogram()
 	}
-	if !engine.RunAll(eng, 300*sim.Second, xs...) {
+	if !c.Run(300 * sim.Second) {
 		panic("did not finish")
 	}
-	for i, x := range xs {
+	c.Detach()
+	merged := stats.NewHistogram()
+	for _, x := range c.Executors {
 		merged.Merge(x.TxnHist)
-		pols[i].Detach()
 	}
 	return merged
 }

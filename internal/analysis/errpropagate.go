@@ -7,12 +7,14 @@ import (
 )
 
 // Errpropagate forbids discarding errors from constructors (module-local
-// functions named New…) and from Commit/Rollback paths anywhere under
-// internal/. The repo's constructors return errors precisely so that a
-// bad geometry or configuration fails loudly at wiring time (the tlb and
-// damon constructors grew error returns for this), and a transactional
-// migration whose Commit/Rollback error vanishes silently corrupts the
-// frame-accounting invariants the chaos ladder checks at runtime.
+// functions named New…), from Attach methods and from Commit/Rollback
+// paths anywhere under internal/. The repo's constructors return errors
+// precisely so that a bad geometry or configuration fails loudly at
+// wiring time (the tlb and damon constructors grew error returns for
+// this); a design whose Attach error vanishes leaves a VM unmanaged
+// while the run reports it managed; and a transactional migration whose
+// Commit/Rollback error vanishes silently corrupts the frame-accounting
+// invariants the chaos ladder checks at runtime.
 //
 // Flagged forms: an expression statement dropping all results, a blank
 // identifier in the error position of an assignment, and go/defer
@@ -20,7 +22,7 @@ import (
 // //lint:allow errpropagate <reason>.
 var Errpropagate = &Analyzer{
 	Name: "errpropagate",
-	Doc:  "forbid discarded errors from constructors and Commit/Rollback paths under internal/",
+	Doc:  "forbid discarded errors from constructors, Attach and Commit/Rollback paths under internal/",
 	Run:  runErrpropagate,
 }
 
@@ -52,7 +54,7 @@ func runErrpropagate(pass *Pass) error {
 
 // guardedCallee returns the callee and a display name when the call is
 // one whose error must be handled: a module-local constructor (New…) or
-// any Commit/Rollback method, with an error among its results.
+// any Attach/Commit/Rollback method, with an error among its results.
 func guardedCallee(pkg *Package, call *ast.CallExpr) (*types.Func, string, int) {
 	fn := calleeFunc(pkg.Info, call)
 	if fn == nil || fn.Pkg() == nil {
@@ -68,7 +70,7 @@ func guardedCallee(pkg *Package, call *ast.CallExpr) (*types.Func, string, int) 
 	}
 	name := fn.Name()
 	switch {
-	case name == "Commit" || name == "Rollback":
+	case name == "Attach" || name == "Commit" || name == "Rollback":
 	case strings.HasPrefix(name, "New") && sameModule(pkg.Path, fn.Pkg().Path()):
 	default:
 		return nil, "", -1
@@ -92,7 +94,7 @@ func sameModule(a, b string) bool {
 // guarded call.
 func checkDiscardedCall(pass *Pass, pkg *Package, call *ast.CallExpr, how string) {
 	if _, display, _ := guardedCallee(pkg, call); display != "" {
-		pass.Reportf(call.Pos(), "%sdiscards the error from %s: constructor and Commit/Rollback errors must be handled", how, display)
+		pass.Reportf(call.Pos(), "%sdiscards the error from %s: constructor, Attach and Commit/Rollback errors must be handled", how, display)
 	}
 }
 
@@ -111,6 +113,6 @@ func checkBlankError(pass *Pass, pkg *Package, as *ast.AssignStmt) {
 		return
 	}
 	if id, ok := as.Lhs[errIdx].(*ast.Ident); ok && id.Name == "_" {
-		pass.Reportf(id.Pos(), "blank identifier discards the error from %s: constructor and Commit/Rollback errors must be handled", display)
+		pass.Reportf(id.Pos(), "blank identifier discards the error from %s: constructor, Attach and Commit/Rollback errors must be handled", display)
 	}
 }

@@ -1,6 +1,6 @@
 // Package errfix exercises the errpropagate analyzer: its import path
-// sits under internal/, so constructor and Commit/Rollback errors must
-// be handled.
+// sits under internal/, so constructor, Attach and Commit/Rollback
+// errors must be handled.
 package errfix
 
 import "fmt"
@@ -20,6 +20,9 @@ type Tx struct{}
 func (*Tx) Commit() error   { return nil }
 func (*Tx) Rollback() error { return nil }
 
+// Attach has the shape of a design's Attach: it can refuse.
+func (*Widget) Attach(vm int) error { return nil }
+
 func use() {
 	w, _ := NewWidget(true) // want `blank identifier discards the error from errfix.NewWidget`
 	_ = w
@@ -38,4 +41,10 @@ func use() {
 	}
 	//lint:allow errpropagate rollback after a failed commit is best-effort
 	tx.Rollback()
+
+	w.Attach(1)                         // want `discards the error from Widget.Attach`
+	_ = w.Attach(2)                     // want `blank identifier discards the error from Widget.Attach`
+	if err := w.Attach(3); err != nil { // handled: allowed
+		_ = err
+	}
 }

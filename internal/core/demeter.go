@@ -239,9 +239,20 @@ func (d *Demeter) Tree() *RangeTree { return d.tree }
 // process's heap and mmap areas, hooks sample draining into the guest
 // scheduler and starts the epoch worker. The workload must have Setup its
 // regions already (Demeter reads the VMA layout at attach time).
-func (d *Demeter) Attach(eng *sim.Engine, vm *hypervisor.VM) {
+func (d *Demeter) Attach(eng *sim.Engine, vm *hypervisor.VM) error {
 	if d.active {
-		panic("core: Demeter attached twice")
+		return fmt.Errorf("core: %s attached twice", d.Name())
+	}
+	pcfg := pebs.ConfigWithPeriod(d.Cfg.SamplePeriod)
+	pcfg.LatencyThreshold = d.Cfg.LatencyThreshold
+	pcfg.Event = d.Cfg.Event
+	pcfg.AdaptivePeriod = adaptiveSampling
+	unit, err := pebs.NewUnit(pcfg)
+	if err != nil {
+		return fmt.Errorf("core: bad PEBS config: %w", err)
+	}
+	if err := unit.Arm(); err != nil {
+		return fmt.Errorf("core: PEBS arm failed: %w", err)
 	}
 	d.eng, d.vm, d.active = eng, vm, true
 
@@ -255,19 +266,8 @@ func (d *Demeter) Attach(eng *sim.Engine, vm *hypervisor.VM) {
 		d.prevDropped += d.ch.Dropped()
 	}
 
-	pcfg := pebs.ConfigWithPeriod(d.Cfg.SamplePeriod)
-	pcfg.LatencyThreshold = d.Cfg.LatencyThreshold
-	pcfg.Event = d.Cfg.Event
-	pcfg.AdaptivePeriod = adaptiveSampling
-	unit, err := pebs.NewUnit(pcfg)
-	if err != nil {
-		panic(fmt.Sprintf("core: bad PEBS config: %v", err))
-	}
 	d.unit = unit
 	vm.WirePEBS(unit)
-	if err := unit.Arm(); err != nil {
-		panic(fmt.Sprintf("core: PEBS arm failed: %v", err))
-	}
 
 	d.ch = NewSampleChannel(channelCapacity)
 	d.tree = NewRangeTree(d.Cfg.Params, d.trackedRegions()...)
@@ -313,6 +313,7 @@ func (d *Demeter) Attach(eng *sim.Engine, vm *hypervisor.VM) {
 	})
 
 	d.installObs()
+	return nil
 }
 
 // installObs publishes the delegation sample-loss counter once per

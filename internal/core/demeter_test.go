@@ -1,6 +1,7 @@
 package core
 
 import (
+	"strings"
 	"testing"
 
 	"demeter/internal/engine"
@@ -149,17 +150,24 @@ func TestDemeterChargesAllComponents(t *testing.T) {
 	}
 }
 
-func TestDemeterDoubleAttachPanics(t *testing.T) {
-	eng, vm, _, _ := rig(t, 256, 1024, 512, 1000)
+// TestDemeterDoubleAttachFails: a second Attach while attached returns
+// an error naming the design, and the first attachment keeps running
+// epochs.
+func TestDemeterDoubleAttachFails(t *testing.T) {
+	eng, vm, x, _ := rig(t, 256, 1024, 512, 50_000)
 	d := New(testConfig())
-	d.Attach(eng, vm)
+	if err := d.Attach(eng, vm); err != nil {
+		t.Fatal(err)
+	}
 	defer d.Detach()
-	defer func() {
-		if recover() == nil {
-			t.Fatal("double attach did not panic")
-		}
-	}()
-	d.Attach(eng, vm)
+	if err := d.Attach(eng, vm); err == nil || !strings.Contains(err.Error(), d.Name()) {
+		t.Fatalf("double attach returned %v, want an error naming %s", err, d.Name())
+	}
+	x.Start()
+	eng.Run(eng.Now() + 10*sim.Millisecond)
+	if d.Stats().Epochs == 0 {
+		t.Error("no epochs after the refused attach")
+	}
 }
 
 func TestDemeterDetachStopsActivity(t *testing.T) {

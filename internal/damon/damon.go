@@ -112,9 +112,9 @@ func NewProfiler(cfg Config) (*Profiler, error) {
 }
 
 // Attach starts monitoring the VM's process VMAs.
-func (p *Profiler) Attach(eng *sim.Engine, vm *hypervisor.VM) {
+func (p *Profiler) Attach(eng *sim.Engine, vm *hypervisor.VM) error {
 	if p.active {
-		panic("damon: profiler attached twice")
+		return fmt.Errorf("damon: profiler attached twice")
 	}
 	p.eng, p.vm, p.active = eng, vm, true
 	p.rng = simrand.New(p.Cfg.Seed ^ 0x64616d6f6e)
@@ -138,6 +138,7 @@ func (p *Profiler) Attach(eng *sim.Engine, vm *hypervisor.VM) {
 			p.aggregate(now)
 		}
 	})
+	return nil
 }
 
 // Detach stops monitoring.
@@ -279,7 +280,6 @@ type Policy struct {
 	MigrationBatch int
 
 	vm                *hypervisor.VM
-	active            bool
 	Promoted, Demoted uint64
 }
 
@@ -297,22 +297,17 @@ func NewPolicy(cfg Config, hotBar uint32, batch int) (*Policy, error) {
 func (p *Policy) Name() string { return "damon" }
 
 // Attach implements the TMM policy interface.
-func (p *Policy) Attach(eng *sim.Engine, vm *hypervisor.VM) {
-	p.vm = vm
-	p.active = true
-	p.Prof.OnAgg = func(s Snapshot) {
-		if p.active {
-			p.apply(s)
-		}
+func (p *Policy) Attach(eng *sim.Engine, vm *hypervisor.VM) error {
+	if err := p.Prof.Attach(eng, vm); err != nil {
+		return err
 	}
-	p.Prof.Attach(eng, vm)
+	p.vm = vm
+	p.Prof.OnAgg = p.apply // the profiler aggregates only while attached
+	return nil
 }
 
 // Detach implements the TMM policy interface.
-func (p *Policy) Detach() {
-	p.active = false
-	p.Prof.Detach()
-}
+func (p *Policy) Detach() { p.Prof.Detach() }
 
 // apply promotes pages of hot regions and demotes pages of cold ones.
 func (p *Policy) apply(s Snapshot) {

@@ -1,6 +1,7 @@
 package damon
 
 import (
+	"strings"
 	"testing"
 
 	"demeter/internal/engine"
@@ -143,17 +144,35 @@ func TestPolicyPromotes(t *testing.T) {
 	}
 }
 
-func TestDoubleAttachPanics(t *testing.T) {
-	eng, vm, _, _ := rig(t)
+// TestDoubleAttachFails: a second Attach while attached returns an error
+// naming DAMON, for the profiler and for the policy built on it, and
+// the first attachment keeps sampling.
+func TestDoubleAttachFails(t *testing.T) {
+	eng, vm, x, _ := rig(t)
 	p := mustProfiler(t, testCfg())
-	p.Attach(eng, vm)
+	if err := p.Attach(eng, vm); err != nil {
+		t.Fatal(err)
+	}
 	defer p.Detach()
-	defer func() {
-		if recover() == nil {
-			t.Fatal("double attach did not panic")
-		}
-	}()
-	p.Attach(eng, vm)
+	if err := p.Attach(eng, vm); err == nil || !strings.Contains(err.Error(), "damon") {
+		t.Fatalf("profiler double attach returned %v, want an error naming damon", err)
+	}
+	pol, err := NewPolicy(testCfg(), 12, 512)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := pol.Attach(eng, vm); err != nil {
+		t.Fatal(err)
+	}
+	defer pol.Detach()
+	if err := pol.Attach(eng, vm); err == nil || !strings.Contains(err.Error(), pol.Name()) {
+		t.Fatalf("policy double attach returned %v, want an error naming %s", err, pol.Name())
+	}
+	x.Start()
+	eng.Run(eng.Now() + 50*sim.Millisecond)
+	if p.Samples == 0 || pol.Prof.Samples == 0 {
+		t.Errorf("samples after the refused attaches: profiler %d, policy %d; want both live", p.Samples, pol.Prof.Samples)
+	}
 }
 
 func TestBadRegionBoundsReturnsError(t *testing.T) {

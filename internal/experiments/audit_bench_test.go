@@ -11,7 +11,7 @@ func BenchmarkMachineAudit(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := machineAuditErr(c.m); err != nil {
+		if err := c.Audit(); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -177,14 +177,19 @@ func containsString(xs []string, want string) bool {
 // rendered per-rung text block (deterministic for a given seed and
 // config); Snapshot carries the rung's end-of-run metrics so callers (the
 // explorer's fitness function) can score outlier behavior that violates
-// no invariant.
+// no invariant; Events carries its journal when the scale's Events is
+// set.
 type RungResult struct {
 	Mult       float64
 	Throughput float64
 	Violations []string
 	Report     string
 	Snapshot   obs.Snapshot
+	Events     []obs.Event
 }
+
+// Label names the rung in trace exports.
+func (r RungResult) Label() string { return fmt.Sprintf("chaos-x%g", r.Mult) }
 
 // RunChaosLadder runs every rung of cfg's ladder as an independent leaf
 // run under the worker pool and derives the cross-rung floor check. It is
@@ -248,19 +253,6 @@ func ChaosReport(cfg ChaosConfig, rungs []RungResult) (string, error) {
 	return b.String(), nil
 }
 
-// RunChaos runs the fault-injection ladder and returns a deterministic
-// report. The error is non-nil when the config is invalid or when any
-// invariant was violated at any rung; in the latter case the report still
-// includes the full per-layer accounting.
-func RunChaos(s Scale, cfg ChaosConfig) (string, error) {
-	cfg = cfg.Normalized(s)
-	rungs, err := RunChaosLadder(s, cfg)
-	if err != nil {
-		return "", err
-	}
-	return ChaosReport(cfg, rungs)
-}
-
 // runChaosRung runs one ladder step: a fresh cluster with the schedule
 // scaled by mult, full Demeter provisioning plus the configured policy,
 // then the invariant battery. A panic anywhere in the run (a scenario
@@ -288,12 +280,12 @@ func runChaosRung(s Scale, cfg ChaosConfig, mult float64) (r RungResult) {
 		}
 	}
 	c := s.newCluster(cfg.Tier, hostFMEM, s.VMSMEM*uint64(n))
-	eng := c.eng
-	c.m.Fault = inj // before NewVM/NewDouble so every layer inherits it
+	eng := c.Eng
+	c.Machine.Fault = inj // before NewVM/NewDouble so every layer inherits it
 	// Journal each fired fault. OnFire runs after the draw, so the fault
 	// stream is identical with or without observability attached.
 	inj.OnFire = func(p fault.Point, magnitude float64) {
-		c.o.Journal.Append(obs.Event{
+		c.Obs.Journal.Append(obs.Event{
 			At: eng.Now(), Type: obs.EvFault, VM: -1,
 			Note: string(p), Arg1: math.Float64bits(magnitude),
 		})
@@ -306,7 +298,7 @@ func runChaosRung(s Scale, cfg ChaosConfig, mult float64) (r RungResult) {
 	pending := n
 	for i := 0; i < n; i++ {
 		total := s.VMFMEM + s.VMSMEM
-		vm := c.newVM(4, total, total)
+		vm := must(c.NewVM(4, total, total))
 		d := balloon.NewDouble(eng, vm)
 		d.SetProvision(s.VMFMEM, s.VMSMEM, func() { pending-- })
 		vms = append(vms, vm)
@@ -340,7 +332,7 @@ func runChaosRung(s Scale, cfg ChaosConfig, mult float64) (r RungResult) {
 
 	var ds []*core.Demeter
 	for i, vm := range vms {
-		c.attach(vm, s.NewApp(cfg.Workloads[i%len(cfg.Workloads)], uint64(i)+1), s.NewPolicy(cfg.Design))
+		must(c.Attach(vm, s.NewApp(cfg.Workloads[i%len(cfg.Workloads)], uint64(i)+1), s.NewPolicy(cfg.Design)))
 		if d, ok := c.pols[i].(*core.Demeter); ok {
 			ds = append(ds, d)
 		}
@@ -361,7 +353,7 @@ func runChaosRung(s Scale, cfg ChaosConfig, mult float64) (r RungResult) {
 				Failover:    !cfg.NoFailover,
 				Fallback:    s.scanConfig(),
 			}, d, doubles[i])
-			mon.AttachExecutor(c.xs[i])
+			mon.AttachExecutor(c.Executors[i])
 			mon.Start(eng, vms[i])
 			mons = append(mons, mon)
 		}
@@ -369,7 +361,7 @@ func runChaosRung(s Scale, cfg ChaosConfig, mult float64) (r RungResult) {
 
 	// Double the horizon: faulty rungs legitimately run slower, and the
 	// degradation floor (not the horizon) is the performance assertion.
-	finished := c.run(2 * s.Horizon)
+	finished := c.Run(2 * s.Horizon)
 	reb.Stop()
 	// Monitors stop before the idle drain: a DEGRADED monitor's probe
 	// timer self-reschedules with backoff and would otherwise keep the
@@ -377,7 +369,7 @@ func runChaosRung(s Scale, cfg ChaosConfig, mult float64) (r RungResult) {
 	for _, mon := range mons {
 		mon.Stop()
 	}
-	c.detach()
+	c.Detach()
 	for _, d := range doubles {
 		d.StopStats()
 	}
@@ -394,7 +386,7 @@ func runChaosRung(s Scale, cfg ChaosConfig, mult float64) (r RungResult) {
 			r.Violations = append(r.Violations, fmt.Sprintf("VM%d: %d balloon/stats requests still in flight after quiesce", i, left))
 		}
 	}
-	if err := machineAuditErr(c.m); err != nil {
+	if err := c.Audit(); err != nil {
 		r.Violations = append(r.Violations, err.Error())
 	}
 	for i, mon := range mons {
@@ -412,14 +404,15 @@ func runChaosRung(s Scale, cfg ChaosConfig, mult float64) (r RungResult) {
 		}
 	}
 
-	ops, wall := c.totals()
+	ops, wall := c.Totals()
 	if wall > 0 {
 		r.Throughput = float64(ops) / wall.Seconds()
 	}
 
 	r.Report = chaosRungReport(mult, r.Throughput, inj, vms, ds, doubles, mons)
-	r.Snapshot = c.o.Reg.Snapshot()
-	s.finishObs(fmt.Sprintf("chaos-x%g", mult), c.o)
+	r.Snapshot = c.Obs.Reg.Snapshot()
+	r.Events = c.Obs.Journal.Events()
+	s.collect(r.Label(), r.Snapshot, r.Events)
 	return r
 }
 

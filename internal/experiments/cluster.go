@@ -11,81 +11,91 @@ import (
 	"demeter/internal/workload"
 )
 
-// cluster is one leaf run's simulated host: a private engine, a machine
-// with DRAM (host node 0) and one slow tier (host node 1), and a private
-// obs.Obs. Runners boot VMs, settle provisioning and attach designs in
-// their own order: simultaneous events fire in scheduling order, so each
-// runner's event order is part of its report and the helpers impose none.
-type cluster struct {
-	eng  *sim.Engine
-	m    *hypervisor.Machine
-	o    *obs.Obs
-	xs   []*engine.Executor
-	pols []Policy
+// Cluster is one simulated host: a private engine, a machine with DRAM
+// (host node 0) and one slow tier (host node 1), and a private obs.Obs.
+// Every leaf run of the experiments builds one, and so do the examples
+// and the tracer. Callers boot VMs, settle provisioning and attach
+// designs in their own order: simultaneous events fire in scheduling
+// order, so each caller's event order is part of its output and the
+// helpers impose none. A caller that needs its own step loop drives Eng
+// and reads Executors directly instead of calling Run.
+type Cluster struct {
+	Eng       *sim.Engine
+	Machine   *hypervisor.Machine
+	Obs       *obs.Obs
+	Executors []*engine.Executor
+	pols      []Policy
 }
 
-// newCluster builds the host with s's scan cost. The obs attaches before
-// any VM exists, so every layer's publish hooks register. Its journal
-// keeps events only under SetEventCapture; otherwise it only counts.
-func (s Scale) newCluster(tier string, hostFMEM, hostSMEM uint64) *cluster {
+// NewCluster builds a host whose slow tier is tier ("pmem", "cxl", or ""
+// for pmem) with the machine's default costs. The obs attaches before
+// any VM exists, so every layer's publish hooks register; its journal
+// only counts events.
+func NewCluster(tier string, hostFMEM, hostSMEM uint64) (*Cluster, error) {
 	topology, err := mem.PaperTopology(tier)
 	if err != nil {
-		panic(fmt.Sprintf("experiments: unknown tier %q", tier))
+		return nil, fmt.Errorf("experiments: %w", err)
 	}
 	eng := sim.NewEngine()
-	m := hypervisor.NewMachine(eng, topology(hostFMEM, hostSMEM))
-	if s.ScanPTECost > 0 {
-		m.Cost.ScanPTECost = s.ScanPTECost
-	}
-	o := obs.NewCounting(0)
-	if eventCapture() {
-		o = obs.New(0)
-	}
-	m.AttachObs(o)
-	return &cluster{eng: eng, m: m, o: o}
+	c := &Cluster{Eng: eng, Machine: hypervisor.NewMachine(eng, topology(hostFMEM, hostSMEM)), Obs: obs.NewCounting(0)}
+	c.Machine.AttachObs(c.Obs)
+	return c, nil
 }
 
-// newVM boots a guest whose FMEM node is backed by host node 0 and whose
+// newCluster builds a leaf run's host with s's scan cost. Its journal
+// keeps events when s.Events is set; otherwise it only counts.
+func (s Scale) newCluster(tier string, hostFMEM, hostSMEM uint64) *Cluster {
+	c := must(NewCluster(tier, hostFMEM, hostSMEM))
+	if s.Events {
+		// No VM exists yet, so every layer will journal into the ring.
+		c.Obs.Journal = obs.NewJournal(0)
+	}
+	if s.ScanPTECost > 0 {
+		c.Machine.Cost.ScanPTECost = s.ScanPTECost
+	}
+	return c
+}
+
+// NewVM boots a guest whose FMEM node is backed by host node 0 and whose
 // SMEM node by host node 1.
-func (c *cluster) newVM(vcpus int, guestFMEM, guestSMEM uint64) *hypervisor.VM {
-	vm, err := c.m.NewVM(hypervisor.VMConfig{
+func (c *Cluster) NewVM(vcpus int, guestFMEM, guestSMEM uint64) (*hypervisor.VM, error) {
+	return c.Machine.NewVM(hypervisor.VMConfig{
 		VCPUs: vcpus, GuestFMEM: guestFMEM, GuestSMEM: guestSMEM,
 		FMEMBacking: 0, SMEMBacking: 1,
 	})
-	if err != nil {
-		panic(err)
-	}
-	return vm
 }
 
-// attach wires wl to vm, then attaches pol. The executor runs the
+// Attach wires wl to vm, then attaches pol. The executor runs the
 // workload's Setup, and that must precede the attach: Demeter's range
-// tree snapshots the process VMAs when it attaches.
-func (c *cluster) attach(vm *hypervisor.VM, wl workload.Workload, pol Policy) *engine.Executor {
-	x := engine.NewExecutor(c.eng, vm, wl)
-	pol.Attach(c.eng, vm)
-	c.xs = append(c.xs, x)
+// tree snapshots the process VMAs when it attaches. A design that
+// refuses to attach leaves the cluster without the executor.
+func (c *Cluster) Attach(vm *hypervisor.VM, wl workload.Workload, pol Policy) (*engine.Executor, error) {
+	x := engine.NewExecutor(c.Eng, vm, wl)
+	if err := pol.Attach(c.Eng, vm); err != nil {
+		return nil, err
+	}
+	c.Executors = append(c.Executors, x)
 	c.pols = append(c.pols, pol)
-	return x
+	return x, nil
 }
 
-// run starts every executor and reports whether all finished within
+// Run starts every executor and reports whether all finished within
 // horizon.
-func (c *cluster) run(horizon sim.Duration) bool {
-	return engine.RunAll(c.eng, horizon, c.xs...)
+func (c *Cluster) Run(horizon sim.Duration) bool {
+	return engine.RunAll(c.Eng, horizon, c.Executors...)
 }
 
-// detach detaches every attached design.
-func (c *cluster) detach() {
+// Detach detaches every attached design.
+func (c *Cluster) Detach() {
 	for _, p := range c.pols {
 		p.Detach()
 	}
 }
 
-// totals returns the operations all executors completed and the latest
+// Totals returns the operations all executors completed and the latest
 // finish time.
-func (c *cluster) totals() (ops uint64, wall sim.Time) {
-	for _, x := range c.xs {
+func (c *Cluster) Totals() (ops uint64, wall sim.Time) {
+	for _, x := range c.Executors {
 		ops += x.OpsDone()
 		if x.FinishedAt() > wall {
 			wall = x.FinishedAt()
@@ -94,24 +104,14 @@ func (c *cluster) totals() (ops uint64, wall sim.Time) {
 	return ops, wall
 }
 
-// finish runs the end-of-run audit, then flushes the run's observability.
-// The audit checks host frame conservation, per-VM guest frame
-// conservation and TLB/GPT/EPT agreement, and panics on a violation: a
-// leak here is a simulator bug, not a result.
-func (s Scale) finish(c *cluster, label string) {
-	if err := machineAuditErr(c.m); err != nil {
-		panic(fmt.Sprintf("experiments: %v", err))
-	}
-	s.finishObs(label, c.o)
-}
-
-// machineAuditErr is finish's audit in error-returning form, used by the
-// chaos runner, which reports violations instead of panicking.
-func machineAuditErr(m *hypervisor.Machine) error {
-	if err := m.AuditFrames(); err != nil {
+// Audit checks host frame conservation, per-VM guest frame conservation
+// and TLB/GPT/EPT agreement. A violation is a simulator bug, not a
+// result.
+func (c *Cluster) Audit() error {
+	if err := c.Machine.AuditFrames(); err != nil {
 		return fmt.Errorf("host frame audit failed: %w", err)
 	}
-	for i, vm := range m.VMs {
+	for i, vm := range c.Machine.VMs {
 		if err := vm.AuditGuestFrames(); err != nil {
 			return fmt.Errorf("VM%d guest frame audit failed: %w", i, err)
 		}
@@ -120,4 +120,21 @@ func machineAuditErr(m *hypervisor.Machine) error {
 		}
 	}
 	return nil
+}
+
+// finish runs the end-of-run audit, panicking on a violation, then
+// flushes the run's observability into the experiment's accumulator.
+func (s Scale) finish(c *Cluster, label string) {
+	if err := c.Audit(); err != nil {
+		panic(fmt.Sprintf("experiments: %v", err))
+	}
+	s.collect(label, c.Obs.Reg.Snapshot(), c.Obs.Journal.Events())
+}
+
+// must panics with err: a leaf run's wiring mistake is a simulator bug.
+func must[T any](v T, err error) T {
+	if err != nil {
+		panic(err)
+	}
+	return v
 }

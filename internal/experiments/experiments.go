@@ -86,12 +86,17 @@ type Scale struct {
 	// Horizon bounds each run.
 	Horizon sim.Duration
 
-	// obsAcc collects per-cluster metrics snapshots for the running
-	// experiment's report section. RunExperiments installs a fresh one
+	// Events gives every leaf run a journal ring, so Report.Events and
+	// RungResult.Events hold its events. Off, a journal only counts:
+	// metrics merging is cheap, a ring buffer per leaf is not.
+	Events bool
+
+	// obsAcc collects the leaf runs' snapshots and journals for the
+	// running experiment's Report. RunExperiments installs a fresh one
 	// per experiment; the pointer survives Scale's value copies
 	// (splitScale and friends), so every leaf contributes to its
 	// experiment's accumulator. Nil (direct API use, tests) disables
-	// accumulation; the global collector still sees every run.
+	// accumulation.
 	obsAcc *obsAccum
 }
 
@@ -301,11 +306,11 @@ func (s Scale) RunCluster(design string, nVMs int, mkWL func(vmID int) workload.
 			// whose backing the host shuffles.
 			guestFMEM, guestSMEM = s.VMFMEM+s.VMSMEM, 1
 		}
-		x := c.attach(c.newVM(4, guestFMEM, guestSMEM), mkWL(i), s.NewPolicy(design))
-		x.PublishObs(c.o, fmt.Sprintf("%d", i))
+		x := must(c.Attach(must(c.NewVM(4, guestFMEM, guestSMEM)), mkWL(i), s.NewPolicy(design)))
+		x.PublishObs(c.Obs, fmt.Sprintf("%d", i))
 		if opt.txnLatency {
 			x.TxnHist = stats.NewHistogram()
-			c.o.Reg.AttachHistogram("txn_latency_ns", x.TxnHist, "vm", fmt.Sprintf("%d", i))
+			c.Obs.Reg.AttachHistogram("txn_latency_ns", x.TxnHist, "vm", fmt.Sprintf("%d", i))
 		}
 	}
 
@@ -314,8 +319,8 @@ func (s Scale) RunCluster(design string, nVMs int, mkWL func(vmID int) workload.
 		res.Series = &stats.Series{Name: design}
 		var lastOps uint64
 		var lastT sim.Time
-		sampler = c.eng.StartTicker(opt.sampleEvery, func(now sim.Time) {
-			ops, _ := c.totals()
+		sampler = c.Eng.StartTicker(opt.sampleEvery, func(now sim.Time) {
+			ops, _ := c.Totals()
 			dt := now - lastT
 			if dt > 0 {
 				res.Series.Append(now.Seconds(), float64(ops-lastOps)/dt.Seconds())
@@ -324,20 +329,20 @@ func (s Scale) RunCluster(design string, nVMs int, mkWL func(vmID int) workload.
 		})
 	}
 
-	ok := c.run(s.Horizon)
+	ok := c.Run(s.Horizon)
 	if sampler != nil {
 		sampler.Stop()
 	}
-	c.detach()
+	c.Detach()
 	if !ok {
 		panic(fmt.Sprintf("experiments: %s cluster did not finish within horizon %v", design, s.Horizon))
 	}
 
-	res.OpsTotal, res.Wall = c.totals()
+	res.OpsTotal, res.Wall = c.Totals()
 	res.TxnHist = stats.NewHistogram()
-	for i, x := range c.xs {
+	for i, x := range c.Executors {
 		res.Runtimes = append(res.Runtimes, x.Runtime())
-		vm := c.m.VMs[i]
+		vm := c.Machine.VMs[i]
 		res.GuestCPU.Merge(vm.Ledger)
 		st := vm.TLB.Stats()
 		res.TLB.SingleFlushes += st.SingleFlushes
@@ -349,7 +354,7 @@ func (s Scale) RunCluster(design string, nVMs int, mkWL func(vmID int) workload.
 			res.TxnHist.Merge(x.TxnHist)
 		}
 	}
-	res.HostCPU.Merge(c.m.HostLedger)
+	res.HostCPU.Merge(c.Machine.HostLedger)
 	s.finish(c, design)
 	return res
 }

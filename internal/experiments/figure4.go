@@ -81,7 +81,7 @@ func (h HeatMap) concentration(top int) float64 {
 // Figure4Data runs LibLinear in one VM and collects both heat maps.
 func Figure4Data(s Scale) (gva, gpa HeatMap) {
 	c := s.newCluster("pmem", s.VMFMEM, s.VMSMEM)
-	vm := c.newVM(4, s.VMFMEM, s.VMSMEM)
+	vm := must(c.NewVM(4, s.VMFMEM, s.VMSMEM))
 	wl := s.NewApp("liblinear", 1)
 	wl.Setup(vm.Proc)
 

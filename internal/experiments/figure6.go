@@ -70,14 +70,14 @@ func Figure6(s Scale) string {
 // and returns aggregate throughput.
 func runProvisioned(s Scale, scheme provisionScheme) float64 {
 	c := provisioned(s, scheme)
-	ops, wall := c.totals()
+	ops, wall := c.Totals()
 	s.finish(c, "figure6-"+scheme.name)
 	return float64(ops) / wall.Seconds()
 }
 
 // provisioned builds the cluster, settles provisioning and runs GUPS to
 // the end under scheme's design, leaving the cluster ready to audit.
-func provisioned(s Scale, scheme provisionScheme) *cluster {
+func provisioned(s Scale, scheme provisionScheme) *Cluster {
 	n := s.VMs
 	c := s.newCluster("pmem", s.VMFMEM*uint64(n), s.VMSMEM*uint64(n))
 	pending := n
@@ -87,23 +87,23 @@ func provisioned(s Scale, scheme provisionScheme) *cluster {
 			total := s.VMFMEM + s.VMSMEM
 			guestFMEM, guestSMEM = total, total
 		}
-		scheme.setup(c.eng, c.newVM(4, guestFMEM, guestSMEM), s, func() { pending-- })
+		scheme.setup(c.Eng, must(c.NewVM(4, guestFMEM, guestSMEM)), s, func() { pending-- })
 	}
 	// Settle ballooning before workloads start (boot-time resizing).
 	for pending > 0 {
-		if !c.eng.Step() {
+		if !c.Eng.Step() {
 			panic("experiments: provisioning never settled")
 		}
 	}
 
 	// Each VM runs its own full GUPS instance (16 GiB VM, ~14 GiB table
 	// in the paper).
-	for i, vm := range c.m.VMs {
-		c.attach(vm, workload.Must(workload.NewGUPS(s.GUPSFootprint, s.GUPSOps, uint64(i)+1)), s.NewPolicy(scheme.design))
+	for i, vm := range c.Machine.VMs {
+		must(c.Attach(vm, workload.Must(workload.NewGUPS(s.GUPSFootprint, s.GUPSOps, uint64(i)+1)), s.NewPolicy(scheme.design)))
 	}
-	if !c.run(s.Horizon) {
+	if !c.Run(s.Horizon) {
 		panic(fmt.Sprintf("experiments: figure6 %s did not finish", scheme.name))
 	}
-	c.detach()
+	c.Detach()
 	return c
 }

@@ -14,14 +14,14 @@ import (
 func runDemeterWith(s Scale, nVMs int, cfg core.Config) float64 {
 	c := s.newCluster("pmem", s.VMFMEM*uint64(nVMs), s.VMSMEM*uint64(nVMs))
 	for i := 0; i < nVMs; i++ {
-		c.attach(c.newVM(4, s.VMFMEM, s.VMSMEM), workload.Must(workload.NewGUPS(s.GUPSFootprint, s.GUPSOps, uint64(i)+1)), core.New(cfg))
+		must(c.Attach(must(c.NewVM(4, s.VMFMEM, s.VMSMEM)), workload.Must(workload.NewGUPS(s.GUPSFootprint, s.GUPSOps, uint64(i)+1)), core.New(cfg)))
 	}
-	if !c.run(s.Horizon) {
+	if !c.Run(s.Horizon) {
 		panic("experiments: figure9 run did not finish")
 	}
-	c.detach()
+	c.Detach()
 	var sum float64
-	for _, x := range c.xs {
+	for _, x := range c.Executors {
 		sum += x.Runtime().Seconds()
 	}
 	s.finish(c, "demeter-tuned")

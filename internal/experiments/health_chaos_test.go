@@ -41,7 +41,7 @@ func healthChaosConfig() ChaosConfig {
 // health accounting line.
 func TestChaosHealthInvariantsUnderAgentFaults(t *testing.T) {
 	s := Tiny()
-	report, err := RunChaos(s, healthChaosConfig())
+	report, err := runChaosReport(s, healthChaosConfig())
 	if err != nil {
 		t.Fatalf("health chaos failed: %v\n%s", err, report)
 	}
@@ -66,7 +66,7 @@ func TestChaosHealthDisabledKeepsReportShape(t *testing.T) {
 	cfg := DefaultChaosConfig()
 	cfg.VMs = 2
 	cfg.Ladder = []float64{0, 1}
-	report, err := RunChaos(s, cfg)
+	report, err := runChaosReport(s, cfg)
 	if err != nil {
 		t.Fatalf("chaos failed: %v\n%s", err, report)
 	}
@@ -106,7 +106,7 @@ func TestChaosParallelHealthByteIdentical(t *testing.T) {
 	s := Tiny()
 	cfg := healthChaosConfig()
 	run := func() string {
-		report, err := RunChaos(s, cfg)
+		report, err := runChaosReport(s, cfg)
 		if err != nil {
 			t.Fatalf("health chaos failed: %v\n%s", err, report)
 		}

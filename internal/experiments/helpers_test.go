@@ -67,7 +67,11 @@ func TestScaleParametersSane(t *testing.T) {
 
 func TestHostTopologyTiers(t *testing.T) {
 	slowKind := func(tier string) string {
-		return Tiny().newCluster(tier, 10, 20).m.Topo.SlowNode().Spec.Kind.String()
+		c, err := NewCluster(tier, 10, 20)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return c.Machine.Topo.SlowNode().Spec.Kind.String()
 	}
 	if slowKind("pmem") != "PMEM" {
 		t.Error("pmem tier wrong")
@@ -78,12 +82,26 @@ func TestHostTopologyTiers(t *testing.T) {
 	if slowKind("") != "PMEM" {
 		t.Error("default tier should be pmem")
 	}
-	defer func() {
-		if recover() == nil {
-			t.Error("unknown tier did not panic")
-		}
-	}()
-	Tiny().newCluster("optane9000", 1, 1)
+	if _, err := NewCluster("optane9000", 1, 1); err == nil || !strings.Contains(err.Error(), "optane9000") {
+		t.Errorf("unknown tier: err = %v, want one naming the tier", err)
+	}
+}
+
+// TestNewClusterKeepsDefaultScanCost pins that only a Scale overrides
+// the machine's A-bit scan cost.
+func TestNewClusterKeepsDefaultScanCost(t *testing.T) {
+	c, err := NewCluster("pmem", 10, 20)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := Tiny()
+	s.ScanPTECost = 999
+	if got := s.newCluster("pmem", 10, 20).Machine.Cost.ScanPTECost; got != 999 {
+		t.Errorf("scale's scan cost = %v, want 999", got)
+	}
+	if c.Machine.Cost.ScanPTECost == 999 {
+		t.Error("NewCluster took a scale's scan cost")
+	}
 }
 
 func TestClusterResultMetrics(t *testing.T) {

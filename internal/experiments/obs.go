@@ -1,21 +1,20 @@
 // Observability plumbing for the harness. Every leaf cluster run owns a
 // private obs.Obs (same isolation rule as its private sim.Engine); at
-// teardown the leaf's metrics snapshot flows two ways:
+// teardown the leaf's metrics snapshot, and its journal when the scale
+// captures events, flow into the running experiment's accumulator, and
+// from there into that experiment's Report:
 //
-//   - into the running experiment's accumulator, which renders the
-//     per-report "metrics snapshot" section. Leaves finish in
+//   - Report.Metrics folds the leaf snapshots in a canonical order
+//     (sorted by their JSON serialization). Leaves finish in
 //     schedule-dependent order under -parallel, and float64 sums are not
-//     associative, so the accumulator folds snapshots in a canonical
-//     order (sorted by their JSON serialization) — that is what keeps
-//     reports byte-identical at every -parallel setting.
-//   - into the process-global collector behind the CLI's -metrics dump
-//     and `top` subcommand (arrival-order merge; the global dump has no
-//     byte-identity contract).
-//
-// A leaf's journal keeps events only under SetEventCapture(true), for the
-// -events export. Otherwise it is count-only: it still publishes the
-// journal_events and journal_dropped counters a ring of the same capacity
-// would, and allocates no ring.
+//     associative, so the canonical fold is what keeps Metrics, and the
+//     report's "metrics snapshot" section rendered from it,
+//     byte-identical at every -parallel setting.
+//   - Report.Events keeps each leaf's journal in arrival order. A leaf's
+//     journal holds events only under Scale.Events. Otherwise it is
+//     count-only: it still publishes the journal_events and
+//     journal_dropped counters a ring of the same capacity would, and
+//     allocates no ring.
 
 package experiments
 
@@ -29,45 +28,52 @@ import (
 	"demeter/internal/obs"
 )
 
-// obsAccum collects one experiment invocation's leaf snapshots. The
+// CapturedCluster is one leaf run's retained event journal.
+type CapturedCluster struct {
+	// Label names the run (experiment/design it belonged to).
+	Label string
+	// Events is the journal content, oldest first.
+	Events []obs.Event
+}
+
+// obsAccum collects one experiment invocation's leaf results. The
 // pointer travels inside Scale (a value type), so every helper that
 // receives the experiment's Scale contributes to the same accumulator.
 type obsAccum struct {
 	mu    sync.Mutex
 	snaps []obs.Snapshot
+	runs  []CapturedCluster
 }
 
-func (a *obsAccum) add(s obs.Snapshot) {
+// collect files one leaf run's end-of-run snapshot, and its journal
+// events when s captures them, with the running experiment. Without an
+// accumulator (direct API use, tests) it does nothing.
+func (s Scale) collect(label string, snap obs.Snapshot, events []obs.Event) {
+	a := s.obsAcc
 	if a == nil {
 		return
 	}
 	a.mu.Lock()
-	a.snaps = append(a.snaps, s)
-	a.mu.Unlock()
+	defer a.mu.Unlock()
+	a.snaps = append(a.snaps, snap)
+	if s.Events {
+		a.runs = append(a.runs, CapturedCluster{Label: label, Events: events})
+	}
 }
 
-// section renders the experiment's merged metrics, condensed across VMs
-// and clusters. Snapshots are folded in canonical (JSON-sorted) order so
-// the float sums — and with them the bytes — are schedule-independent.
-func (a *obsAccum) section() string {
-	if a == nil {
-		return ""
-	}
-	a.mu.Lock()
-	snaps := append([]obs.Snapshot(nil), a.snaps...)
-	a.mu.Unlock()
-	if len(snaps) == 0 {
-		return ""
-	}
-	keys := make([]string, len(snaps))
-	for i, s := range snaps {
+// merged folds the leaf snapshots in canonical (JSON-sorted) order, so
+// the float sums, and with them the bytes, are schedule-independent.
+// Call it after every leaf has finished.
+func (a *obsAccum) merged() obs.Snapshot {
+	keys := make([]string, len(a.snaps))
+	for i, s := range a.snaps {
 		data, err := json.Marshal(s)
 		if err != nil {
 			panic(fmt.Sprintf("experiments: snapshot marshal: %v", err))
 		}
 		keys[i] = string(data)
 	}
-	order := make([]int, len(snaps))
+	order := make([]int, len(a.snaps))
 	for i := range order {
 		order[i] = i
 	}
@@ -75,13 +81,20 @@ func (a *obsAccum) section() string {
 
 	var merged obs.Snapshot
 	for _, i := range order {
-		merged = merged.Merge(snaps[i])
+		merged = merged.Merge(a.snaps[i])
 	}
-	cond := merged.Condense()
+	return merged
+}
 
+// section renders an experiment's merged metrics, condensed across VMs
+// and clusters.
+func (a *obsAccum) section(merged obs.Snapshot) string {
+	if len(a.snaps) == 0 {
+		return ""
+	}
 	var b strings.Builder
-	fmt.Fprintf(&b, "\nmetrics snapshot (%d cluster run(s), condensed):\n", len(snaps))
-	for _, m := range cond.Metrics {
+	fmt.Fprintf(&b, "\nmetrics snapshot (%d cluster run(s), condensed):\n", len(a.snaps))
+	for _, m := range merged.Condense().Metrics {
 		switch m.Kind {
 		case obs.KindCounter:
 			fmt.Fprintf(&b, "  %-26s %d\n", m.Name, uint64(m.Value))
@@ -96,91 +109,26 @@ func (a *obsAccum) section() string {
 	return b.String()
 }
 
-// CapturedCluster is one leaf run's retained event journal.
-type CapturedCluster struct {
-	// Seq is the capture arrival ordinal (the trace pid).
-	Seq int
-	// Label names the run (experiment/design it belonged to).
-	Label string
-	// Events is the journal content, oldest first.
-	Events []obs.Event
-}
-
-// Process-global collection (CLI surface). Every mutation is serialized
-// by obsMu above the engine: leaves publish snapshots on teardown, the
-// CLI drains between runs, and nothing inside a cluster run reads the
-// tables — per-shard collection will replace this when the engine
-// shards (see crossshard in DESIGN.md §9).
+// The fold of every report RunExperiments returned since the last
+// ResetObsCollection. Only GlobalMetrics reads it; a report's own
+// Metrics is the per-run result.
 var (
-	obsMu sync.Mutex //lint:allow crossshard the serialization point itself: every access to the tables below goes through it
-	//lint:allow crossshard merged under obsMu at leaf teardown, drained between runs; never read inside a run
+	obsMu sync.Mutex //lint:allow crossshard the serialization point itself: every access to obsGlobal goes through it
+	//lint:allow crossshard merged under obsMu after a RunExperiments call returns its reports; never read inside a run
 	obsGlobal obs.Snapshot
-	//lint:allow crossshard appended under obsMu at leaf teardown, drained between runs; never read inside a run
-	obsClusters []CapturedCluster
-	//lint:allow crossshard toggled by the CLI before runs start, read under obsMu afterwards
-	obsCapture bool
 )
 
-// SetEventCapture enables retention of per-cluster event journals for
-// the -events export. Off by default: metrics merging is cheap, a ring
-// buffer per leaf is not, so without capture a leaf keeps counts only.
-// It applies to clusters built after the call.
-func SetEventCapture(on bool) {
-	obsMu.Lock()
-	obsCapture = on
-	obsMu.Unlock()
-}
-
-// eventCapture reports whether SetEventCapture is on.
-func eventCapture() bool {
-	obsMu.Lock()
-	defer obsMu.Unlock()
-	return obsCapture
-}
-
-// GlobalMetrics returns the merged metrics snapshot across every cluster
-// run since the last reset.
+// GlobalMetrics returns the report-order merge of the Metrics of every
+// report RunExperiments returned since the last ResetObsCollection.
 func GlobalMetrics() obs.Snapshot {
 	obsMu.Lock()
 	defer obsMu.Unlock()
 	return obsGlobal
 }
 
-// CapturedEvents returns the retained journals, sorted by (Label, Seq)
-// for stable export order.
-func CapturedEvents() []CapturedCluster {
-	obsMu.Lock()
-	out := append([]CapturedCluster(nil), obsClusters...)
-	obsMu.Unlock()
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Label != out[j].Label {
-			return out[i].Label < out[j].Label
-		}
-		return out[i].Seq < out[j].Seq
-	})
-	return out
-}
-
-// ResetObsCollection clears the global collector (tests).
+// ResetObsCollection clears what GlobalMetrics returns.
 func ResetObsCollection() {
 	obsMu.Lock()
 	obsGlobal = obs.Snapshot{}
-	obsClusters = nil
-	obsMu.Unlock()
-}
-
-// finishObs flushes one leaf run's observability at teardown: snapshot
-// into the experiment accumulator and the global collector, journal into
-// the capture list when enabled.
-func (s Scale) finishObs(label string, o *obs.Obs) {
-	snap := o.Reg.Snapshot()
-	s.obsAcc.add(snap)
-	obsMu.Lock()
-	obsGlobal = obsGlobal.Merge(snap)
-	if obsCapture {
-		obsClusters = append(obsClusters, CapturedCluster{
-			Seq: len(obsClusters), Label: label, Events: o.Journal.Events(),
-		})
-	}
 	obsMu.Unlock()
 }

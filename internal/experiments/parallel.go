@@ -16,6 +16,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"demeter/internal/obs"
 )
 
 // workerTokens is the global leaf-run semaphore; nil means sequential.
@@ -97,33 +99,49 @@ func FanOut(n int, job func(i int)) {
 	wg.Wait()
 }
 
-// Report is one experiment's rendered output plus its wall time.
+// Report is one experiment's rendered output, its wall time, and the
+// observability its leaf runs left.
 type Report struct {
 	ID      string
 	Title   string
 	Output  string
 	Elapsed time.Duration
+	// Metrics is the canonical merge of every leaf run's end-of-run
+	// snapshot, the same at every -parallel setting; the report's
+	// "metrics snapshot" section renders it condensed.
+	Metrics obs.Snapshot
+	// Events holds each leaf run's journal in arrival order when the
+	// scale's Events is set, and is nil otherwise.
+	Events []CapturedCluster
 }
 
 // RunExperiments executes the given experiments and returns reports in
 // input order. With parallelism enabled the experiments run concurrently
 // (each coordinator goroutine is token-free; the leaf cluster runs inside
 // each experiment contend for the worker pool), otherwise strictly in
-// order. Either way Output is identical: every experiment is
-// deterministic given s.
+// order. Either way Output and Metrics are identical: every experiment
+// is deterministic given s.
 func RunExperiments(s Scale, es []Experiment) []Report {
 	reports := make([]Report, len(es))
-	runOne := func(i int) {
+	FanOut(len(es), func(i int) {
 		start := time.Now() //lint:allow simdet host wall clock feeds only Report.Elapsed, never simulation state
-		// Each experiment gets its own metrics accumulator; the section is
-		// rendered after Run returns (post-barrier), so leaf completion
-		// order under -parallel cannot change the bytes.
+		// Each experiment gets its own accumulator; its results are read
+		// after Run returns (post-barrier), so leaf completion order under
+		// -parallel cannot change the bytes.
 		si := s
 		si.obsAcc = &obsAccum{}
-		out := es[i].Run(si) + si.obsAcc.section()
-		//lint:allow simdet host wall clock feeds only Report.Elapsed, never simulation state
-		reports[i] = Report{ID: es[i].ID, Title: es[i].Title, Output: out, Elapsed: time.Since(start)}
+		out := es[i].Run(si)
+		metrics := si.obsAcc.merged()
+		reports[i] = Report{
+			ID: es[i].ID, Title: es[i].Title, Output: out + si.obsAcc.section(metrics),
+			Elapsed: time.Since(start), //lint:allow simdet host wall clock feeds only Report.Elapsed, never simulation state
+			Metrics: metrics, Events: si.obsAcc.runs,
+		}
+	})
+	obsMu.Lock() // GlobalMetrics folds the returned reports in order
+	for _, r := range reports {
+		obsGlobal = obsGlobal.Merge(r.Metrics)
 	}
-	FanOut(len(es), runOne)
+	obsMu.Unlock()
 	return reports
 }

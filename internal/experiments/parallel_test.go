@@ -80,8 +80,9 @@ func TestParallelExperimentByteIdentical(t *testing.T) {
 }
 
 // TestRunExperimentsByteIdentical fans out at the outer level too: whole
-// experiments run concurrently and the assembled reports must match the
-// sequential ones byte for byte, in input order.
+// experiments run concurrently and the assembled reports, each one's
+// Metrics JSON included, must match the sequential ones byte for byte,
+// in input order.
 func TestRunExperimentsByteIdentical(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-cluster runs in -short mode")
@@ -102,6 +103,9 @@ func TestRunExperimentsByteIdentical(t *testing.T) {
 			b.WriteByte('\n')
 			b.WriteString(r.Output)
 			b.WriteByte('\n')
+			if err := r.Metrics.WriteJSON(&b); err != nil {
+				t.Fatal(err)
+			}
 		}
 		return b.String()
 	}
@@ -125,7 +129,7 @@ func TestChaosParallelFaultStreamsIndependent(t *testing.T) {
 	cfg.VMs = 2
 	cfg.Ladder = []float64{0, 1, 2}
 	run := func() string {
-		report, err := RunChaos(s, cfg)
+		report, err := runChaosReport(s, cfg)
 		if err != nil {
 			t.Fatalf("chaos failed: %v\n%s", err, report)
 		}

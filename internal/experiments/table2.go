@@ -14,7 +14,7 @@ import (
 // tier latency) rather than echoing configuration.
 func (s Scale) measureTierLatency(tier string, node int) sim.Duration {
 	c := s.newCluster(tier, 4096, 4096)
-	vm := c.newVM(1, 4096, 4096)
+	vm := must(c.NewVM(1, 4096, 4096))
 	const pages = 512
 	start := vm.Proc.Mmap(pages * mem.PageSize)
 	var burned []mem.Frame

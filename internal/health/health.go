@@ -39,6 +39,7 @@
 package health
 
 import (
+	"errors"
 	"fmt"
 
 	"demeter/internal/balloon"
@@ -193,8 +194,9 @@ type Monitor struct {
 	timeoutStreak int
 	lastActivity  sim.Time
 
-	fallback *tmm.VTMM
-	stats    Stats
+	fallback  *tmm.VTMM
+	stats     Stats
+	attachErr error // failed fallback or delegate attaches, for AuditErr
 
 	// Teardown snapshot for AuditErr.
 	stopped        bool
@@ -424,7 +426,7 @@ func (m *Monitor) degrade(signals uint64) {
 	if m.Cfg.Failover && m.fallback == nil {
 		m.stats.Failovers++
 		f := tmm.NewVTMM(m.Cfg.Fallback)
-		f.Attach(m.eng, m.vm)
+		m.attachErr = errors.Join(m.attachErr, f.Attach(m.eng, m.vm))
 		m.fallback = f
 	}
 	m.probeAttempt = 0
@@ -467,7 +469,7 @@ func (m *Monitor) handback(now sim.Time) {
 		m.fallback.Detach()
 		m.fallback = nil
 	}
-	m.delegate.Attach(m.eng, m.vm)
+	m.attachErr = errors.Join(m.attachErr, m.delegate.Attach(m.eng, m.vm))
 	m.delegate.Reconcile()
 	m.stats.Handbacks++
 	m.recoverStreak = 0
@@ -511,10 +513,14 @@ func (s State) note() string {
 // AuditErr cross-checks the monitor's accounting after Stop; the chaos
 // invariant battery runs it per VM. Every degradation must either have
 // handed back or still be open at teardown, probes must dominate
-// handbacks, and a non-degraded end state requires a live delegate.
+// handbacks, a non-degraded end state requires a live delegate, and no
+// fallback or delegate attach may have failed.
 func (m *Monitor) AuditErr() error {
 	if !m.stopped {
 		return fmt.Errorf("health: audit before Stop")
+	}
+	if m.attachErr != nil {
+		return m.attachErr
 	}
 	st := m.stats
 	open := uint64(0)

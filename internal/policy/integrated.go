@@ -16,17 +16,14 @@ import (
 // policy — to the tracker × policy interface. The tracker argument is
 // ignored: these designs ARE a tracker+policy pairing fused by
 // construction, which is exactly the coupling this package exists to
-// contrast with.
-type integrated struct {
-	inner  tmm.Policy
-	active bool
-}
+// contrast with. The design itself refuses a second attach.
+type integrated struct{ tmm.Policy }
 
 // newIntegrated maps the generic policy Config onto each design's own
 // knobs (Period → its dominant cadence, a set MigrationBatch → its batch)
-// and validates everything that the designs' Attach methods would
-// otherwise panic on, keeping the config path panic-free. New has
-// already defaulted Period.
+// and validates at construction what the designs' Attach methods would
+// otherwise refuse only at attach time. New has already defaulted
+// Period.
 func newIntegrated(cfg Config) (Policy, error) {
 	var inner tmm.Policy
 	switch cfg.Kind {
@@ -84,7 +81,7 @@ func newIntegrated(cfg Config) (Policy, error) {
 	default:
 		return nil, fmt.Errorf("policy: unknown policy kind %q (want one of %v)", cfg.Kind, Kinds())
 	}
-	return &integrated{inner: inner}, nil
+	return integrated{inner}, nil
 }
 
 // scanConfig maps Period onto a scanning design's cadence and a set
@@ -97,21 +94,7 @@ func (cfg Config) scanConfig(def tmm.ScanConfig) tmm.ScanConfig {
 	return def
 }
 
-func (a *integrated) Name() string { return a.inner.Name() }
-
-func (a *integrated) Attach(eng *sim.Engine, vm *hypervisor.VM, _ track.Tracker) error {
-	if a.active {
-		return fmt.Errorf("policy: %s already attached", a.inner.Name())
-	}
-	a.active = true
-	a.inner.Attach(eng, vm)
-	return nil
-}
-
-func (a *integrated) Detach() {
-	if !a.active {
-		return
-	}
-	a.active = false
-	a.inner.Detach()
+// Attach implements Policy.
+func (a integrated) Attach(eng *sim.Engine, vm *hypervisor.VM, _ track.Tracker) error {
+	return a.Policy.Attach(eng, vm)
 }

@@ -245,7 +245,7 @@ func TestIntegratedKindsAttachViaConfig(t *testing.T) {
 // built its design with.
 func integratedBatch(t *testing.T, pol Policy) int {
 	t.Helper()
-	switch d := pol.(*integrated).inner.(type) {
+	switch d := pol.(integrated).Policy.(type) {
 	case *tmm.TPP:
 		return d.Cfg.MigrationBatch
 	case *tmm.TPPH:
@@ -323,7 +323,15 @@ func TestPolicyDoubleAttachErrors(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer tr.Detach()
-	for _, kind := range []string{"heat", "static"} {
+	// heat stands for the tracker-driven kinds; every integrated kind
+	// goes through the adapter, where the design itself refuses.
+	kinds := []string{"heat"}
+	for _, kind := range Kinds() {
+		if !TrackerDriven(kind) {
+			kinds = append(kinds, kind)
+		}
+	}
+	for _, kind := range kinds {
 		pol, err := New(policyConfig(kind))
 		if err != nil {
 			t.Fatal(err)
@@ -331,8 +339,8 @@ func TestPolicyDoubleAttachErrors(t *testing.T) {
 		if err := pol.Attach(eng, vm, tr); err != nil {
 			t.Fatalf("%s: first attach: %v", kind, err)
 		}
-		if err := pol.Attach(eng, vm, tr); err == nil {
-			t.Errorf("%s: double attach did not error", kind)
+		if err := pol.Attach(eng, vm, tr); err == nil || !strings.Contains(err.Error(), pol.Name()) {
+			t.Errorf("%s: double attach returned %v, want an error naming %s", kind, err, pol.Name())
 		}
 		pol.Detach()
 		pol.Detach() // idempotent

@@ -49,10 +49,10 @@ func (g *guestScan) Stats() ScanStats { return g.stats }
 
 // attach starts scanning vm with cfg and the design's saturating score
 // and free-frame watermark; design names the policy in the double-attach
-// panic.
-func (g *guestScan) attach(eng *sim.Engine, vm *hypervisor.VM, design string, cfg ScanConfig, maxScore uint8, freeTarget float64) {
+// error.
+func (g *guestScan) attach(eng *sim.Engine, vm *hypervisor.VM, design string, cfg ScanConfig, maxScore uint8, freeTarget float64) error {
 	if g.active {
-		panic("tmm: " + design + " attached twice")
+		return errAttachedTwice(design)
 	}
 	g.cfg, g.freeTarget, g.vm, g.active = cfg, freeTarget, vm, true
 	g.board = newScoreboard(maxScore)
@@ -62,6 +62,7 @@ func (g *guestScan) attach(eng *sim.Engine, vm *hypervisor.VM, design string, cf
 			g.round()
 		}
 	})
+	return nil
 }
 
 // Detach implements Policy.

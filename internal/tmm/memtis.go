@@ -89,23 +89,22 @@ func (p *Memtis) Name() string { return "memtis" }
 func (p *Memtis) Stats() MemtisStats { return p.stats }
 
 // Attach implements Policy.
-func (p *Memtis) Attach(eng *sim.Engine, vm *hypervisor.VM) {
+func (p *Memtis) Attach(eng *sim.Engine, vm *hypervisor.VM) error {
 	if p.active {
-		panic("tmm: Memtis attached twice")
+		return errAttachedTwice(p.Name())
+	}
+	unit, err := pebs.NewUnit(pebs.ConfigWithPeriod(p.Cfg.SamplePeriod))
+	if err != nil {
+		return fmt.Errorf("tmm: bad Memtis PEBS config: %w", err)
+	}
+	if err := unit.Arm(); err != nil {
+		return fmt.Errorf("tmm: Memtis PEBS arm failed: %w", err)
 	}
 	p.vm, p.active = vm, true
 	p.hist = newDecayCounts(vm.Kernel.Topo.TotalFrames())
 	p.rmap = make(reverseMap, vm.Kernel.Topo.TotalFrames())
-
-	unit, err := pebs.NewUnit(pebs.ConfigWithPeriod(p.Cfg.SamplePeriod))
-	if err != nil {
-		panic(fmt.Sprintf("tmm: bad Memtis PEBS config: %v", err))
-	}
 	p.unit = unit
 	vm.WirePEBS(unit)
-	if err := unit.Arm(); err != nil {
-		panic(fmt.Sprintf("tmm: Memtis PEBS arm failed: %v", err))
-	}
 	unit.OnPMI = func() {
 		vm.ChargeGuest(hypervisor.CompTrack, hypervisor.PMICost)
 		p.drain()
@@ -124,6 +123,7 @@ func (p *Memtis) Attach(eng *sim.Engine, vm *hypervisor.VM) {
 			p.round()
 		}
 	})
+	return nil
 }
 
 // Detach implements Policy.

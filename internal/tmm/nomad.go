@@ -53,10 +53,13 @@ func NewNomad(cfg ScanConfig) *Nomad { return &Nomad{Cfg: cfg} }
 func (p *Nomad) Name() string { return "nomad" }
 
 // Attach implements Policy.
-func (p *Nomad) Attach(eng *sim.Engine, vm *hypervisor.VM) {
-	p.attach(eng, vm, "Nomad", p.Cfg, nomadMaxScore, nomadFreeTargetFrac)
+func (p *Nomad) Attach(eng *sim.Engine, vm *hypervisor.VM) error {
+	if err := p.attach(eng, vm, p.Name(), p.Cfg, nomadMaxScore, nomadFreeTargetFrac); err != nil {
+		return err
+	}
 	p.shadow = newScoreboard(1)
 	p.promoted, p.scanned, p.demote = p.shadowPromoted, p.dropDirtyShadow, p.shadowDemote
+	return nil
 }
 
 // shadowPromoted charges the transactional part of a promotion — shadow

@@ -25,6 +25,8 @@
 package tmm
 
 import (
+	"fmt"
+
 	"demeter/internal/hypervisor"
 	"demeter/internal/sim"
 )
@@ -63,15 +65,17 @@ type Policy interface {
 	// Name identifies the design in harness output.
 	Name() string
 	// Attach starts management of vm; the workload must have Setup its
-	// regions already.
-	Attach(eng *sim.Engine, vm *hypervisor.VM)
+	// regions already. It fails, naming the design, when the policy is
+	// already attached or its configuration cannot run, and then leaves
+	// the policy as it was.
+	Attach(eng *sim.Engine, vm *hypervisor.VM) error
 	// Detach stops all activity.
 	Detach()
 }
 
 // Static is the no-management baseline: pages stay where first touch put
 // them.
-type Static struct{}
+type Static struct{ active bool }
 
 // NewStatic returns the static-placement policy.
 func NewStatic() *Static { return &Static{} }
@@ -79,11 +83,17 @@ func NewStatic() *Static { return &Static{} }
 // Name implements Policy.
 func (*Static) Name() string { return "static" }
 
-// Attach implements Policy (no-op).
-func (*Static) Attach(*sim.Engine, *hypervisor.VM) {}
+// Attach implements Policy; it manages nothing.
+func (p *Static) Attach(*sim.Engine, *hypervisor.VM) error {
+	if p.active {
+		return errAttachedTwice(p.Name())
+	}
+	p.active = true
+	return nil
+}
 
-// Detach implements Policy (no-op).
-func (*Static) Detach() {}
+// Detach implements Policy.
+func (p *Static) Detach() { p.active = false }
 
 // scoreboard tracks per-page A-bit history for the scanning designs: a
 // small saturating counter per page, incremented when the scan finds the
@@ -198,4 +208,10 @@ func (c *decayCounts) walk(halve bool, fn func(gpfn uint64, count float64)) {
 			c.v[i] = v
 		}
 	}
+}
+
+// errAttachedTwice is the error every design's Attach returns while it
+// is still attached.
+func errAttachedTwice(design string) error {
+	return fmt.Errorf("tmm: %s attached twice", design)
 }

@@ -3,6 +3,7 @@ package tmm
 import (
 	"fmt"
 	"slices"
+	"strings"
 	"testing"
 
 	"demeter/internal/engine"
@@ -256,20 +257,25 @@ func TestNomadSlowerToPromoteThanTPP(t *testing.T) {
 	}
 }
 
-func TestDoubleAttachPanics(t *testing.T) {
-	eng, vm, _, _ := rig(t, 256, 1024, 512, 1000)
-	policies := []Policy{NewTPP(testScan()), NewTPPH(testScan()), NewMemtis(testMemtis()), NewNomad(testScan()), NewVTMM(testVTMM())}
-	for _, p := range policies {
-		func() {
-			p.Attach(eng, vm)
-			defer p.Detach()
-			defer func() {
-				if recover() == nil {
-					t.Errorf("%s: double attach did not panic", p.Name())
-				}
-			}()
-			p.Attach(eng, vm)
-		}()
+// TestDoubleAttachFails: a second Attach while attached returns an error
+// naming the design and leaves the first attachment managing the VM.
+func TestDoubleAttachFails(t *testing.T) {
+	for _, p := range []Policy{NewStatic(), NewTPP(testScan()), NewTPPH(testScan()), NewMemtis(testMemtis()), NewNomad(testScan()), NewVTMM(testVTMM())} {
+		eng, vm, x, _ := rig(t, 256, 1024, 512, 200_000)
+		if err := p.Attach(eng, vm); err != nil {
+			t.Fatalf("%s: first attach: %v", p.Name(), err)
+		}
+		if err := p.Attach(eng, vm); err == nil || !strings.Contains(err.Error(), p.Name()) {
+			t.Errorf("%s: double attach returned %v, want an error naming the design", p.Name(), err)
+		}
+		if !engine.RunAll(eng, 100*sim.Second, x) {
+			t.Fatalf("%s: did not finish", p.Name())
+		}
+		managed := vm.Ledger.Sum() + vm.Machine.HostLedger.Sum()
+		if p.Name() != "static" && managed == 0 {
+			t.Errorf("%s: charged no management work after the refused attach", p.Name())
+		}
+		p.Detach()
 	}
 }
 

@@ -35,6 +35,6 @@ func NewTPP(cfg ScanConfig) *TPP { return &TPP{Cfg: cfg} }
 func (p *TPP) Name() string { return "tpp" }
 
 // Attach implements Policy.
-func (p *TPP) Attach(eng *sim.Engine, vm *hypervisor.VM) {
-	p.attach(eng, vm, "TPP", p.Cfg, tppMaxScore, tppFreeTargetFrac)
+func (p *TPP) Attach(eng *sim.Engine, vm *hypervisor.VM) error {
+	return p.attach(eng, vm, p.Name(), p.Cfg, tppMaxScore, tppFreeTargetFrac)
 }

@@ -56,9 +56,9 @@ func (p *TPPH) Name() string { return "tpp-h" }
 func (p *TPPH) Stats() ScanStats { return p.stats }
 
 // Attach implements Policy.
-func (p *TPPH) Attach(eng *sim.Engine, vm *hypervisor.VM) {
+func (p *TPPH) Attach(eng *sim.Engine, vm *hypervisor.VM) error {
 	if p.active {
-		panic("tmm: TPPH attached twice")
+		return errAttachedTwice(p.Name())
 	}
 	p.vm, p.active = vm, true
 	p.board = newScoreboard(tpphMaxScore)
@@ -67,6 +67,7 @@ func (p *TPPH) Attach(eng *sim.Engine, vm *hypervisor.VM) {
 			p.round()
 		}
 	})
+	return nil
 }
 
 // Detach implements Policy.

@@ -62,9 +62,9 @@ func (p *VTMM) Name() string { return "vtmm" }
 func (p *VTMM) Stats() ScanStats { return p.stats }
 
 // Attach implements Policy.
-func (p *VTMM) Attach(eng *sim.Engine, vm *hypervisor.VM) {
+func (p *VTMM) Attach(eng *sim.Engine, vm *hypervisor.VM) error {
 	if p.active {
-		panic("tmm: vTMM attached twice")
+		return errAttachedTwice(p.Name())
 	}
 	p.vm, p.active = vm, true
 	p.counts = newDecayCounts(vm.Kernel.Topo.TotalFrames())
@@ -82,6 +82,7 @@ func (p *VTMM) Attach(eng *sim.Engine, vm *hypervisor.VM) {
 			p.round()
 		}
 	})
+	return nil
 }
 
 // Detach implements Policy.

@@ -60,6 +60,9 @@ func (t *damonTracker) Attach(eng *sim.Engine, vm *hypervisor.VM) error {
 	if err != nil {
 		return fmt.Errorf("track: damon tracker: %w", err)
 	}
+	if err := prof.Attach(eng, vm); err != nil {
+		return fmt.Errorf("track: damon tracker: %w", err)
+	}
 	t.prof, t.vm, t.active = prof, vm, true
 	t.counters = nil
 	prof.OnAgg = func(s damon.Snapshot) {
@@ -67,7 +70,6 @@ func (t *damonTracker) Attach(eng *sim.Engine, vm *hypervisor.VM) error {
 			t.fold(s)
 		}
 	}
-	prof.Attach(eng, vm)
 	return nil
 }
 
