@@ -109,6 +109,35 @@ func TestObsOutputsReadReportsAndRungs(t *testing.T) {
 	}
 }
 
+// TestEventsIndependentOfParallelism: the reports list their journals
+// in a canonical order, so the -events file, trace pids included, is
+// byte-identical at -parallel 1 and 4.
+func TestEventsIndependentOfParallelism(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs the command")
+	}
+	dir := t.TempDir()
+	var files [2][]byte
+	for i, width := range []string{"1", "4"} {
+		name := "e" + width + ".jsonl"
+		out, code := runCLI(t, dir, "-scale", "tiny", "-parallel", width, "-events", name, "run", "-only", "table1,figure2")
+		if code != 0 {
+			t.Fatalf("-parallel %s: exit %d\n%s", width, code, out)
+		}
+		data, err := os.ReadFile(filepath.Join(dir, name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		files[i] = data
+	}
+	if !bytes.Contains(files[0], []byte(`"ph":"i"`)) {
+		t.Fatal("-events holds no journal events")
+	}
+	if !bytes.Equal(files[0], files[1]) {
+		t.Fatal("the -events files at -parallel 1 and 4 differ")
+	}
+}
+
 func ids(es []experiments.Experiment) []string {
 	out := make([]string, len(es))
 	for i, e := range es {

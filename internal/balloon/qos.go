@@ -78,7 +78,9 @@ func (r *Rebalancer) computeShares() []uint64 {
 		if st, ok := d.LatestStats(); ok {
 			pressure = 0.1 + st.SlowShare // floor keeps idle VMs alive
 		}
-		scores[i] = pressure * r.weights[i]
+		// The conversion rounds the product, so no GOARCH fuses it with
+		// the sum below into one multiply-add.
+		scores[i] = float64(pressure * r.weights[i])
 		total += scores[i]
 	}
 	shares := make([]uint64, len(r.vms))

@@ -664,8 +664,9 @@ func (d *Demeter) relocate() {
 	}
 	for k := 0; k < pairs; k++ {
 		// Swapping equal-temperature pages is pure churn: require the
-		// promotion side to be clearly hotter.
-		if proms[k].freq < demos[k].freq*hysteresisRatio+1e-9 {
+		// promotion side to be clearly hotter. The conversion rounds
+		// the product, so no GOARCH fuses it into a multiply-add.
+		if proms[k].freq < float64(demos[k].freq*hysteresisRatio)+1e-9 {
 			break
 		}
 		if d.Cfg.SequentialRelocation {

@@ -10,7 +10,9 @@
 //     associative, so the canonical fold is what keeps Metrics, and the
 //     report's "metrics snapshot" section rendered from it,
 //     byte-identical at every -parallel setting.
-//   - Report.Events keeps each leaf's journal in arrival order. A leaf's
+//   - Report.Events lists the leaf journals in a canonical order (by
+//     label, then by content), so the -events file, its trace pids
+//     included, is the same at every -parallel setting. A leaf's
 //     journal holds events only under Scale.Events. Otherwise it is
 //     count-only: it still publishes the journal_events and
 //     journal_dropped counters a ring of the same capacity would, and
@@ -84,6 +86,43 @@ func (a *obsAccum) merged() obs.Snapshot {
 		merged = merged.Merge(a.snaps[i])
 	}
 	return merged
+}
+
+// journals sorts the leaf journals canonically, by label and then by
+// their events, and returns them. Two journals that compare equal are
+// identical, so the order does not depend on which leaf finished first.
+// Call it after every leaf has finished.
+func (a *obsAccum) journals() []CapturedCluster {
+	sort.Slice(a.runs, func(i, j int) bool {
+		x, y := a.runs[i], a.runs[j]
+		if x.Label != y.Label {
+			return x.Label < y.Label
+		}
+		for k := 0; k < len(x.Events) && k < len(y.Events); k++ {
+			if x.Events[k] != y.Events[k] {
+				return eventLess(x.Events[k], y.Events[k])
+			}
+		}
+		return len(x.Events) < len(y.Events)
+	})
+	return a.runs
+}
+
+// eventLess orders two different journal events field by field.
+func eventLess(x, y obs.Event) bool {
+	switch {
+	case x.At != y.At:
+		return x.At < y.At
+	case x.Type != y.Type:
+		return x.Type < y.Type
+	case x.VM != y.VM:
+		return x.VM < y.VM
+	case x.Note != y.Note:
+		return x.Note < y.Note
+	case x.Arg1 != y.Arg1:
+		return x.Arg1 < y.Arg1
+	}
+	return x.Arg2 < y.Arg2
 }
 
 // section renders an experiment's merged metrics, condensed across VMs

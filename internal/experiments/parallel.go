@@ -110,8 +110,8 @@ type Report struct {
 	// snapshot, the same at every -parallel setting; the report's
 	// "metrics snapshot" section renders it condensed.
 	Metrics obs.Snapshot
-	// Events holds each leaf run's journal in arrival order when the
-	// scale's Events is set, and is nil otherwise.
+	// Events holds each leaf run's journal, sorted by label and then by
+	// content, when the scale's Events is set, and is nil otherwise.
 	Events []CapturedCluster
 }
 
@@ -135,7 +135,7 @@ func RunExperiments(s Scale, es []Experiment) []Report {
 		reports[i] = Report{
 			ID: es[i].ID, Title: es[i].Title, Output: out + si.obsAcc.section(metrics),
 			Elapsed: time.Since(start), //lint:allow simdet host wall clock feeds only Report.Elapsed, never simulation state
-			Metrics: metrics, Events: si.obsAcc.runs,
+			Metrics: metrics, Events: si.obsAcc.journals(),
 		}
 	})
 	obsMu.Lock() // GlobalMetrics folds the returned reports in order

@@ -72,11 +72,13 @@ func Score(rungs []experiments.RungResult) Fitness {
 			f.BalloonRecoveries = bal
 		}
 	}
-	f.Score = wViolation*float64(f.Violations) +
-		wDegradation*f.Degradation +
-		wThrash*f.Thrash +
-		wPMI*f.PMIStorm +
-		wBalloon*f.BalloonRecoveries
+	// Each conversion rounds its product, so no GOARCH fuses it into a
+	// multiply-add.
+	f.Score = float64(wViolation*float64(f.Violations)) +
+		float64(wDegradation*f.Degradation) +
+		float64(wThrash*f.Thrash) +
+		float64(wPMI*f.PMIStorm) +
+		float64(wBalloon*f.BalloonRecoveries)
 	return f
 }
 

@@ -191,7 +191,9 @@ func helper2(x float64) float64 {
 	if math.Abs(x) > 1e-8 {
 		return math.Expm1(x) / x
 	}
-	return 1 + x*0.5*(1+x/3*(1+x*0.25))
+	// Each conversion rounds its product, so no GOARCH fuses it into a
+	// multiply-add (the same rule holds in helper1 and Next).
+	return 1 + float64(x*0.5*(1+float64(x/3*(1+float64(x*0.25)))))
 }
 
 // hIntegralInverse inverts hIntegral.
@@ -208,7 +210,7 @@ func helper1(x float64) float64 {
 	if math.Abs(x) > 1e-8 {
 		return math.Log1p(x) / x
 	}
-	return 1 - x*0.5*(1-x/3*(1-x*0.25))
+	return 1 - float64(x*0.5*(1-float64(x/3*(1-float64(x*0.25)))))
 }
 
 // floor is the acceptance floor of candidate k: the bottom of k's
@@ -230,7 +232,7 @@ func (z *Zipf) Next() uint64 {
 		}
 	}
 	for {
-		u := z.hIntegralX1 + z.src.Float64()*z.scale
+		u := z.hIntegralX1 + float64(z.src.Float64()*z.scale)
 		x := z.hIntegralInverse(u)
 		k := math.Floor(x + 0.5)
 		if k < 1 {

@@ -193,7 +193,9 @@ func (e *EWMA) Observe(v float64) {
 		e.primed = true
 		return
 	}
-	e.value += e.alpha * (v - e.value)
+	// The conversion rounds the product, so no GOARCH fuses it into a
+	// multiply-add.
+	e.value += float64(e.alpha * (v - e.value))
 }
 
 // Value returns the current average (0 before any observation).

@@ -613,6 +613,26 @@ func BenchmarkRound(b *testing.B) {
 	}
 }
 
+// BenchmarkVTMMRound times vTMM rounds that classify and migrate: before
+// each one, every slow page is touched (off the clock), so each round
+// promotes a full budget and demotes to make room for it. The budget is
+// the experiments' 256 pages, a small share of the thousands of pages
+// each round counts, as in the full-size experiments.
+func BenchmarkVTMMRound(b *testing.B) {
+	cfg := testVTMM()
+	cfg.MigrationBatch = 256
+	p := NewVTMM(cfg)
+	_, vm := warm(b, p)
+	defer p.Detach()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		touchSlow(vm)
+		b.StartTimer()
+		p.round()
+	}
+}
+
 // touchSlow sets the A bit of every slow-tier page in vm's GPT and EPT:
 // pages promoted by one round cool off and are demoted again, so
 // back-to-back rounds keep finding both hot and cold pages.

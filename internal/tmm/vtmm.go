@@ -1,8 +1,6 @@
 package tmm
 
 import (
-	"slices"
-
 	"demeter/internal/hypervisor"
 	"demeter/internal/pagetable"
 	"demeter/internal/sim"
@@ -40,8 +38,9 @@ type VTMM struct {
 
 	vm          *hypervisor.VM
 	pml         *hypervisor.PML
-	counts      decayCounts // gpfn → access score
-	pages       []pageScore // classification buffer, reused across rounds
+	counts      decayCounts  // gpfn → access score
+	pages       []pageScore  // classification buffer, reused across rounds
+	order       orderedPages // the round's view of pages, its fences reused
 	ticker      *sim.Ticker
 	cursor      uint64
 	dirtyCursor uint64
@@ -137,27 +136,17 @@ func (p *VTMM) round() {
 	scanCost := sim.Duration(visited+vtmmDirtyResetBatch) * cm.ScanPTECost
 	vm.ChargeHost(hypervisor.CompTrack, scanCost+flushCost)
 
-	// Classification: sort all tracked pages by score (vTMM's frequency
-	// sort), charging n log n comparisons. The order is total, so the
-	// result does not depend on the sort algorithm.
+	// Classification: vTMM sorts all tracked pages by score, and is
+	// charged n log n comparisons for it. The round reads the order only
+	// from its two ends, so the view orders only what is read; the order
+	// is total, so every read is the page a full sort puts there.
 	pages := p.pages[:0]
 	p.counts.walk(true, func(gpfn uint64, score float64) {
 		pages = append(pages, pageScore{gpfn, score})
 	})
 	p.pages = pages
-	slices.SortFunc(pages, func(a, b pageScore) int {
-		switch {
-		case a.score > b.score:
-			return -1
-		case a.score < b.score:
-			return 1
-		case a.gpfn < b.gpfn:
-			return -1
-		case a.gpfn > b.gpfn:
-			return 1
-		}
-		return 0
-	})
+	order := &p.order
+	order.reset(pages)
 	n := len(pages)
 	sortCost := sim.Duration(0)
 	if n > 1 {
@@ -176,10 +165,9 @@ func (p *VTMM) round() {
 		budget = p.Cfg.MigrationBatch
 	}
 	moved := 0
-	for _, ps := range pages {
-		if moved >= budget {
-			break
-		}
+	bottom := n // demotions read the order below bottom only
+	for top := 0; top < n && moved < budget; top++ {
+		ps := order.at(top)
 		he := vm.EPT.Lookup(ps.gpfn)
 		if he == nil || fastHost.Contains(hostFrameOf(he)) {
 			continue
@@ -187,17 +175,18 @@ func (p *VTMM) round() {
 		// Make room by demoting from the bottom of the sort.
 		if fastHost.FreeFrames() == 0 {
 			demoted := false
-			for i := len(pages) - 1; i > 0; i-- {
-				ce := vm.EPT.Lookup(pages[i].gpfn)
+			for i := bottom - 1; i > 0; i-- {
+				gpfn := order.at(i).gpfn
+				ce := vm.EPT.Lookup(gpfn)
 				if ce == nil || !fastHost.Contains(hostFrameOf(ce)) {
 					continue
 				}
-				if cost, ok := vm.HostMigrate(pages[i].gpfn, slowHost.ID); ok {
+				if cost, ok := vm.HostMigrate(gpfn, slowHost.ID); ok {
 					migrateCost += cost
 					p.stats.Demoted++
 					demoted = true
 				}
-				pages = pages[:i]
+				bottom = i
 				break
 			}
 			if !demoted {
@@ -211,10 +200,4 @@ func (p *VTMM) round() {
 		}
 	}
 	vm.ChargeHost(hypervisor.CompMigrate, migrateCost)
-}
-
-// pageScore is one tracked page in classification order.
-type pageScore struct {
-	gpfn  uint64
-	score float64
 }
